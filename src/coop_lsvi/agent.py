@@ -113,25 +113,33 @@ class LsviAgent:
         # Full own-trajectory history per h (column lists), used by the
         # no-communication local update path.
         self._own_cols: list[list[list]] = [[[], [], [], [], []] for _ in range(H)]
-        self.episodes_seen = 0
-        self.last_update_episode = 0
+        # (H, S, A) table of the current parameters; None until first built.
+        self._q: Optional[np.ndarray] = None
 
     # -- read-only evaluation ------------------------------------------------
 
-    def eval_q(self, mdp: LinearMdp, s: int, a: int, h: int) -> float:
-        """Truncated optimistic Q estimate at 1-based step h."""
-        phi = mdp.features[s, a]
+    def _clipped_q(self, feats: np.ndarray, hh: int) -> np.ndarray:
+        """Truncated optimistic Q estimates for a stack of feature rows at
+        0-based step hh; the one place the Q-function is evaluated."""
         qp = self.qparams
-        raw = float(phi @ qp.w[h - 1]) + qp.beta * math.sqrt(qp.cov[h - 1].quad_form(phi))
-        hi = self.H - h + 1
-        return min(max(raw, 0.0), hi)
+        raw = feats @ qp.w[hh] + qp.beta * np.sqrt(qp.cov[hh].quad_form_many(feats))
+        return np.clip(raw, 0.0, self.H - hh)
 
     def action_values(self, mdp: LinearMdp, s: int, h: int) -> np.ndarray:
         """Vector of truncated Q estimates over all actions at state s."""
-        feats = mdp.features[s]
-        qp = self.qparams
-        raw = feats @ qp.w[h - 1] + qp.beta * np.sqrt(qp.cov[h - 1].quad_form_many(feats))
-        return np.clip(raw, 0.0, self.H - h + 1)
+        return self._clipped_q(mdp.features[s], h - 1)
+
+    def q_table(self, mdp: LinearMdp) -> np.ndarray:
+        """(H, S, A) truncated Q estimates of the current parameters.
+
+        The backward update stores the table it builds; before the first
+        update the table is built here, once, for the initial parameters.
+        """
+        if self._q is None:
+            feats_flat = mdp.features.reshape(-1, self.d)
+            self._q = np.stack([self._clipped_q(feats_flat, hh) for hh in range(self.H)]
+                               ).reshape(self.H, mdp.n_states, mdp.n_actions)
+        return self._q
 
     def greedy_action(self, mdp: LinearMdp, s: int, h: int) -> int:
         """Argmax of the Q estimate; ties break to the smallest action index."""
@@ -140,7 +148,8 @@ class LsviAgent:
     # -- local accumulation and trigger --------------------------------------
 
     def record_transition(self, mdp: LinearMdp, t: Transition) -> None:
-        assert 1 <= t.step <= self.H
+        if not 1 <= t.step <= self.H:
+            raise ValueError(f"transition step {t.step} outside [1, {self.H}]")
         hh = t.step - 1
         phi = mdp.features[t.state, t.action]
         self.loc_features[hh].append(phi)
@@ -154,13 +163,6 @@ class LsviAgent:
         if self._scratch[hh] is not None:
             self._scratch[hh].rank_one_update(phi)
 
-    @property
-    def local_buffer(self) -> list[Transition]:
-        """Flat view of buffered transitions in (episode, step) order."""
-        out = [t for per_h in self.loc_transitions for t in per_h]
-        out.sort(key=lambda t: (t.episode, t.step))
-        return out
-
     def _ensure_scratch(self, hh: int) -> PsdMatrix:
         if self._scratch[hh] is None:
             scratch = self.qparams.cov[hh].copy()
@@ -168,13 +170,6 @@ class LsviAgent:
                 scratch.rank_one_update(v)
             self._scratch[hh] = scratch
         return self._scratch[hh]
-
-    def log_det_ratios(self) -> np.ndarray:
-        """Per-h log of det(cov_h + local delta) / det(cov_h)."""
-        return np.array([
-            self._ensure_scratch(hh).logdet - self.qparams.cov[hh].logdet
-            for hh in range(self.H)
-        ])
 
     def should_communicate(self) -> tuple[bool, Optional[int]]:
         """Determinant trigger at episode end.
@@ -229,31 +224,30 @@ class LsviAgent:
         computed in this same pass; w_h solves the ridge normal equations
         against global_cov[h], which must equal ridge*I plus the sum of
         feature outer products over global_data[h]. The covariance snapshots
-        are adopted as the agent's new cov_h. Callers reset the local delta
+        are adopted as the agent's new cov_h, and the Q-table built on the
+        way becomes the agent's q_table. Callers reset the local delta
         afterwards.
         """
         qp = self.qparams
-        H, d = self.H, self.d
-        new_w = np.zeros((H, d))
-        feats_flat = mdp.features.reshape(mdp.n_states * mdp.n_actions, d)
+        S, A = mdp.n_states, mdp.n_actions
+        feats_flat = mdp.features.reshape(S * A, self.d)
+        q = np.empty((self.H, S, A))
         next_value = None  # value table for step h+1, None means zero
-        for hh in range(H - 1, -1, -1):
+        for hh in range(self.H - 1, -1, -1):
             batch = global_data[hh]
             cov = global_cov[hh]
+            qp.w[hh] = 0.0
             if len(batch) > 0:
                 y = batch.reward.copy()
                 if next_value is not None:
                     y += next_value[batch.next_state]
                 phis = mdp.features[batch.state, batch.action]
-                rhs = phis.T @ y
-                new_w[hh] = cov.solve(rhs)
+                qp.w[hh] = cov.solve(phis.T @ y)
             qp.cov[hh] = cov
-            qp.w[hh] = new_w[hh]
             # Value table V_h(s) = max_a Q_h(s, a) for the step below.
-            raw = (feats_flat @ new_w[hh]
-                   + qp.beta * np.sqrt(cov.quad_form_many(feats_flat)))
-            q_table = np.clip(raw.reshape(mdp.n_states, mdp.n_actions), 0.0, H - hh)
-            next_value = q_table.max(axis=1)
+            q[hh] = self._clipped_q(feats_flat, hh).reshape(S, A)
+            next_value = q[hh].max(axis=1)
+        self._q = q
         return qp
 
 

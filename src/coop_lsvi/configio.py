@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .harness import ConfigError, RunConfig
+from .mdp import g17
 
 _KNOWN_KEYS = {
     "mdp": {"kind", "d", "H", "gap", "n_states", "n_actions", "seed", "path"},
@@ -238,10 +239,6 @@ def parse_config_file(path: str) -> Union[RunConfig, SweepSpec]:
         return parse_config(f.read())
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_config(cfg: RunConfig) -> str:
     """Canonical text for a RunConfig; reparsing reproduces it.
 
@@ -252,7 +249,7 @@ def emit_config(cfg: RunConfig) -> str:
     if cfg.mdp_kind == "hard":
         lines += [f"d = {cfg.mdp_d}", f"H = {cfg.mdp_horizon}"]
         if cfg.mdp_gap is not None:
-            lines.append(f"gap = {_g17(cfg.mdp_gap)}")
+            lines.append(f"gap = {g17(cfg.mdp_gap)}")
     elif cfg.mdp_kind == "random":
         lines += [f"n_states = {cfg.mdp_n_states}", f"n_actions = {cfg.mdp_n_actions}",
                   f"H = {cfg.mdp_horizon}", f"seed = {cfg.mdp_seed}"]
@@ -263,10 +260,10 @@ def emit_config(cfg: RunConfig) -> str:
         eval_text = f"monte_carlo:{cfg.eval_rollouts}"
     lines += ["", "[run]", f"M = {cfg.M}", f"K = {cfg.K}"]
     if cfg.alpha is not None:
-        lines.append(f"alpha = {_g17(cfg.alpha)}")
-    lines += [f"ridge = {_g17(cfg.ridge)}", f"delta = {_g17(cfg.delta)}"]
+        lines.append(f"alpha = {g17(cfg.alpha)}")
+    lines += [f"ridge = {g17(cfg.ridge)}", f"delta = {g17(cfg.delta)}"]
     if cfg.beta_value is not None:
-        lines.append(f"beta = {cfg.beta_mode}:{_g17(cfg.beta_value)}")
+        lines.append(f"beta = {cfg.beta_mode}:{g17(cfg.beta_value)}")
     else:
         lines.append(f"beta = {cfg.beta_mode}")
     lines += [

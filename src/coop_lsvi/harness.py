@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mdp as mdp_mod
 from .agent import LsviAgent, Transition, practical_beta, theoretical_beta
-from .mdp import LinearMdp, PlannerOutput
+from .mdp import LinearMdp, PlannerOutput, g17
 from .psdmat import PsdMatrix
 from .schedules import lower_bound_schedule, make_initial_states, make_schedule
 from .server import CentralServer, Decision, ProtocolKind, protocol_decide
@@ -187,18 +187,14 @@ class RunRecord:
 METRICS_HEADER = "k,m_k,regret_inc,cum_regret,triggered,trigger_h,cum_comm,cum_switch"
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def metrics_csv_text(record: RunRecord) -> str:
     lines = [METRICS_HEADER]
     for i in range(len(record.k)):
         lines.append(",".join((
             str(int(record.k[i])),
             str(int(record.m[i])),
-            _g17(record.regret_inc[i]),
-            _g17(record.cum_regret[i]),
+            g17(record.regret_inc[i]),
+            g17(record.cum_regret[i]),
             "1" if record.triggered[i] else "0",
             str(int(record.trigger_h[i])),
             str(int(record.cum_comm[i])),
@@ -264,22 +260,13 @@ def comm_complexity_scale(d: int, H: int, M: int, alpha: float, K: int, ridge: f
 # The run loop
 
 
-class _AgentTables:
-    """Cached greedy policy / value / Q tables, valid while parameters are frozen."""
+class _AgentTables(NamedTuple):
+    """An agent's Q-table with its greedy policy (first-max ties) and, under
+    exact evaluation, that policy's value; valid while parameters are frozen."""
 
-    __slots__ = ("policy", "value", "q")
-
-    def __init__(self, agent: LsviAgent, mdp: LinearMdp,
-                 want_value: bool):
-        H, S = agent.H, mdp.n_states
-        self.q = np.empty((H, S, mdp.n_actions))
-        self.policy = np.empty((H, S), dtype=np.int64)
-        for hh in range(H):
-            for s in range(S):
-                vals = agent.action_values(mdp, s, hh + 1)
-                self.q[hh, s] = vals
-                self.policy[hh, s] = int(np.argmax(vals))
-        self.value = mdp_mod.eval_policy(mdp, self.policy) if want_value else None
+    q: np.ndarray                  # (H, S, A), the agent's own q_table
+    policy: np.ndarray             # (H, S)
+    value: Optional[np.ndarray]    # (H, S)
 
 
 @dataclass
@@ -303,9 +290,11 @@ class RunState:
     def agent_tables(self, m: int) -> _AgentTables:
         idx = m - 1
         if self.tables[idx] is None:
-            self.tables[idx] = _AgentTables(
-                self.agents[idx], self.mdp,
-                want_value=self.config.eval_mode == "exact")
+            q = self.agents[idx].q_table(self.mdp)
+            policy = q.argmax(axis=2)
+            value = (mdp_mod.eval_policy(self.mdp, policy)
+                     if self.config.eval_mode == "exact" else None)
+            self.tables[idx] = _AgentTables(q, policy, value)
         return self.tables[idx]
 
 
@@ -454,7 +443,6 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator):
         covs, data = state.server.download(agent)
         agent.lsvi_backward_update(mdp, data, covs)
         agent.reset_local()
-        agent.last_update_episode = k
         state.tables[m - 1] = None
         state.cum_comm += 1
         state.cum_switch += 1
@@ -463,7 +451,6 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator):
         data = agent.own_history()
         agent.lsvi_backward_update(mdp, data, covs)
         agent.reset_local()
-        agent.last_update_episode = k
         state.tables[m - 1] = None
         state.cum_switch += 1
     elif decision is Decision.SYNC_ALL:
@@ -473,11 +460,9 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator):
             covs, data = state.server.download(other)
             other.lsvi_backward_update(mdp, data, covs)
             other.reset_local()
-            other.last_update_episode = k
         state.tables = [None] * cfg.M
         state.cum_comm += cfg.M
         state.cum_switch += cfg.M
-    agent.episodes_seen += 1
 
     agent_logdet_row = None
     if diag:

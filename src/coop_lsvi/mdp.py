@@ -64,9 +64,6 @@ class LinearMdp:
     def is_tabular(self) -> bool:
         return self.transitions is not None and self.rewards is not None
 
-    def feature(self, s: int, a: int) -> np.ndarray:
-        return self.features[s, a]
-
     def transition_row(self, h: int, s: int, a: int) -> np.ndarray:
         """P_h(.|s, a) as a length-n_states probability row (h is 1-based)."""
         if self.transitions is not None:
@@ -305,7 +302,8 @@ def validate_linear_mdp(mdp: LinearMdp) -> list[CheckResult]:
 # Serialization (sectioned text format, 0-based indices, round-trip stable)
 
 
-def _fmt(x: float) -> str:
+def g17(x: float) -> str:
+    """A float at 17 significant digits, which reparses to the same value."""
     return format(float(x), ".17g")
 
 
@@ -323,12 +321,12 @@ def write_mdp(mdp: LinearMdp, path: str) -> None:
         for s in range(mdp.n_states):
             for a in range(mdp.n_actions):
                 lines.append(f"[transition {h} {s} {a}]")
-                lines.append(" ".join(_fmt(p) for p in mdp.transitions[h, s, a]))
+                lines.append(" ".join(g17(p) for p in mdp.transitions[h, s, a]))
                 lines.append("")
     for h in range(mdp.H):
         lines.append(f"[reward {h}]")
         for s in range(mdp.n_states):
-            lines.append(" ".join(_fmt(x) for x in mdp.rewards[h, s]))
+            lines.append(" ".join(g17(x) for x in mdp.rewards[h, s]))
         lines.append("")
     with open(path, "w") as f:
         f.write("\n".join(lines))

@@ -64,8 +64,11 @@ class PsdMatrix:
     def rank_one_update(self, v: np.ndarray) -> None:
         """Add vv^T in place; requires ||v|| <= 1 (feature-norm bound)."""
         v = np.asarray(v, dtype=np.float64)
-        assert v.shape == (self.dim,), f"vector shape {v.shape} != ({self.dim},)"
-        assert float(v @ v) <= (1.0 + 1e-9) ** 2, "feature norm exceeds 1"
+        if v.shape != (self.dim,):
+            raise ValueError(f"vector shape {v.shape} != ({self.dim},)")
+        sq_norm = float(v @ v)
+        if not sq_norm <= (1.0 + 1e-9) ** 2:
+            raise ValueError(f"feature norm {math.sqrt(sq_norm):.6g} exceeds 1")
         u = self.inv @ v
         q = float(v @ u)
         self.mat += np.outer(v, v)

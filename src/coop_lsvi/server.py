@@ -111,9 +111,6 @@ class CentralServer:
                                     batch.next_state[order])
         return batch
 
-    def stored_count(self, hh: int) -> int:
-        return len(self._episodes[hh])
-
 
 def protocol_decide(kind: ProtocolKind, trigger_fired: bool) -> Decision:
     """Map the protocol and the agent's determinant trigger to an action.

@@ -20,6 +20,7 @@ import numpy as np
 
 from .configio import SweepSpec, config_hash, emit_config
 from .harness import RunConfig, metrics_csv_text, run_experiment
+from .mdp import g17
 
 AGGREGATE_HEADER = ("run,K,M,alpha,ridge,gap,protocol,seed,status,"
                     "total_regret,total_comm,total_switch,config_hash")
@@ -42,10 +43,6 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def expand_sweep(spec: SweepSpec) -> list[RunConfig]:
@@ -126,10 +123,10 @@ def aggregate_csv_text(rows: list[dict]) -> str:
     lines = [AGGREGATE_HEADER]
     for r in sorted(rows, key=lambda r: r["run"]):
         lines.append(",".join((
-            str(r["run"]), str(r["K"]), str(r["M"]), _g17(r["alpha"]),
-            _g17(r["ridge"]), _g17(r["gap"]), r["protocol"], str(r["seed"]),
+            str(r["run"]), str(r["K"]), str(r["M"]), g17(r["alpha"]),
+            g17(r["ridge"]), g17(r["gap"]), r["protocol"], str(r["seed"]),
             '"%s"' % r["status"] if "," in r["status"] else r["status"],
-            _g17(r["total_regret"]), str(r["total_comm"]), str(r["total_switch"]),
+            g17(r["total_regret"]), str(r["total_comm"]), str(r["total_switch"]),
             r["config_hash"],
         )))
     return "\n".join(lines) + "\n"
@@ -200,9 +197,9 @@ def scaling_csv_text(fits: list[ScalingFit]) -> str:
     lines = [SCALING_HEADER]
     for f in fits:
         lines.append(",".join((
-            f.protocol, _g17(f.alpha), str(f.n_grid), str(f.n_seeds),
-            _g17(f.regret_slope), _g17(f.regret_halfwidth),
-            _g17(f.comm_slope), _g17(f.comm_intercept), _g17(f.comm_halfwidth),
+            f.protocol, g17(f.alpha), str(f.n_grid), str(f.n_seeds),
+            g17(f.regret_slope), g17(f.regret_halfwidth),
+            g17(f.comm_slope), g17(f.comm_intercept), g17(f.comm_halfwidth),
         )))
     return "\n".join(lines) + "\n"
 
@@ -223,5 +220,5 @@ def collaboration_comparison(rows: list[dict]) -> Optional[str]:
             continue
         ma, mn = float(np.mean(a)), float(np.mean(n))
         ratio = mn / ma if ma != 0 else float("inf")
-        lines.append(f"{K},{_g17(ma)},{_g17(mn)},{_g17(ratio)}")
+        lines.append(f"{K},{g17(ma)},{g17(mn)},{g17(ratio)}")
     return "\n".join(lines) + "\n"

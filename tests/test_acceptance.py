@@ -17,7 +17,7 @@ from coop_lsvi.mdp import default_hard_gap, random_tabular
 from coop_lsvi.psdmat import PsdMatrix, det_ratio
 
 
-def _report(num: int, name: str, ok: bool, detail: str, t0: float, t0) -> None:
+def _report(num: int, name: str, ok: bool, detail: str, t0: float) -> None:
     elapsed = time.perf_counter() - t0
     line = (f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} "
             f"({detail}) [{elapsed:.1f}s]")

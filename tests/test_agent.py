@@ -45,24 +45,26 @@ class TestGreedyAction:
                 ag.qparams.cov[hh].rank_one_update(v / np.linalg.norm(v))
         for s in range(m.n_states):
             for h in range(1, m.H + 1):
-                brute = max(range(m.n_actions), key=lambda a: ag.eval_q(m, s, a, h))
+                vals = ag.action_values(m, s, h)
+                brute = max(range(m.n_actions), key=lambda a: vals[a])
                 got = ag.greedy_action(m, s, h)
-                assert ag.eval_q(m, s, got, h) == pytest.approx(
-                    ag.eval_q(m, s, brute, h), rel=1e-12)
+                assert vals[got] == pytest.approx(vals[brute], rel=1e-12)
 
 
 class TestEvalQ:
+    """The truncated Q estimate, read through action_values."""
+
     def test_truncation_ceiling(self):
         m = random_tabular(0, 1, 2, 1)  # H = 1, d = 2
         ag = fresh_agent(m, beta=math.sqrt(2.0))
         # w = 0, cov = I, one-hot phi, h = H: clamp(sqrt(2), 0, 1) = 1
-        assert ag.eval_q(m, 0, 0, 1) == 1.0
+        assert ag.action_values(m, 0, 1)[0] == 1.0
 
     def test_truncation_floor(self):
         m = random_tabular(0, 1, 2, 1)
         ag = fresh_agent(m, beta=0.0)
         ag.qparams.w[0] = np.array([-3.0, -3.0])
-        assert ag.eval_q(m, 0, 0, 1) == 0.0
+        assert ag.action_values(m, 0, 1)[0] == 0.0
 
     def test_single_observation_ridge_solution(self):
         # d=2, ridge=1, one observation (phi=e1, target 1):
@@ -76,7 +78,7 @@ class TestEvalQ:
             [Transition(1, 1, 0, 0, 1.0, 0)])
         ag.lsvi_backward_update(m, [batch], [cov])
         assert np.allclose(ag.qparams.w[0], [0.5, 0.0])
-        assert ag.eval_q(m, 0, 0, 1) == 1.0
+        assert ag.action_values(m, 0, 1)[0] == 1.0
 
     def test_range_invariant(self):
         m = random_tabular(3, 3, 2, 3)
@@ -87,7 +89,7 @@ class TestEvalQ:
         for s in range(m.n_states):
             for a in range(m.n_actions):
                 for h in range(1, m.H + 1):
-                    q = ag.eval_q(m, s, a, h)
+                    q = ag.action_values(m, s, h)[a]
                     assert 0.0 <= q <= m.H - h + 1
 
 
@@ -97,9 +99,17 @@ class TestRecordTransition:
         ag = fresh_agent(m)
         rng = np.random.default_rng(0)
         ag.record_transition(m, make_transition(m, 1, 1, 0, 0, rng))
-        assert len(ag.local_buffer) == 1
+        assert sum(map(len, ag.loc_transitions)) == 1
         trace = sum(float(v @ v) for v in ag.loc_features[0])
         assert trace == pytest.approx(1.0)  # one-hot norm
+
+    @pytest.mark.parametrize("step", [0, 3, -1])
+    def test_step_outside_horizon_rejected(self, step):
+        m = random_tabular(0, 2, 2, 2)
+        ag = fresh_agent(m)
+        with pytest.raises(ValueError, match="step"):
+            ag.record_transition(m, Transition(1, step, 0, 0, 0.0, 0))
+        assert all(not fs for fs in ag.loc_features)
 
     def test_each_step_touched_once_per_episode(self):
         m = random_tabular(0, 2, 2, 3)
@@ -117,7 +127,7 @@ class TestRecordTransition:
         covs = ag.local_cov_snapshot()
         ag.lsvi_backward_update(m, ag.own_history(), covs)
         ag.reset_local()
-        assert ag.local_buffer == []
+        assert all(not ts for ts in ag.loc_transitions)
         assert all(not fs for fs in ag.loc_features)
 
 
@@ -220,7 +230,7 @@ class TestBackwardUpdate:
         for s in range(m.n_states):
             for a in range(m.n_actions):
                 expected = min(0.7 * math.sqrt(float(m.features[s, a] @ m.features[s, a])), 2.0)
-                assert ag.eval_q(m, s, a, 1) == pytest.approx(expected)
+                assert ag.action_values(m, s, 1)[a] == pytest.approx(expected)
 
     def test_single_transition_hand_solution(self):
         m = random_tabular(0, 1, 2, 1)

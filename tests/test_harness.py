@@ -168,6 +168,50 @@ class TestAccounting:
         assert rec.total_switches == int(rec.triggered.sum()) > 0
 
 
+class TestOneQTable:
+    """The agent's stored table is the Q-function; the policy is its argmax."""
+
+    @staticmethod
+    def check_tables(state):
+        mdp = state.mdp
+        for m, agent in enumerate(state.agents, start=1):
+            tables = state.agent_tables(m)
+            q = agent.q_table(mdp)
+            assert tables.q is q
+            assert q.shape == (mdp.H, mdp.n_states, mdp.n_actions)
+            for hh in range(mdp.H):
+                for s in range(mdp.n_states):
+                    row = agent.action_values(mdp, s, hh + 1)
+                    assert np.array_equal(q[hh, s], row)
+                    assert tables.policy[hh, s] == np.argmax(row)
+
+    @pytest.mark.parametrize("instance", [
+        dict(mdp_kind="hard", mdp_d=8, mdp_horizon=3),
+        dict(mdp_kind="random", mdp_n_states=6, mdp_n_actions=3, mdp_horizon=3,
+             mdp_seed=1),
+    ])
+    @pytest.mark.parametrize("protocol", ["full_sync", "no_comm", "sync_round_robin"])
+    def test_rows_match_action_values_before_and_after_updates(self, instance, protocol):
+        # A small fixed width keeps most entries below the clipping ceiling,
+        # so every update changes the table.
+        cfg = RunConfig(**instance, M=2, K=60, protocol=protocol, beta_mode="fixed",
+                        beta_value=0.05, schedule="uniform_random", master_seed=3)
+        state = build_run_state(cfg)
+        from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
+        self.check_tables(state)
+        initial = [ag.q_table(state.mdp) for ag in state.agents]
+        switches = 0
+        for k in range(1, cfg.K + 1):
+            rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
+            run_episode(state, k, rng)
+            if state.cum_switch > switches:
+                switches = state.cum_switch
+                self.check_tables(state)
+        assert switches > 0
+        assert any(not np.array_equal(q, ag.q_table(state.mdp))
+                   for q, ag in zip(initial, state.agents))
+
+
 class TestInactiveFreeze:
     def test_inactive_agents_byte_frozen(self):
         cfg = RunConfig(mdp_kind="hard", M=3, K=150, protocol="async_trigger",

@@ -32,7 +32,7 @@ class TestBuildTabular:
         for h in range(1, 4):
             for s in range(2):
                 for a in range(2):
-                    phi = m.feature(s, a)
+                    phi = m.features[s, a]
                     assert np.count_nonzero(phi) == 1
                     assert np.allclose(phi @ m.mu[h - 1], m.transitions[h - 1, s, a])
 

@@ -72,6 +72,18 @@ class TestRankOneUpdate:
         assert np.abs(m.inv - np.linalg.inv(total)).max() < 1e-8
         assert m.logdet == pytest.approx(np.linalg.slogdet(total)[1], abs=1e-8)
 
+    @pytest.mark.parametrize("v", [np.zeros(3), np.zeros((2, 1)), np.array([5.0, 0.0]),
+                                   np.array([0.8, 0.8]), np.array([np.nan, 0.0])])
+    def test_bad_vector_rejected(self, v):
+        m = PsdMatrix(2, 1.0)
+        with pytest.raises(ValueError):
+            m.rank_one_update(v)
+        assert np.array_equal(m.mat, np.eye(2)) and m.logdet == 0.0
+
+    def test_norm_five_vector_names_its_norm(self):
+        with pytest.raises(ValueError, match="norm 5 exceeds 1"):
+            PsdMatrix(3, 1.0).rank_one_update(np.array([3.0, 4.0, 0.0]))
+
     def test_refresh_counter(self):
         m = PsdMatrix(4, 1.0)
         rng = np.random.default_rng(1)

@@ -120,8 +120,8 @@ class TestDownload:
         for s in range(m.n_states):
             for a in range(m.n_actions):
                 for h in range(1, m.H + 1):
-                    assert ag.eval_q(m, s, a, h) == pytest.approx(
-                        reference.eval_q(m, s, a, h), abs=1e-12)
+                    assert ag.action_values(m, s, h)[a] == pytest.approx(
+                        reference.action_values(m, s, h)[a], abs=1e-12)
 
     def test_download_dominates_previous_cov(self):
         m = random_tabular(6, 3, 2, 2)

@@ -1,0 +1,20 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "coop_lsvi").glob("*.py"))
+
+
+def test_sources_found():
+    assert any(p.name == "agent.py" for p in SRC)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """Invariants must raise real exceptions: ``python -O`` strips asserts."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert statements at lines {lines}"
