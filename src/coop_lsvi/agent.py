@@ -13,6 +13,7 @@ under no communication) and w_h the matching regression weights.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -77,6 +78,56 @@ class TransitionBatch:
         )
 
 
+# One row of a TransitionStore; the field names match TransitionBatch.
+_STORE_ROW = np.dtype([("episode", np.int64), ("state", np.int64), ("action", np.int64),
+                       ("reward", np.float64), ("next_state", np.int64)])
+
+
+class TransitionStore:
+    """Every transition ever stored for one step h, as episode-ordered rows.
+
+    ``add`` is a list append, so the per-step recording path stays cheap.
+    ``batch`` moves only the rows added since its last call, in one
+    assignment, into a record array that doubles its capacity when full, and
+    re-sorts by episode (stably, from the first stored row a new one precedes)
+    only when the new rows break episode order. The batch it returns holds
+    column views that stay valid until the next ``add``; callers share it and
+    must not write to it.
+    """
+
+    def __init__(self) -> None:
+        self._pending: list[Transition] = []
+        self._rows = np.empty(0, _STORE_ROW)
+        self._view = TransitionBatch.empty()
+
+    def add(self, t: Transition) -> None:
+        self._pending.append(t)
+
+    def batch(self) -> TransitionBatch:
+        new = self._pending
+        if not new:
+            return self._view
+        self._pending = []
+        n0 = len(self._view)
+        n = n0 + len(new)
+        if n > len(self._rows):
+            grown = np.empty(max(n, 2 * len(self._rows)), _STORE_ROW)
+            grown[:n0] = self._rows[:n0]
+            self._rows = grown
+        rows = self._rows
+        rows[n0:n] = [(t.episode, t.state, t.action, t.reward, t.next_state) for t in new]
+        # The order check runs on Python ints: a download usually brings a
+        # few rows, where numpy's per-call overhead would dominate.
+        ep, eps = rows["episode"], [t.episode for t in new]
+        if (n0 and eps[0] < ep[n0 - 1]) or any(map(operator.gt, eps, eps[1:])):
+            lo = int(np.searchsorted(ep[:n0], min(eps), side="right"))
+            rows[lo:n] = rows[lo:n][np.argsort(ep[lo:n], kind="stable")]
+        r = rows[:n]
+        self._view = TransitionBatch(r["episode"], r["state"], r["action"], r["reward"],
+                                     r["next_state"])
+        return self._view
+
+
 class QParams:
     """Regression weights, covariance snapshots, and the bonus multiplier."""
 
@@ -110,9 +161,9 @@ class LsviAgent:
         self.loc_features: list[list[np.ndarray]] = [[] for _ in range(H)]
         self.loc_transitions: list[list[Transition]] = [[] for _ in range(H)]
         self._scratch: list[Optional[PsdMatrix]] = [None] * H
-        # Full own-trajectory history per h (column lists), used by the
-        # no-communication local update path.
-        self._own_cols: list[list[list]] = [[[], [], [], [], []] for _ in range(H)]
+        # Full own-trajectory history per h, used by the no-communication
+        # local update path.
+        self._own = [TransitionStore() for _ in range(H)]
         # (H, S, A) table of the current parameters; None until first built.
         self._q: Optional[np.ndarray] = None
 
@@ -154,12 +205,7 @@ class LsviAgent:
         phi = mdp.features[t.state, t.action]
         self.loc_features[hh].append(phi)
         self.loc_transitions[hh].append(t)
-        cols = self._own_cols[hh]
-        cols[0].append(t.episode)
-        cols[1].append(t.state)
-        cols[2].append(t.action)
-        cols[3].append(t.reward)
-        cols[4].append(t.next_state)
+        self._own[hh].add(t)
         if self._scratch[hh] is not None:
             self._scratch[hh].rank_one_update(phi)
 
@@ -203,14 +249,9 @@ class LsviAgent:
         return [self._ensure_scratch(hh) for hh in range(self.H)]
 
     def own_history(self) -> list[TransitionBatch]:
-        """Per-h batches of every transition this agent has ever taken."""
-        out = []
-        for hh in range(self.H):
-            ep, st, ac, rw, nx = self._own_cols[hh]
-            out.append(TransitionBatch(
-                np.array(ep, np.int64), np.array(st, np.int64), np.array(ac, np.int64),
-                np.array(rw, np.float64), np.array(nx, np.int64)))
-        return out
+        """Per-h batches of every transition this agent has ever taken, in
+        episode order; valid until the agent records its next transition."""
+        return [store.batch() for store in self._own]
 
     # -- the backward update --------------------------------------------------
 

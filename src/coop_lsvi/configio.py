@@ -195,10 +195,11 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     eval_text = raw.get("run", "eval")
     if eval_text is not None:
         mode, nval = _parse_mode_value(
-            eval_text, ("exact", "monte_carlo", "off"), raw.line("run", "eval"))
+            eval_text, ("exact", "monte_carlo", "off"), raw.line("run", "eval"),
+            value_kind=int)
         cfg.eval_mode = mode
         if nval is not None:
-            cfg.eval_rollouts = int(nval)
+            cfg.eval_rollouts = nval
     cfg.diagnostics = _convert(raw, "run", "diagnostics", bool, cfg.diagnostics)
 
     cfg.schedule = _convert(raw, "schedule", "kind", str, cfg.schedule)

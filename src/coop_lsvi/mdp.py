@@ -332,58 +332,86 @@ def write_mdp(mdp: LinearMdp, path: str) -> None:
         f.write("\n".join(lines))
 
 
+def _numbers(tokens: list[str], kind, lineno: int) -> list:
+    try:
+        return [kind(x) for x in tokens]
+    except ValueError:
+        raise InvalidMdpError(
+            f"line {lineno}: expected {kind.__name__} values, got {' '.join(tokens)!r}"
+        ) from None
+
+
 def read_mdp(path: str) -> LinearMdp:
     """Parse the sectioned text format without constraint validation.
 
     Validation is deliberately separate (validate_linear_mdp) so corrupt
-    files can still be loaded and reported on.
+    files can still be loaded and reported on. Text that cannot be placed in
+    the tables at all (a non-numeric entry, a section index outside the meta
+    sizes, a repeated section) raises InvalidMdpError naming its line.
     """
     meta: dict[str, int] = {}
-    trans_rows: dict[tuple[int, int, int], list[float]] = {}
-    reward_rows: dict[int, list[list[float]]] = {}
-    section: Optional[list[str]] = None
+    # Section index -> (header line, data rows). A repeated header is an
+    # error, since its rows would silently replace the first section's.
+    trans_rows: dict[tuple[int, ...], tuple[int, list[list[float]]]] = {}
+    reward_rows: dict[tuple[int, ...], tuple[int, list[list[float]]]] = {}
+    section: Optional[str] = None
+    index: tuple[int, ...] = ()
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].split()
-                if not section or section[0] not in ("meta", "transition", "reward"):
+                words = line[1:-1].split()
+                section = words[0] if words else None
+                if section not in ("meta", "transition", "reward"):
                     raise InvalidMdpError(f"line {lineno}: unknown section {line!r}")
-                if section[0] == "transition" and len(section) != 4:
+                index = tuple(_numbers(words[1:], int, lineno))
+                if section == "transition" and len(index) != 3:
                     raise InvalidMdpError(
                         f"line {lineno}: transition section needs 'h s a' indices")
-                if section[0] == "reward":
-                    if len(section) != 2:
-                        raise InvalidMdpError(
-                            f"line {lineno}: reward section needs an 'h' index")
-                    reward_rows[int(section[1])] = []
+                if section == "reward" and len(index) != 1:
+                    raise InvalidMdpError(
+                        f"line {lineno}: reward section needs an 'h' index")
+                if section != "meta":
+                    table = trans_rows if section == "transition" else reward_rows
+                    if index in table:
+                        raise InvalidMdpError(f"line {lineno}: repeated section {line!r}")
+                    table[index] = (lineno, [])
                 continue
             if section is None:
                 raise InvalidMdpError(f"line {lineno}: content outside any section")
-            if section[0] == "meta":
+            if section == "meta":
                 key, _, val = line.partition("=")
-                meta[key.strip()] = int(val.strip())
-            elif section[0] == "transition":
-                h, s, a = (int(x) for x in section[1:4])
-                trans_rows[(h, s, a)] = [float(x) for x in line.split()]
+                meta[key.strip()] = _numbers([val.strip()], int, lineno)[0]
             else:
-                reward_rows[int(section[1])].append([float(x) for x in line.split()])
+                table[index][1].append(_numbers(line.split(), float, lineno))
     try:
         H, S, A = meta["H"], meta["n_states"], meta["n_actions"]
     except KeyError as e:
         raise InvalidMdpError(f"missing meta key {e}") from None
+    if min(H, S, A) < 1:
+        raise InvalidMdpError(f"meta sizes H={H}, n_states={S}, n_actions={A} must be >= 1")
+
+    def check_index(lineno: int, idx: tuple[int, ...], sizes: tuple[int, ...]) -> None:
+        if not all(0 <= i < n for i, n in zip(idx, sizes)):
+            raise InvalidMdpError(
+                f"line {lineno}: section index {idx} outside the meta sizes {sizes}")
+
     P = np.zeros((H, S, A, S))
     r = np.zeros((H, S, A))
-    for (h, s, a), row in trans_rows.items():
-        if len(row) != S:
-            raise InvalidMdpError(f"transition row ({h},{s},{a}) has {len(row)} entries, want {S}")
-        P[h, s, a] = row
-    for h, rows in reward_rows.items():
-        if len(rows) != S:
-            raise InvalidMdpError(f"reward section {h} has {len(rows)} rows, want {S}")
-        r[h] = rows
+    for idx, (lineno, rows) in trans_rows.items():
+        check_index(lineno, idx, (H, S, A))
+        if len(rows) != 1 or len(rows[0]) != S:
+            raise InvalidMdpError(
+                f"line {lineno}: transition section {idx} must have one row of {S} entries")
+        P[idx] = rows[0]
+    for idx, (lineno, rows) in reward_rows.items():
+        check_index(lineno, idx, (H,))
+        if len(rows) != S or any(len(row) != A for row in rows):
+            raise InvalidMdpError(
+                f"line {lineno}: reward section {idx[0]} must have {S} rows of {A} entries")
+        r[idx[0]] = rows
     mdp = _tabular_to_linear(P, r)
     if meta.get("d", mdp.d) != mdp.d:
         raise InvalidMdpError(f"meta d={meta['d']} inconsistent with {S}*{A}")

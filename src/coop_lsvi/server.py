@@ -2,7 +2,7 @@
 
 The server aggregates, per step h, a covariance matrix (initialized to
 ridge * I so a download can replace an agent's covariance wholesale) and a
-deduplicated global transition store keyed by episode index. One
+deduplicated, episode-ordered global transition store. One
 communication round is one paired upload + download by a single agent.
 """
 
@@ -11,9 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .agent import TransitionBatch
+from .agent import TransitionBatch, TransitionStore
 from .psdmat import PsdMatrix
 
 if TYPE_CHECKING:
@@ -56,8 +54,8 @@ class CentralServer:
         self.H = H
         self.ridge = ridge
         self.cov = [PsdMatrix(d, ridge) for _ in range(H)]
-        # Per h: parallel column lists plus the set of stored episode keys.
-        self._cols: list[list[list]] = [[[], [], [], [], []] for _ in range(H)]
+        # Per h: the global store plus the set of its episode keys.
+        self._store = [TransitionStore() for _ in range(H)]
         self._episodes: list[set[int]] = [set() for _ in range(H)]
         self.uploads_received = 0
         self.downloads_served = 0
@@ -72,17 +70,13 @@ class CentralServer:
         """
         for hh in range(self.H):
             episodes = self._episodes[hh]
-            cols = self._cols[hh]
+            store = self._store[hh]
             for t, phi in zip(agent.loc_transitions[hh], agent.loc_features[hh]):
                 if t.episode in episodes:
                     raise ProtocolViolation(
                         f"duplicate upload for episode {t.episode}, step {t.step}")
                 episodes.add(t.episode)
-                cols[0].append(t.episode)
-                cols[1].append(t.state)
-                cols[2].append(t.action)
-                cols[3].append(t.reward)
-                cols[4].append(t.next_state)
+                store.add(t)
                 self.cov[hh].rank_one_update(phi)
         self.uploads_received += 1
 
@@ -91,25 +85,13 @@ class CentralServer:
 
         The agent's per-h covariance is replaced by a copy of the server's;
         the returned batches are sorted by episode, ready for the backward
-        update.
+        update, and stay valid until the next upload.
         """
         covs = [c.copy() for c in self.cov]
-        data = [self._batch(hh) for hh in range(self.H)]
+        data = [store.batch() for store in self._store]
         agent.qparams.cov = covs
         self.downloads_served += 1
         return covs, data
-
-    def _batch(self, hh: int) -> TransitionBatch:
-        ep, st, ac, rw, nx = self._cols[hh]
-        batch = TransitionBatch(
-            np.array(ep, np.int64), np.array(st, np.int64), np.array(ac, np.int64),
-            np.array(rw, np.float64), np.array(nx, np.int64))
-        order = np.argsort(batch.episode, kind="stable")
-        if len(batch) and not np.all(order[:-1] < order[1:]):
-            batch = TransitionBatch(batch.episode[order], batch.state[order],
-                                    batch.action[order], batch.reward[order],
-                                    batch.next_state[order])
-        return batch
 
 
 def protocol_decide(kind: ProtocolKind, trigger_fired: bool) -> Decision:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coop_lsvi.agent import (LsviAgent, Transition, TransitionBatch,
-                             practical_beta, theoretical_beta)
+                             TransitionStore, practical_beta, theoretical_beta)
 from coop_lsvi.mdp import hard_instance, random_tabular
 from coop_lsvi.psdmat import PsdMatrix
 
@@ -129,6 +129,71 @@ class TestRecordTransition:
         ag.reset_local()
         assert all(not ts for ts in ag.loc_transitions)
         assert all(not fs for fs in ag.loc_features)
+
+
+def assert_batches_equal(got, want):
+    for name in ("episode", "state", "action", "reward", "next_state"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def random_transitions(episodes, seed):
+    rng = np.random.default_rng(seed)
+    return [Transition(int(k), 1, int(rng.integers(5)), int(rng.integers(3)),
+                       float(rng.random()), int(rng.integers(5))) for k in episodes]
+
+
+class TestTransitionStore:
+    def test_interleaved_adds_come_out_sorted(self):
+        rng = np.random.default_rng(4)
+        ts = random_transitions(rng.permutation(np.arange(1, 61)), seed=4)
+        store, added = TransitionStore(), []
+        for lo, hi in [(0, 5), (5, 6), (6, 20), (20, 21), (21, 45), (45, 60)]:
+            for t in ts[lo:hi]:
+                store.add(t)
+            added += ts[lo:hi]
+            want = TransitionBatch.from_transitions(sorted(added, key=lambda t: t.episode))
+            assert_batches_equal(store.batch(), want)
+
+    def test_growth_keeps_every_row(self):
+        ts = random_transitions(range(1, 70), seed=1)
+        store = TransitionStore()
+        for i, t in enumerate(ts):
+            store.add(t)
+            if i % 3 == 0:  # batch at irregular sizes around each doubling
+                assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts[:i + 1]))
+        assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts))
+
+    def test_repeat_batch_without_adds_is_equal(self):
+        store = TransitionStore()
+        for t in random_transitions([3, 1, 2], seed=2):
+            store.add(t)
+        first = store.batch()
+        snapshot = TransitionBatch(*(c.copy() for c in (
+            first.episode, first.state, first.action, first.reward, first.next_state)))
+        assert_batches_equal(store.batch(), snapshot)
+        assert list(snapshot.episode) == [1, 2, 3]
+
+    def test_empty_store(self):
+        assert_batches_equal(TransitionStore().batch(), TransitionBatch.empty())
+
+    def test_own_history_equals_list_built_columns(self):
+        m = random_tabular(2, 3, 2, 3)
+        ag = fresh_agent(m)
+        rng = np.random.default_rng(3)
+        recorded = [[] for _ in range(m.H)]
+        for k in range(1, 25):
+            s = int(rng.integers(m.n_states))
+            for h in range(1, m.H + 1):
+                t = make_transition(m, k, h, s, int(rng.integers(m.n_actions)), rng)
+                ag.record_transition(m, t)
+                recorded[h - 1].append(t)
+                s = t.next_state
+            if k % 7 == 0:
+                for got, ts in zip(ag.own_history(), recorded):
+                    assert_batches_equal(got, TransitionBatch.from_transitions(ts))
+        for got, ts in zip(ag.own_history(), recorded):
+            assert_batches_equal(got, TransitionBatch.from_transitions(ts))
 
 
 class TestShouldCommunicate:

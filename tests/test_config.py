@@ -72,6 +72,11 @@ class TestParse:
         cfg = parse_config(MINIMAL + "eval = monte_carlo:64\n")
         assert cfg.eval_mode == "monte_carlo" and cfg.eval_rollouts == 64
 
+    @pytest.mark.parametrize("value", ["2.7", "2.0"])
+    def test_eval_rollouts_must_be_integer(self, value):
+        with pytest.raises(ConfigError, match=r"line 10: bad value"):
+            parse_config(MINIMAL + f"eval = monte_carlo:{value}\n")
+
     def test_diagnostics_flag(self):
         assert parse_config(MINIMAL + "diagnostics = on\n").diagnostics
         assert not parse_config(MINIMAL + "diagnostics = off\n").diagnostics

@@ -241,6 +241,36 @@ class TestSerialization:
         assert not checks["rewards_in_unit_interval"].passed
 
 
+class TestMalformedFile:
+    """Text that cannot be placed in the tables raises InvalidMdpError naming
+    its line; validate never sees it."""
+
+    def corrupt(self, tmp_path, old, new):
+        path = tmp_path / "bad.mdp"
+        write_mdp(random_tabular(1, 2, 2, 2), str(path))
+        text = path.read_text()
+        assert old in text
+        lines = text.replace(old, new, 1).splitlines()
+        path.write_text("\n".join(lines))
+        return str(path), lines
+
+    @pytest.mark.parametrize("old,new,bad_line", [
+        ("H = 2", "H = 2.5", "H = 2.5"),                                # non-integer meta
+        ("[transition 0 1 0]", "[transition 0 5 0]", "[transition 0 5 0]"),  # out of range
+        ("[transition 0 1 0]", "[transition -1 0 0]", "[transition -1 0 0]"),  # negative
+        ("[reward 1]", "[reward 2]", "[reward 2]"),                     # reward step out of range
+        ("[reward 1]\n", "[reward 1]\n0.5 x\n", "0.5 x"),             # non-float entry
+        ("[reward 1]", "[reward 0]", "[reward 0]"),                     # repeated section
+        ("[transition 0 1 0]", "[transition 0 0 0]", "[transition 0 0 0]"),
+        ("[transition 0 1 0]\n", "[transition 0 1 0]\n0.5 0.5\n", "[transition 0 1 0]"),  # two rows
+    ])
+    def test_rejected_naming_line(self, tmp_path, old, new, bad_line):
+        path, lines = self.corrupt(tmp_path, old, new)
+        lineno = len(lines) - lines[::-1].index(bad_line)  # last occurrence
+        with pytest.raises(InvalidMdpError, match=rf"^line {lineno}: "):
+            read_mdp(path)
+
+
 def test_default_hard_gap():
     assert mdp_mod.default_hard_gap(8, 4, 32) == 0.25  # capped
     assert mdp_mod.default_hard_gap(8, 4, 32000) == pytest.approx(

@@ -27,7 +27,8 @@ def agent_with_rollout(mdp, agent_id, episodes, seed, alpha=0.5):
 
 def reconstruct_cov(server, mdp, hh):
     total = server.ridge * np.eye(server.d)
-    batch = server._batch(hh)
+    _, data = server.download(LsviAgent(0, server.d, server.H, 0.5, 1.0, 1.0))
+    batch = data[hh]
     for i in range(len(batch)):
         phi = mdp.features[batch.state[i], batch.action[i]]
         total += np.outer(phi, phi)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import coop_lsvi
 from coop_lsvi.cli import main
 from coop_lsvi.configio import parse_config
 from coop_lsvi.mdp import hard_instance, random_tabular, write_mdp
@@ -229,6 +230,13 @@ class TestCliValidate:
     def test_unreadable_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "missing.mdp")]) == 2
 
+    def test_negative_index_is_a_file_error(self, tmp_path, capsys):
+        path = tmp_path / "neg.mdp"
+        write_mdp(random_tabular(2, 2, 2, 2), str(path))
+        path.write_text(path.read_text().replace("[transition 0 1 0]", "[transition -1 0 0]"))
+        assert main(["validate", str(path)]) == 2
+        assert "file error: line " in capsys.readouterr().err
+
 
 class TestCliLowerBound:
     def test_report(self, tmp_path, capsys):
@@ -305,9 +313,12 @@ class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(RUN_CFG)
+        # Run the copy of the package this test imported, installed or not.
+        src = os.path.dirname(os.path.dirname(coop_lsvi.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "coop_lsvi", "run", "--config", str(cfg),
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "metrics.csv").exists()
