@@ -7,9 +7,9 @@ from .harness import (ConfigError, RunConfig, RunRecord, comm_complexity_scale,
                       count_nonempty_epochs, epoch_boundaries, metrics_csv_text,
                       mix_seed, per_epoch_counts, run_experiment)
 from .mdp import (InvalidMdpError, LinearMdp, PlannerOutput,
-                  UnsupportedInstanceError, build_tabular_as_linear,
-                  default_hard_gap, eval_policy, hard_instance, random_tabular,
-                  read_mdp, validate_linear_mdp, value_iteration, write_mdp)
+                  build_tabular_as_linear, default_hard_gap, eval_policy,
+                  hard_instance, random_tabular, read_mdp, validate_linear_mdp,
+                  value_iteration, write_mdp)
 from .psdmat import PsdMatrix, det_ratio, log_det_ratio
 from .server import (CentralServer, Decision, ProtocolKind, ProtocolViolation,
                      protocol_decide)
@@ -18,7 +18,7 @@ __all__ = [
     "CentralServer", "ConfigError", "Decision", "InvalidMdpError", "LinearMdp",
     "LsviAgent", "PlannerOutput", "ProtocolKind", "ProtocolViolation",
     "PsdMatrix", "QParams", "RunConfig", "RunRecord", "Transition",
-    "TransitionBatch", "UnsupportedInstanceError", "build_tabular_as_linear",
+    "TransitionBatch", "build_tabular_as_linear",
     "comm_complexity_scale", "count_nonempty_epochs", "default_hard_gap",
     "det_ratio", "epoch_boundaries", "eval_policy", "hard_instance",
     "log_det_ratio", "metrics_csv_text", "mix_seed", "per_epoch_counts",

@@ -161,9 +161,10 @@ class LsviAgent:
         self.loc_features: list[list[np.ndarray]] = [[] for _ in range(H)]
         self.loc_transitions: list[list[Transition]] = [[] for _ in range(H)]
         self._scratch: list[Optional[PsdMatrix]] = [None] * H
-        # Full own-trajectory history per h, used by the no-communication
-        # local update path.
+        # Own-trajectory history per h, filled by own_history (read only by
+        # the no-communication refit); _own_moved counts rows already moved.
         self._own = [TransitionStore() for _ in range(H)]
+        self._own_moved = [0] * H
         # (H, S, A) table of the current parameters; None until first built.
         self._q: Optional[np.ndarray] = None
 
@@ -192,10 +193,6 @@ class LsviAgent:
                                ).reshape(self.H, mdp.n_states, mdp.n_actions)
         return self._q
 
-    def greedy_action(self, mdp: LinearMdp, s: int, h: int) -> int:
-        """Argmax of the Q estimate; ties break to the smallest action index."""
-        return int(np.argmax(self.action_values(mdp, s, h)))
-
     # -- local accumulation and trigger --------------------------------------
 
     def record_transition(self, mdp: LinearMdp, t: Transition) -> None:
@@ -205,7 +202,6 @@ class LsviAgent:
         phi = mdp.features[t.state, t.action]
         self.loc_features[hh].append(phi)
         self.loc_transitions[hh].append(t)
-        self._own[hh].add(t)
         if self._scratch[hh] is not None:
             self._scratch[hh].rank_one_update(phi)
 
@@ -238,6 +234,7 @@ class LsviAgent:
         self.loc_features = [[] for _ in range(self.H)]
         self.loc_transitions = [[] for _ in range(self.H)]
         self._scratch = [None] * self.H
+        self._own_moved = [0] * self.H
 
     def local_cov_snapshot(self) -> list[PsdMatrix]:
         """Per-h cov_h + local delta, handing off the scratch objects.
@@ -249,8 +246,14 @@ class LsviAgent:
         return [self._ensure_scratch(hh) for hh in range(self.H)]
 
     def own_history(self) -> list[TransitionBatch]:
-        """Per-h batches of every transition this agent has ever taken, in
-        episode order; valid until the agent records its next transition."""
+        """Per-h batches, in episode order, of every transition this agent
+        has taken, provided each local delta was read here before
+        reset_local() cleared it (as the no-communication refit does); valid
+        until the next call."""
+        for hh, (store, ts) in enumerate(zip(self._own, self.loc_transitions)):
+            for t in ts[self._own_moved[hh]:]:
+                store.add(t)
+            self._own_moved[hh] = len(ts)
         return [store.batch() for store in self._own]
 
     # -- the backward update --------------------------------------------------

@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import mdp as mdp_mod
-from .agent import LsviAgent, Transition, practical_beta, theoretical_beta
+from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
+                    theoretical_beta)
 from .mdp import LinearMdp, PlannerOutput, g17
 from .psdmat import PsdMatrix
 from .schedules import lower_bound_schedule, make_initial_states, make_schedule
@@ -100,6 +101,18 @@ class RunConfig:
             bad(f"unknown mdp kind {self.mdp_kind!r}", ("mdp", "kind"))
         if self.mdp_kind == "file" and not self.mdp_path:
             bad("mdp kind 'file' requires a path", ("mdp", "path"))
+        # The number of states of a file instance is known only once it is
+        # read, so its fixed initial state is checked when the run starts.
+        n_states = None
+        try:
+            if self.mdp_kind == "hard":
+                n_states = mdp_mod.check_hard_params(self.mdp_d, self.mdp_horizon,
+                                                     self.mdp_gap)
+            elif self.mdp_kind == "random":
+                n_states = mdp_mod.check_random_sizes(self.mdp_n_states,
+                                                      self.mdp_n_actions, self.mdp_horizon)
+        except mdp_mod.InvalidMdpError as e:
+            bad(str(e), ("mdp", e.param))
         if self.K < 1:
             bad(f"K must be >= 1, got {self.K}", ("run", "K"))
         if self.M < 1:
@@ -126,11 +139,18 @@ class RunConfig:
         if self.schedule == "single_agent" and not 1 <= self.schedule_agent <= self.M:
             bad(f"schedule agent {self.schedule_agent} out of [1, {self.M}]",
                 ("schedule", "agent"))
+        if self.schedule == "bursty" and self.schedule_block < 1:
+            bad(f"block_len must be >= 1, got {self.schedule_block}",
+                ("schedule", "block_len"))
         if self.init_state not in (None, "fixed", "uniform_random", "epoch"):
             bad(f"unknown init-state schedule {self.init_state!r}", ("init_state", "kind"))
         if self.init_state == "epoch" and self.mdp_kind != "hard":
             bad("epoch initial-state schedule requires the hard instance",
                 ("init_state", "kind"))
+        if (self.init_state == "fixed" and n_states is not None
+                and not 0 <= self.init_state_fixed < n_states):
+            bad(f"fixed initial state {self.init_state_fixed} out of [0, {n_states})",
+                ("init_state", "state"))
 
     def resolved(self) -> "RunConfig":
         """Fill every defaulted field; the result echoes and reruns exactly."""
@@ -349,9 +369,7 @@ def build_run_state(cfg: RunConfig) -> RunState:
     cfg = cfg.resolved()
     mdp = build_mdp(cfg)
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
-    planner = mdp_mod.value_iteration(mdp) if (needs_planner and mdp.is_tabular) else None
-    if cfg.eval_mode in ("exact", "monte_carlo") and planner is None:
-        raise ConfigError("regret evaluation requires tabular backing", ("run", "eval"))
+    planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)
     agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)
               for m in range(1, cfg.M + 1)]
@@ -389,6 +407,15 @@ def _mc_policy_value(state: RunState, tables: _AgentTables, s1: int,
     return total / state.config.eval_rollouts
 
 
+def _refit(state: RunState, agent: LsviAgent, covs: list[PsdMatrix],
+           data: list[TransitionBatch]) -> None:
+    """Adopt new parameters: backward update, local reset, stale table out."""
+    agent.lsvi_backward_update(state.mdp, data, covs)
+    agent.reset_local()
+    state.tables[agent.agent_id - 1] = None
+    state.cum_switch += 1
+
+
 def run_episode(state: RunState, k: int, rng: np.random.Generator):
     """Run episode k end to end and return its EpisodeResult.
 
@@ -415,7 +442,7 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator):
 
     diag = cfg.diagnostics
     all_logdet_row = None
-    if diag and state.all_cov is not None:
+    if diag:
         all_logdet_row = np.array([c.logdet for c in state.all_cov])
 
     optimism_slack = math.inf
@@ -429,40 +456,22 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator):
         agent.record_transition(mdp, t)
         transitions.append(t)
         if diag:
-            if state.all_cov is not None:
-                state.all_cov[h - 1].rank_one_update(mdp.features[s, a])
-            if state.planner is not None:
-                slack = tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a]
-                optimism_slack = min(optimism_slack, float(slack))
+            state.all_cov[h - 1].rank_one_update(mdp.features[s, a])
+            slack = tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a]
+            optimism_slack = min(optimism_slack, float(slack))
         s = s_next
 
     trig, trig_h = agent.should_communicate()
     decision = protocol_decide(state.protocol, trig)
-    if decision is Decision.COMMUNICATE:
-        state.server.upload(agent)
-        covs, data = state.server.download(agent)
-        agent.lsvi_backward_update(mdp, data, covs)
-        agent.reset_local()
-        state.tables[m - 1] = None
-        state.cum_comm += 1
-        state.cum_switch += 1
-    elif decision is Decision.LOCAL_UPDATE:
-        covs = agent.local_cov_snapshot()
-        data = agent.own_history()
-        agent.lsvi_backward_update(mdp, data, covs)
-        agent.reset_local()
-        state.tables[m - 1] = None
-        state.cum_switch += 1
-    elif decision is Decision.SYNC_ALL:
-        for other in state.agents:
-            state.server.upload(other)
-        for other in state.agents:
-            covs, data = state.server.download(other)
-            other.lsvi_backward_update(mdp, data, covs)
-            other.reset_local()
-        state.tables = [None] * cfg.M
-        state.cum_comm += cfg.M
-        state.cum_switch += cfg.M
+    if decision is Decision.LOCAL_UPDATE:
+        _refit(state, agent, agent.local_cov_snapshot(), agent.own_history())
+    elif decision is not Decision.NONE:
+        group = state.agents if decision is Decision.SYNC_ALL else [agent]
+        for member in group:
+            state.server.upload(member)
+        for member in group:
+            _refit(state, member, *state.server.download(member))
+        state.cum_comm += len(group)
 
     agent_logdet_row = None
     if diag:

@@ -23,11 +23,14 @@ PROB_NEG_TOL = 1e-12     # entries may dip this far below zero from rounding
 
 
 class InvalidMdpError(ValueError):
-    """Raised when construction inputs violate the linear MDP constraints."""
+    """Raised when construction inputs violate the linear MDP constraints.
 
+    ``param`` names the constructor argument at fault, where there is one.
+    """
 
-class UnsupportedInstanceError(RuntimeError):
-    """Raised when exact planning is requested without tabular backing."""
+    def __init__(self, msg: str, param: Optional[str] = None):
+        super().__init__(msg)
+        self.param = param
 
 
 @dataclass
@@ -40,8 +43,8 @@ class LinearMdp:
         features: (n_states, n_actions, d) feature map
         mu: (H, d, n_states) unnormalized transition measures
         gamma: (H, d) reward parameters
-        transitions: optional (H, S, A, S) exact transition tables
-        rewards: optional (H, S, A) exact reward tables
+        transitions: (H, S, A, S) exact transition tables
+        rewards: (H, S, A) exact reward tables
     """
 
     d: int
@@ -51,31 +54,15 @@ class LinearMdp:
     features: np.ndarray
     mu: np.ndarray
     gamma: np.ndarray
-    transitions: Optional[np.ndarray] = None
-    rewards: Optional[np.ndarray] = None
-    _cum_rows: Optional[np.ndarray] = field(default=None, repr=False)
+    transitions: np.ndarray
+    rewards: np.ndarray
+    _cum_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.features, self.mu, self.gamma, self.transitions, self.rewards):
-            if arr is not None:
-                arr.setflags(write=False)
-
-    @property
-    def is_tabular(self) -> bool:
-        return self.transitions is not None and self.rewards is not None
-
-    def transition_row(self, h: int, s: int, a: int) -> np.ndarray:
-        """P_h(.|s, a) as a length-n_states probability row (h is 1-based)."""
-        if self.transitions is not None:
-            return self.transitions[h - 1, s, a]
-        row = self.features[s, a] @ self.mu[h - 1]
-        row = np.clip(row, 0.0, None)
-        return row / row.sum()
-
-    def reward(self, h: int, s: int, a: int) -> float:
-        if self.rewards is not None:
-            return float(self.rewards[h - 1, s, a])
-        return float(self.features[s, a] @ self.gamma[h - 1])
+        self._cum_rows = np.cumsum(self.transitions, axis=-1)
+        for arr in (self.features, self.mu, self.gamma, self.transitions, self.rewards,
+                    self._cum_rows):
+            arr.setflags(write=False)
 
     def step(self, s: int, a: int, h: int, rng: np.random.Generator) -> tuple[float, int]:
         """Sample one environment step; the reward is deterministic in (s, a, h).
@@ -83,23 +70,12 @@ class LinearMdp:
         The next state is drawn by inverse CDF on the transition row, so the
         outcome is a pure function of (mdp, s, a, h, rng state).
         """
-        if self._cum_rows is None:
-            if self.transitions is not None:
-                cum = np.cumsum(self.transitions, axis=-1)
-            else:
-                probs = np.stack(
-                    [np.clip(self.features.reshape(-1, self.d) @ self.mu[h0], 0.0, None)
-                     for h0 in range(self.H)]
-                ).reshape(self.H, self.n_states, self.n_actions, self.n_states)
-                probs /= probs.sum(axis=-1, keepdims=True)
-                cum = np.cumsum(probs, axis=-1)
-            object.__setattr__(self, "_cum_rows", cum)
         cum_row = self._cum_rows[h - 1, s, a]
         u = rng.random()
         nxt = int(np.searchsorted(cum_row, u, side="right"))
         if nxt >= self.n_states:
             nxt = self.n_states - 1
-        return self.reward(h, s, a), nxt
+        return float(self.rewards[h - 1, s, a]), nxt
 
 
 @dataclass
@@ -157,10 +133,17 @@ def build_tabular_as_linear(P: np.ndarray, r: np.ndarray) -> LinearMdp:
     return _tabular_to_linear(P, r)
 
 
+def check_random_sizes(n_states: int, n_actions: int, H: int) -> int:
+    """Raise InvalidMdpError naming the first size below 1; else return n_states."""
+    for name, n in (("n_states", n_states), ("n_actions", n_actions), ("H", H)):
+        if n < 1:
+            raise InvalidMdpError(f"{name} must be >= 1, got {n}", name)
+    return n_states
+
+
 def random_tabular(seed: int, n_states: int, n_actions: int, H: int) -> LinearMdp:
     """Random tabular instance, deterministic in the seed."""
-    if min(n_states, n_actions, H) < 1:
-        raise InvalidMdpError("sizes must be >= 1")
+    check_random_sizes(n_states, n_actions, H)
     rng = np.random.default_rng(seed)
     P = rng.random((H, n_states, n_actions, n_states)) + 1e-3
     P /= P.sum(axis=-1, keepdims=True)
@@ -173,6 +156,19 @@ def default_hard_gap(d: int, M: int, K: int) -> float:
     return min(0.25, math.sqrt(d * M / (8.0 * K)))
 
 
+def check_hard_params(d: int, H: int, gap: Optional[float]) -> int:
+    """Raise InvalidMdpError naming the first argument of ``hard_instance``
+    it would reject; else return its number of states. A gap of None stands
+    for the default, which is always valid."""
+    if d % 2 != 0 or d < 8:
+        raise InvalidMdpError(f"d must be an even integer >= 8, got {d}", "d")
+    if H < 2:
+        raise InvalidMdpError(f"H must be >= 2, got {H}", "H")
+    if gap is not None and not 0.0 <= gap < 0.5:
+        raise InvalidMdpError(f"gap must lie in [0, 1/2), got {gap}", "gap")
+    return d // 2
+
+
 def hard_instance(d: int, H: int, gap: float) -> LinearMdp:
     """The two-armed hard family: d/2 - 2 initial states feeding two absorbers.
 
@@ -183,13 +179,7 @@ def hard_instance(d: int, H: int, gap: float) -> LinearMdp:
     each initial state embeds a 2-armed Bernoulli bandit with value spread
     2 * gap * (H - 1). One-hot embedded at dimension |S| * |A| = d.
     """
-    if d % 2 != 0 or d < 8:
-        raise InvalidMdpError(f"d must be an even integer >= 8, got {d}")
-    if H < 2:
-        raise InvalidMdpError(f"H must be >= 2, got {H}")
-    if not 0.0 <= gap < 0.5:
-        raise InvalidMdpError(f"gap must lie in [0, 1/2), got {gap}")
-    S = d // 2
+    S = check_hard_params(d, H, gap)
     A = 2
     n_init = S - 2
     good, bad = n_init, n_init + 1
@@ -213,8 +203,6 @@ def hard_num_initial_states(mdp: LinearMdp) -> int:
 
 def value_iteration(mdp: LinearMdp) -> PlannerOutput:
     """Exact backward dynamic programming on the tabular backing."""
-    if not mdp.is_tabular:
-        raise UnsupportedInstanceError("value_iteration requires tabular backing")
     H, S, A = mdp.H, mdp.n_states, mdp.n_actions
     q = np.zeros((H, S, A))
     v = np.zeros((H + 1, S))
@@ -228,8 +216,6 @@ def value_iteration(mdp: LinearMdp) -> PlannerOutput:
 
 def eval_policy(mdp: LinearMdp, policy: np.ndarray) -> np.ndarray:
     """Exact backward evaluation of a deterministic (H, S) policy table."""
-    if not mdp.is_tabular:
-        raise UnsupportedInstanceError("eval_policy requires tabular backing")
     policy = np.asarray(policy, dtype=np.int64)
     H, S = mdp.H, mdp.n_states
     if policy.shape != (H, S):
@@ -290,11 +276,10 @@ def validate_linear_mdp(mdp: LinearMdp) -> list[CheckResult]:
     out.append(CheckResult("mu_total_measure_norm_le_sqrt_d", bool(mu_total <= sqrt_d + 1e-9),
                            float(mu_total - sqrt_d)))
 
-    if mdp.is_tabular:
-        diff = float(np.abs(probs - mdp.transitions).max())
-        out.append(CheckResult("embedding_matches_tables", diff <= 1e-12, diff))
-        rdiff = float(np.abs(rewards - mdp.rewards).max())
-        out.append(CheckResult("reward_embedding_matches_tables", rdiff <= 1e-12, rdiff))
+    diff = float(np.abs(probs - mdp.transitions).max())
+    out.append(CheckResult("embedding_matches_tables", diff <= 1e-12, diff))
+    rdiff = float(np.abs(rewards - mdp.rewards).max())
+    out.append(CheckResult("reward_embedding_matches_tables", rdiff <= 1e-12, rdiff))
     return out
 
 
@@ -308,9 +293,7 @@ def g17(x: float) -> str:
 
 
 def write_mdp(mdp: LinearMdp, path: str) -> None:
-    """Write a tabular-backed MDP in the sectioned text format."""
-    if not mdp.is_tabular:
-        raise UnsupportedInstanceError("only tabular-backed MDPs serialize")
+    """Write an MDP in the sectioned text format."""
     lines = ["[meta]",
              f"d = {mdp.d}",
              f"H = {mdp.H}",

@@ -25,15 +25,15 @@ class TestGreedyAction:
     def test_fresh_agent_tie_breaks_to_zero(self):
         m = random_tabular(0, 3, 3, 2)
         ag = fresh_agent(m)
-        assert ag.greedy_action(m, 0, 1) == 0
+        assert int(np.argmax(ag.action_values(m, 0, 1))) == 0
 
     def test_linear_term_argmax(self):
         m = random_tabular(0, 1, 2, 1)  # d = 2, one-hot
         ag = fresh_agent(m, beta=0.0)
         ag.qparams.w[0] = np.array([0.9, 0.1])
-        assert ag.greedy_action(m, 0, 1) == 0
+        assert int(np.argmax(ag.action_values(m, 0, 1))) == 0
         ag.qparams.w[0] = np.array([0.1, 0.9])
-        assert ag.greedy_action(m, 0, 1) == 1
+        assert int(np.argmax(ag.action_values(m, 0, 1))) == 1
 
     def test_matches_exhaustive_evaluation(self):
         m = random_tabular(5, 2, 4, 2)  # d = 8, 4 actions
@@ -47,7 +47,7 @@ class TestGreedyAction:
             for h in range(1, m.H + 1):
                 vals = ag.action_values(m, s, h)
                 brute = max(range(m.n_actions), key=lambda a: vals[a])
-                got = ag.greedy_action(m, s, h)
+                got = int(np.argmax(vals))
                 assert vals[got] == pytest.approx(vals[brute], rel=1e-12)
 
 
@@ -192,6 +192,46 @@ class TestTransitionStore:
             if k % 7 == 0:
                 for got, ts in zip(ag.own_history(), recorded):
                     assert_batches_equal(got, TransitionBatch.from_transitions(ts))
+        for got, ts in zip(ag.own_history(), recorded):
+            assert_batches_equal(got, TransitionBatch.from_transitions(ts))
+
+
+def roll_out(m, ag, episodes, rng, recorded):
+    """Record random episodes on the agent and append each transition to
+    recorded[h - 1]."""
+    for k in episodes:
+        s = int(rng.integers(m.n_states))
+        for h in range(1, m.H + 1):
+            t = make_transition(m, k, h, s, int(rng.integers(m.n_actions)), rng)
+            ag.record_transition(m, t)
+            recorded[h - 1].append(t)
+            s = t.next_state
+
+
+class TestOwnHistory:
+    def test_repeat_call_is_equal(self):
+        m = random_tabular(2, 3, 2, 3)
+        ag = fresh_agent(m)
+        recorded = [[] for _ in range(m.H)]
+        roll_out(m, ag, range(1, 10), np.random.default_rng(5), recorded)
+        first = [TransitionBatch(b.episode.copy(), b.state.copy(), b.action.copy(),
+                                 b.reward.copy(), b.next_state.copy())
+                 for b in ag.own_history()]
+        for got, want, ts in zip(ag.own_history(), first, recorded):
+            assert_batches_equal(got, want)
+            assert_batches_equal(got, TransitionBatch.from_transitions(ts))
+
+    def test_kept_across_reset_local(self):
+        # The no-communication refit reads the history, then resets the delta.
+        m = random_tabular(2, 3, 2, 3)
+        ag = fresh_agent(m)
+        rng = np.random.default_rng(6)
+        recorded = [[] for _ in range(m.H)]
+        for start in (1, 8, 15):
+            roll_out(m, ag, range(start, start + 7), rng, recorded)
+            ag.own_history()
+            ag.reset_local()
+        roll_out(m, ag, range(22, 26), rng, recorded)
         for got, ts in zip(ag.own_history(), recorded):
             assert_batches_equal(got, TransitionBatch.from_transitions(ts))
 

@@ -167,6 +167,17 @@ class TestAccounting:
         assert rec.total_comm == 0
         assert rec.total_switches == int(rec.triggered.sum()) > 0
 
+    @pytest.mark.parametrize("protocol", ["async_trigger", "full_sync"])
+    def test_communicating_agents_keep_no_own_history(self, protocol):
+        """Only the no-communication refit reads an agent's own history."""
+        views = []
+        rec = run_experiment(RunConfig(mdp_kind="hard", M=3, K=300, protocol=protocol,
+                                       schedule="uniform_random", master_seed=1),
+                             episode_hook=views.append)
+        assert rec.total_comm > 0
+        for agent in views[-1].agents:
+            assert all(len(store.batch()) == 0 for store in agent._own)
+
 
 class TestOneQTable:
     """The agent's stored table is the Q-function; the policy is its argmax."""

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from coop_lsvi import mdp as mdp_mod
-from coop_lsvi.mdp import (InvalidMdpError, UnsupportedInstanceError,
-                           build_tabular_as_linear, eval_policy, hard_instance,
-                           random_tabular, read_mdp, validate_linear_mdp,
-                           value_iteration, write_mdp)
+from coop_lsvi.mdp import (InvalidMdpError, build_tabular_as_linear, eval_policy,
+                           hard_instance, random_tabular, read_mdp,
+                           validate_linear_mdp, value_iteration, write_mdp)
 
 
 def degenerate_mdp():
@@ -130,14 +129,6 @@ class TestValueIteration:
             states = (u[:, None] > rows).sum(axis=1)
         se = returns.std() / math.sqrt(n)
         assert abs(returns.mean() - pl.v_star[0, 0]) <= 3 * se + 1e-9
-
-    def test_requires_tabular_backing(self):
-        m = random_tabular(1, 2, 2, 2)
-        stripped = mdp_mod.LinearMdp(d=m.d, H=m.H, n_states=m.n_states,
-                                     n_actions=m.n_actions, features=m.features.copy(),
-                                     mu=m.mu.copy(), gamma=m.gamma.copy())
-        with pytest.raises(UnsupportedInstanceError):
-            value_iteration(stripped)
 
 
 class TestEvalPolicy:

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+import coop_lsvi
+
 SRC = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "coop_lsvi").glob("*.py"))
 
 
@@ -18,3 +20,9 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def test_exports_resolve():
+    """An export deleted from its module but left in ``__all__`` fails here."""
+    missing = [name for name in coop_lsvi.__all__ if not hasattr(coop_lsvi, name)]
+    assert missing == []

@@ -183,6 +183,22 @@ class TestCliRun:
         cfg = self._write(tmp_path, "[run]\nK = 0\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text,bad_line", [
+        (RUN_CFG.replace("d = 8", "d = 9"), 4),
+        (RUN_CFG.replace("H = 3", "H = 1"), 5),
+        (RUN_CFG.replace("gap = 0.2", "gap = 0.7"), 6),
+        ("[mdp]\nkind = random\nn_states = 0\nn_actions = 2\nH = 2\n", 3),
+        ("[mdp]\nkind = random\nn_states = 3\nn_actions = 2\nH = 0\n", 5),
+        (RUN_CFG + "\n[init_state]\nkind = fixed\nstate = 9\n", 16),  # S = 4
+        (RUN_CFG + "\n[schedule]\nkind = bursty\nblock_len = 0\n", 16),
+    ], ids=["hard_d", "hard_H", "hard_gap", "random_n_states", "random_H",
+            "fixed_state", "bursty_block_len"])
+    def test_instance_and_schedule_errors_name_their_line(self, tmp_path, capsys,
+                                                          text, bad_line):
+        cfg = self._write(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"line {bad_line}:" in capsys.readouterr().err
+
     def test_sweep_config_rejected_by_run(self, tmp_path):
         cfg = self._write(tmp_path, SWEEP_CFG)
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
