@@ -29,7 +29,8 @@ def run_chart_svg(k: np.ndarray, cum_regret: np.ndarray, cum_comm: np.ndarray) -
     xs = _scale(k, _ML, _W - _MR)
     y_reg = _scale(np.nan_to_num(cum_regret), _H - _MB, _MT)
     y_comm = _scale(cum_comm.astype(float), _H - _MB, _MT)
-    reg_max = float(np.nanmax(cum_regret)) if len(cum_regret) else 0.0
+    evaluated = cum_regret[~np.isnan(cum_regret)]  # none when eval is off
+    reg_max = float(np.max(evaluated)) if len(evaluated) else float("nan")
     comm_max = int(np.max(cum_comm)) if len(cum_comm) else 0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -11,6 +11,8 @@ import json
 import math
 import os
 import sys
+import tempfile
+
 import numpy as np
 
 from . import mdp as mdp_mod
@@ -34,6 +36,21 @@ def _workers_default() -> int:
         except ValueError:
             pass
     return 1
+
+
+def _finite(obj):
+    """JSON has no NaN or Infinity: a non-finite float is written as null."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _json_text(obj) -> str:
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_run(args) -> int:
@@ -63,8 +80,7 @@ def cmd_run(args) -> int:
             "n_triggers": int(record.triggered.sum()),
             "epoch_starts": record.epoch_starts,
         }
-        atomic_write(os.path.join(args.out, "summary.json"),
-                     json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        atomic_write(os.path.join(args.out, "summary.json"), _json_text(summary))
         if args.svg:
             atomic_write(os.path.join(args.out, "chart.svg"),
                          run_chart_svg(record.k, record.cum_regret, record.cum_comm))
@@ -111,41 +127,35 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
-def _lower_bound_config(d, H, M, K, gap, seed, protocol) -> RunConfig:
-    return RunConfig(
-        mdp_kind="hard", mdp_d=d, mdp_horizon=H, mdp_gap=gap,
-        M=M, K=K, protocol=protocol, master_seed=seed,
-        schedule="lower_bound", init_state="epoch", eval_mode="exact",
-    )
-
-
 def cmd_lower_bound(args) -> int:
     d, H, M, K = args.d, args.horizon, args.M, args.K
+    base = RunConfig(mdp_kind="hard", mdp_d=d, mdp_horizon=H, mdp_gap=args.gap,
+                     M=M, K=K, schedule="lower_bound", init_state="epoch")
     try:
-        if d % 2 != 0 or d < 8:
-            raise ConfigError(f"d must be even and >= 8, got {d}")
+        gap = base.resolved().mdp_gap
         if K < d * M:
             raise ConfigError(f"K must be >= d*M = {d * M}, got {K}")
-        gap = args.gap if args.gap is not None else mdp_mod.default_hard_gap(d, M, K)
-        seeds = list(range(args.seeds))
-        configs = {
-            proto: [_lower_bound_config(d, H, M, K, gap, s, proto).resolved()
-                    for s in seeds]
-            for proto in ("async_trigger", "no_comm")
-        }
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    spec = SweepSpec(base, {"protocol": ["async_trigger", "no_comm"],
+                            "seeds": list(range(args.seeds))})
     try:
-        results = {proto: [run_experiment(c) for c in cfgs]
-                   for proto, cfgs in configs.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            rows = run_sweep(spec, args.out or tmp, workers=_workers_default())
     except Exception as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUN
-    report = {"d": d, "H": H, "M": M, "K": K, "gap": gap, "n_seeds": len(seeds)}
-    for proto, recs in results.items():
-        regs = [r.total_regret for r in recs]
-        comms = [r.total_comm for r in recs]
+    for r in rows:
+        if r["status"] != "ok":
+            print(f"run failed: {r['status']}", file=sys.stderr)
+            return EXIT_RUN
+    report = {"d": d, "H": H, "M": M, "K": K, "gap": gap, "n_seeds": args.seeds}
+    for proto in spec.axes["protocol"]:
+        regs = [r["total_regret"] for r in rows if r["protocol"] == proto]
+        comms = [r["total_comm"] for r in rows if r["protocol"] == proto]
         report[proto] = {
             "mean_total_regret": float(np.mean(regs)),
             "mean_total_comm": float(np.mean(comms)),
@@ -163,10 +173,8 @@ def cmd_lower_bound(args) -> int:
         report["async_trigger"]["mean_total_comm"] / scale)
     report["comm_budget_full_form"] = comm_complexity_scale(d, H, M, alpha, K, 1.0)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        atomic_write(os.path.join(args.out, "lower_bound_report.json"),
-                     json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(f"hard instance d={d} H={H} M={M} K={K} gap={gap:.6g} seeds={len(seeds)}")
+        atomic_write(os.path.join(args.out, "lower_bound_report.json"), _json_text(report))
+    print(f"hard instance d={d} H={H} M={M} K={K} gap={gap:.6g} seeds={args.seeds}")
     print(f"  async_trigger: mean regret {mean_async:.6g}, "
           f"mean comm {report['async_trigger']['mean_total_comm']:.1f}")
     print(f"  no_comm:       mean regret {mean_nc:.6g}, mean comm "
@@ -212,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--gap", type=float, default=None,
                       help="arm gap (default min(1/4, sqrt(dM/8K)))")
     p_lb.add_argument("--seeds", type=int, default=10, help="number of seeds")
-    p_lb.add_argument("--out", default=None, help="directory for the JSON report")
+    p_lb.add_argument("--out", default=None,
+                      help="directory for the JSON report and the sweep files")
     p_lb.set_defaults(func=cmd_lower_bound)
     return parser
 

@@ -9,20 +9,54 @@ run configuration.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .harness import ConfigError, RunConfig
 from .mdp import g17
 
-_KNOWN_KEYS = {
-    "mdp": {"kind", "d", "H", "gap", "n_states", "n_actions", "seed", "path"},
-    "run": {"M", "K", "alpha", "ridge", "delta", "beta", "protocol",
-            "master_seed", "eval", "diagnostics"},
-    "schedule": {"kind", "seed", "block_len", "agent"},
-    "init_state": {"kind", "state"},
-    "sweep": {"K", "M", "alpha", "ridge", "protocol", "seeds", "gap", "max_runs"},
+# (section, key) -> (RunConfig field, type) for every key that sets one field.
+_FIELDS = {
+    ("mdp", "kind"): ("mdp_kind", str),
+    ("mdp", "d"): ("mdp_d", int),
+    ("mdp", "H"): ("mdp_horizon", int),
+    ("mdp", "gap"): ("mdp_gap", float),
+    ("mdp", "n_states"): ("mdp_n_states", int),
+    ("mdp", "n_actions"): ("mdp_n_actions", int),
+    ("mdp", "seed"): ("mdp_seed", int),
+    ("mdp", "path"): ("mdp_path", str),
+    ("run", "M"): ("M", int),
+    ("run", "K"): ("K", int),
+    ("run", "alpha"): ("alpha", float),
+    ("run", "ridge"): ("ridge", float),
+    ("run", "delta"): ("delta", float),
+    ("run", "protocol"): ("protocol", str),
+    ("run", "master_seed"): ("master_seed", int),
+    ("run", "diagnostics"): ("diagnostics", bool),
+    ("schedule", "kind"): ("schedule", str),
+    ("schedule", "seed"): ("schedule_seed", int),
+    ("schedule", "block_len"): ("schedule_block", int),
+    ("schedule", "agent"): ("schedule_agent", int),
+    ("init_state", "kind"): ("init_state", str),
+    ("init_state", "state"): ("init_state_fixed", int),
 }
+
+# Sweep axis -> the key whose value it replaces. Axes cross-product in this
+# order, which fixes the run numbering of a sweep.
+_AXES = {
+    "K": ("run", "K"),
+    "M": ("run", "M"),
+    "alpha": ("run", "alpha"),
+    "ridge": ("run", "ridge"),
+    "gap": ("mdp", "gap"),
+    "protocol": ("run", "protocol"),
+    "seeds": ("run", "master_seed"),
+}
+
+_KNOWN_KEYS = frozenset([*_FIELDS, ("run", "beta"), ("run", "eval"),
+                         *(("sweep", axis) for axis in _AXES), ("sweep", "max_runs")])
+_SECTIONS = {section for section, _ in _KNOWN_KEYS}
 
 SWEEP_CAP_DEFAULT = 10_000
 
@@ -42,23 +76,25 @@ class SweepSpec:
         return n
 
 
-class _Raw:
-    """Parsed (section, key) -> (value, line) map with error attribution."""
+def expand_sweep(spec: SweepSpec) -> list[RunConfig]:
+    """Cross-product the axes over the base config, in the order of spec.axes.
 
-    def __init__(self):
-        self.items: dict[tuple[str, str], tuple[str, int]] = {}
+    Axis values override the unresolved base so dependent defaults (alpha
+    from M, hard gap from K and M) are recomputed per combination.
+    """
+    names = list(spec.axes)
+    out = []
+    for combo in itertools.product(*(spec.axes[n] for n in names)):
+        cfg = replace(spec.base)
+        for name, value in zip(names, combo):
+            setattr(cfg, _FIELDS[_AXES[name]][0], value)
+        out.append(cfg)
+    return out
 
-    def get(self, section: str, key: str) -> Optional[str]:
-        hit = self.items.get((section, key))
-        return hit[0] if hit else None
 
-    def line(self, section: str, key: str) -> Optional[int]:
-        hit = self.items.get((section, key))
-        return hit[1] if hit else None
-
-
-def _parse_lines(text: str) -> _Raw:
-    raw = _Raw()
+def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
+    """Map each (section, key) to its (value text, line number)."""
+    raw = {}
     section = None
     for lineno, full in enumerate(text.splitlines(), start=1):
         line = full.split("#", 1)[0].strip()
@@ -66,7 +102,7 @@ def _parse_lines(text: str) -> _Raw:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _KNOWN_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if section is None:
@@ -75,19 +111,15 @@ def _parse_lines(text: str) -> _Raw:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
-        if key not in _KNOWN_KEYS[section]:
+        if (section, key) not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        if (section, key) in raw.items:
+        if (section, key) in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        raw.items[(section, key)] = (value.strip(), lineno)
+        raw[(section, key)] = (value.strip(), lineno)
     return raw
 
 
-def _convert(raw: _Raw, section: str, key: str, kind, default=None):
-    text = raw.get(section, key)
-    if text is None:
-        return default
-    lineno = raw.line(section, key)
+def _convert(text: str, lineno: int, key: str, kind):
     try:
         if kind is bool:
             low = text.lower()
@@ -101,7 +133,7 @@ def _convert(raw: _Raw, section: str, key: str, kind, default=None):
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from None
 
 
-def _parse_mode_value(text: str, modes: tuple[str, ...], lineno: int,
+def _parse_mode_value(text: str, lineno: int, modes: tuple[str, ...],
                       value_kind=float) -> tuple[str, Optional[float]]:
     mode, sep, val = text.partition(":")
     mode = mode.strip()
@@ -115,123 +147,80 @@ def _parse_mode_value(text: str, modes: tuple[str, ...], lineno: int,
         raise ConfigError(f"line {lineno}: bad value in {text!r}") from None
 
 
-def _parse_int_list(text: str, lineno: int) -> list[int]:
-    """Comma list of ints, with 'a..b' inclusive ranges."""
+def _parse_axis(text: str, lineno: int, kind) -> list:
+    """Comma list of values; an integer axis also takes inclusive 'a..b' ranges."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad range {part!r}") from None
-            if hi_i < lo_i:
-                raise ConfigError(f"line {lineno}: empty range {part!r}")
-            out.extend(range(lo_i, hi_i + 1))
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad integer {part!r}") from None
-    if not out:
-        raise ConfigError(f"line {lineno}: empty list")
-    return out
-
-
-def _parse_axis(raw: _Raw, key: str, kind) -> Optional[list]:
-    text = raw.get("sweep", key)
-    if text is None:
-        return None
-    lineno = raw.line("sweep", key)
-    if kind is int:
-        return _parse_int_list(text, lineno)
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+        lo, dots, hi = part.partition("..")
         try:
-            out.append(kind(part))
+            values = (range(int(lo), int(hi) + 1) if kind is int and dots
+                      else [kind(part)])
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {part!r}") from None
+        if not values:
+            raise ConfigError(f"line {lineno}: empty range {part!r}")
+        out.extend(values)
     if not out:
         raise ConfigError(f"line {lineno}: empty list")
     return out
+
+
+def _check(cfg: RunConfig, lines: dict[tuple[str, str], int]) -> None:
+    """Resolve cfg, so that defaults are checked too; a ConfigError names the
+    line of the key at fault when that key is in ``lines``."""
+    try:
+        cfg.resolved()
+    except ConfigError as e:
+        lineno = lines.get(e.key)
+        if lineno is None:
+            raise
+        raise ConfigError(f"line {lineno}: {e}") from None
 
 
 def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     """Parse config text into a RunConfig, or a SweepSpec if [sweep] present.
 
-    Constraint violations raise ConfigError carrying the offending line
-    number where one is known.
+    The run, and every run of a sweep, is checked as it will run (defaults
+    filled in). Constraint violations raise ConfigError carrying the
+    offending line number where one is known; a swept key's error names its
+    [sweep] line.
     """
     raw = _parse_lines(text)
     cfg = RunConfig()
-
-    kind = _convert(raw, "mdp", "kind", str, cfg.mdp_kind)
-    cfg.mdp_kind = kind
-    cfg.mdp_d = _convert(raw, "mdp", "d", int, cfg.mdp_d)
-    cfg.mdp_horizon = _convert(raw, "mdp", "H", int, cfg.mdp_horizon)
-    cfg.mdp_gap = _convert(raw, "mdp", "gap", float, cfg.mdp_gap)
-    cfg.mdp_n_states = _convert(raw, "mdp", "n_states", int, cfg.mdp_n_states)
-    cfg.mdp_n_actions = _convert(raw, "mdp", "n_actions", int, cfg.mdp_n_actions)
-    cfg.mdp_seed = _convert(raw, "mdp", "seed", int, cfg.mdp_seed)
-    cfg.mdp_path = _convert(raw, "mdp", "path", str, cfg.mdp_path)
-
-    cfg.M = _convert(raw, "run", "M", int, cfg.M)
-    cfg.K = _convert(raw, "run", "K", int, cfg.K)
-    cfg.alpha = _convert(raw, "run", "alpha", float, cfg.alpha)
-    cfg.ridge = _convert(raw, "run", "ridge", float, cfg.ridge)
-    cfg.delta = _convert(raw, "run", "delta", float, cfg.delta)
-    beta_text = raw.get("run", "beta")
-    if beta_text is not None:
+    for (section, key), (name, kind) in _FIELDS.items():
+        if (section, key) in raw:
+            value, lineno = raw[(section, key)]
+            setattr(cfg, name, _convert(value, lineno, key, kind))
+    if ("run", "beta") in raw:
         cfg.beta_mode, cfg.beta_value = _parse_mode_value(
-            beta_text, ("practical", "theoretical", "fixed"), raw.line("run", "beta"))
-    cfg.protocol = _convert(raw, "run", "protocol", str, cfg.protocol)
-    cfg.master_seed = _convert(raw, "run", "master_seed", int, cfg.master_seed)
-    eval_text = raw.get("run", "eval")
-    if eval_text is not None:
-        mode, nval = _parse_mode_value(
-            eval_text, ("exact", "monte_carlo", "off"), raw.line("run", "eval"),
-            value_kind=int)
-        cfg.eval_mode = mode
+            *raw[("run", "beta")], ("practical", "theoretical", "fixed"))
+    if ("run", "eval") in raw:
+        cfg.eval_mode, nval = _parse_mode_value(
+            *raw[("run", "eval")], ("exact", "monte_carlo", "off"), value_kind=int)
         if nval is not None:
             cfg.eval_rollouts = nval
-    cfg.diagnostics = _convert(raw, "run", "diagnostics", bool, cfg.diagnostics)
-
-    cfg.schedule = _convert(raw, "schedule", "kind", str, cfg.schedule)
-    cfg.schedule_seed = _convert(raw, "schedule", "seed", int, cfg.schedule_seed)
-    cfg.schedule_block = _convert(raw, "schedule", "block_len", int, cfg.schedule_block)
-    cfg.schedule_agent = _convert(raw, "schedule", "agent", int, cfg.schedule_agent)
-
-    cfg.init_state = _convert(raw, "init_state", "kind", str, cfg.init_state)
-    cfg.init_state_fixed = _convert(raw, "init_state", "state", int, cfg.init_state_fixed)
-
-    try:
-        cfg.validate()
-    except ConfigError as e:
-        lineno = raw.line(*e.key) if e.key else None
-        if lineno is not None:
-            raise ConfigError(f"line {lineno}: {e}") from None
-        raise
-
-    has_sweep = any(section == "sweep" for section, _ in raw.items)
-    if not has_sweep:
+    lines = {k: lineno for k, (_, lineno) in raw.items()}
+    _check(cfg, lines)
+    if not any(section == "sweep" for section, _ in raw):
         return cfg
 
     axes: dict[str, list] = {}
-    for key, akind in (("K", int), ("M", int), ("alpha", float), ("ridge", float),
-                       ("gap", float), ("protocol", str), ("seeds", int)):
-        values = _parse_axis(raw, key, akind)
-        if values is not None:
-            axes[key] = values
-    cap = _convert(raw, "sweep", "max_runs", int, SWEEP_CAP_DEFAULT)
+    for axis, key in _AXES.items():
+        if ("sweep", axis) in raw:
+            value, lineno = raw[("sweep", axis)]
+            axes[axis] = _parse_axis(value, lineno, _FIELDS[key][1])
+            lines[key] = lineno
+    cap = SWEEP_CAP_DEFAULT
+    if ("sweep", "max_runs") in raw:
+        cap = _convert(*raw[("sweep", "max_runs")], "max_runs", int)
     spec = SweepSpec(base=cfg, axes=axes, cap=cap)
     if spec.size() > spec.cap:
         raise ConfigError(f"sweep would launch {spec.size()} runs, over the cap {spec.cap}")
+    for run in expand_sweep(spec):
+        _check(run, lines)
     return spec
 
 

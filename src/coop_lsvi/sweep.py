@@ -8,17 +8,16 @@ the per-run outputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .configio import SweepSpec, config_hash, emit_config
+from .configio import SweepSpec, config_hash, emit_config, expand_sweep
 from .harness import RunConfig, metrics_csv_text, run_experiment
 from .mdp import g17
 
@@ -43,30 +42,6 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def expand_sweep(spec: SweepSpec) -> list[RunConfig]:
-    """Cross-product the axes over the base config, in declaration order.
-
-    Axis values override the unresolved base so dependent defaults (alpha
-    from M, hard gap from K and M) are recomputed per combination.
-    """
-    names = list(spec.axes)
-    combos = itertools.product(*(spec.axes[n] for n in names))
-    out = []
-    for combo in combos:
-        cfg = replace(spec.base)
-        for name, value in zip(names, combo):
-            if name == "seeds":
-                cfg.master_seed = value
-            elif name == "gap":
-                cfg.mdp_gap = value
-            elif name == "protocol":
-                cfg.protocol = value
-            else:
-                setattr(cfg, name, value)
-        out.append(cfg)
-    return out
 
 
 def _run_one(args: tuple[int, RunConfig, str]) -> dict:
@@ -147,7 +122,7 @@ class ScalingFit:
     comm_halfwidth: float = float("nan")
 
 
-def _fit_group(rows: list[dict]) -> Optional[ScalingFit]:
+def _fit_group(rows: list[dict]) -> ScalingFit:
     ks = sorted({r["K"] for r in rows})
     seeds = sorted({r["seed"] for r in rows})
     fit = ScalingFit(protocol=rows[0]["protocol"], alpha=rows[0]["alpha"],
@@ -190,7 +165,7 @@ def scaling_fits(rows: list[dict]) -> list[ScalingFit]:
     groups: dict[tuple, list[dict]] = {}
     for r in ok:
         groups.setdefault((r["protocol"], r["alpha"]), []).append(r)
-    return [f for key in sorted(groups) if (f := _fit_group(groups[key])) is not None]
+    return [_fit_group(groups[key]) for key in sorted(groups)]
 
 
 def scaling_csv_text(fits: list[ScalingFit]) -> str:

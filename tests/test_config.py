@@ -1,10 +1,16 @@
 """Tests for config parsing, defaulting, echo round-trips, and sweep specs."""
 
+import dataclasses
+import pathlib
+
 import pytest
 
-from coop_lsvi.configio import (SweepSpec, config_hash, emit_config,
-                                parse_config)
+from coop_lsvi.configio import (_AXES, _FIELDS, SweepSpec, config_hash,
+                                emit_config, expand_sweep, parse_config,
+                                parse_config_file)
 from coop_lsvi.harness import ConfigError, RunConfig
+
+CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 MINIMAL = """
 [mdp]
@@ -77,6 +83,13 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"line 10: bad value"):
             parse_config(MINIMAL + f"eval = monte_carlo:{value}\n")
 
+    def test_key_table_sets_every_run_config_field_once(self):
+        """A misspelled field name in the table would be set silently."""
+        names = [name for name, _ in _FIELDS.values()]
+        names += ["beta_mode", "beta_value", "eval_mode", "eval_rollouts"]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert set(_AXES.values()) <= set(_FIELDS)
+
     def test_diagnostics_flag(self):
         assert parse_config(MINIMAL + "diagnostics = on\n").diagnostics
         assert not parse_config(MINIMAL + "diagnostics = off\n").diagnostics
@@ -147,3 +160,15 @@ protocol = async_trigger, no_comm
     def test_bad_range(self):
         with pytest.raises(ConfigError, match="range"):
             parse_config(MINIMAL + "\n[sweep]\nseeds = 5..1\n")
+
+
+def test_shipped_configs_found():
+    assert any(p.name == "run_hard.cfg" for p in CONFIGS)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_resolves(path):
+    parsed = parse_config_file(str(path))
+    runs = expand_sweep(parsed) if isinstance(parsed, SweepSpec) else [parsed]
+    for run in runs:
+        run.resolved()

@@ -11,6 +11,7 @@ import pytest
 import coop_lsvi
 from coop_lsvi.cli import main
 from coop_lsvi.configio import parse_config
+from coop_lsvi.harness import ConfigError, RunConfig, run_experiment
 from coop_lsvi.mdp import hard_instance, random_tabular, write_mdp
 from coop_lsvi.sweep import expand_sweep, run_sweep, scaling_fits
 
@@ -44,6 +45,13 @@ K = 40
 K = 40, 80, 160
 seeds = 0..4
 """
+
+
+def _strict_json(path):
+    """Load a JSON file, refusing the NaN and Infinity that JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: non-JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestExpand:
@@ -199,6 +207,14 @@ class TestCliRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"line {bad_line}:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_eval_off_writes_strict_json_and_chart(self, tmp_path):
+        cfg = self._write(tmp_path, RUN_CFG + "eval = off\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--svg"]) == 0
+        assert _strict_json(out / "summary.json")["total_regret"] is None
+        assert "max nan" in (out / "chart.svg").read_text()
+
     def test_sweep_config_rejected_by_run(self, tmp_path):
         cfg = self._write(tmp_path, SWEEP_CFG)
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -221,6 +237,25 @@ class TestCliSweep:
         cfg = tmp_path / "r.cfg"
         cfg.write_text(RUN_CFG)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command,text,bad_line", [
+    ("run", "[mdp]\nkind = random\nn_states = 4\nn_actions = 2\nH = 2\n"
+            "\n[init_state]\nstate = 9\n", 8),
+    ("sweep", RUN_CFG + "\n[sweep]\ngap = 0.1, 0.7\n", 15),
+    ("sweep", RUN_CFG + "\n[sweep]\nM = 0, 2\n", 15),
+    ("sweep", RUN_CFG + "\n[sweep]\nprotocol = async_trigger, bogus\n", 15),
+], ids=["defaulted_fixed_state", "swept_gap", "swept_M", "swept_protocol"])
+def test_errors_in_the_runs_as_run_name_their_line(tmp_path, capsys, command, text,
+                                                   bad_line):
+    """Checks see each run with its defaults filled in and its axis values set;
+    the error names the line that set the value at fault."""
+    with pytest.raises(ConfigError, match=f"^line {bad_line}: "):
+        parse_config(text)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"line {bad_line}:" in capsys.readouterr().err
 
 
 class TestCliValidate:
@@ -269,13 +304,29 @@ class TestCliLowerBound:
         rc = main(["lower-bound", "--d", "8", "--M", "2", "--K", "64",
                    "--gap", "0", "--seeds", "2", "--out", str(tmp_path)])
         assert rc == 0
-        report = json.loads((tmp_path / "lower_bound_report.json").read_text())
+        report = _strict_json(tmp_path / "lower_bound_report.json")
         assert report["async_trigger"]["mean_total_regret"] == pytest.approx(0.0, abs=1e-9)
         assert report["no_comm"]["mean_total_regret"] == pytest.approx(0.0, abs=1e-9)
+        assert report["regret_ratio_no_comm_over_async"] is None  # 0 / 0
+
+    def test_report_equals_direct_runs(self, tmp_path):
+        assert main(["lower-bound", "--d", "8", "--M", "2", "--K", "64",
+                     "--seeds", "2", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "lower_bound_report.json").read_text())
+        for proto in ("async_trigger", "no_comm"):
+            records = [run_experiment(RunConfig(
+                mdp_kind="hard", mdp_d=8, mdp_horizon=3, M=2, K=64, protocol=proto,
+                master_seed=seed, schedule="lower_bound", init_state="epoch").resolved())
+                for seed in range(2)]
+            assert report[proto]["per_seed_regret"] == [r.total_regret for r in records]
+            assert report[proto]["per_seed_comm"] == [r.total_comm for r in records]
+        assert len((tmp_path / "aggregate.csv").read_text().splitlines()) == 1 + 2 * 2
 
     def test_constraints(self):
         assert main(["lower-bound", "--d", "7", "--M", "2", "--K", "128"]) == 2
         assert main(["lower-bound", "--d", "8", "--M", "4", "--K", "16"]) == 2
+        assert main(["lower-bound", "--d", "8", "--M", "2", "--K", "64", "--seeds", "0"]) == 2
+        assert main(["lower-bound", "--d", "8", "--M", "2", "--K", "64", "--seeds", "-1"]) == 2
 
 
 class TestComparisonOutput:
