@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Optional
 
 import numpy as np
 
@@ -28,14 +29,18 @@ EXIT_RUN = 3
 EXIT_CHECK = 4
 
 
-def _workers_default() -> int:
-    env = os.environ.get("COOP_LSVI_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _workers(flag: Optional[int] = None) -> int:
+    """Worker processes from --workers, else COOP_LSVI_WORKERS, else 1."""
+    name, value = "--workers", flag
+    if flag is None:
+        name, value = "COOP_LSVI_WORKERS", os.environ.get("COOP_LSVI_WORKERS") or "1"
+    try:
+        n = int(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ConfigError(f"{name} must be >= 1, got {n}")
+    return n
 
 
 def _finite(obj):
@@ -97,10 +102,10 @@ def cmd_sweep(args) -> int:
         spec = parse_config_file(args.config)
         if not isinstance(spec, SweepSpec):
             raise ConfigError("config has no [sweep] section; use the 'run' subcommand")
+        workers = _workers(args.workers)
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    workers = args.workers if args.workers else _workers_default()
     try:
         rows = run_sweep(spec, args.out, workers=workers)
     except Exception as e:
@@ -137,6 +142,7 @@ def cmd_lower_bound(args) -> int:
             raise ConfigError(f"K must be >= d*M = {d * M}, got {K}")
         if args.seeds < 1:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+        workers = _workers()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -144,7 +150,7 @@ def cmd_lower_bound(args) -> int:
                             "seeds": list(range(args.seeds))})
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            rows = run_sweep(spec, args.out or tmp, workers=_workers_default())
+            rows = run_sweep(spec, args.out or tmp, workers=workers)
     except Exception as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUN

@@ -33,6 +33,7 @@ _FIELDS = {
     ("run", "delta"): ("delta", float),
     ("run", "protocol"): ("protocol", str),
     ("run", "master_seed"): ("master_seed", int),
+    ("run", "eval"): ("eval_mode", str),
     ("run", "diagnostics"): ("diagnostics", bool),
     ("schedule", "kind"): ("schedule", str),
     ("schedule", "seed"): ("schedule_seed", int),
@@ -54,7 +55,7 @@ _AXES = {
     "seeds": ("run", "master_seed"),
 }
 
-_KNOWN_KEYS = frozenset([*_FIELDS, ("run", "beta"), ("run", "eval"),
+_KNOWN_KEYS = frozenset([*_FIELDS, ("run", "beta"),
                          *(("sweep", axis) for axis in _AXES), ("sweep", "max_runs")])
 _SECTIONS = {section for section, _ in _KNOWN_KEYS}
 
@@ -133,8 +134,8 @@ def _convert(text: str, lineno: int, key: str, kind):
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from None
 
 
-def _parse_mode_value(text: str, lineno: int, modes: tuple[str, ...],
-                      value_kind=float) -> tuple[str, Optional[float]]:
+def _parse_mode_value(text: str, lineno: int,
+                      modes: tuple[str, ...]) -> tuple[str, Optional[float]]:
     mode, sep, val = text.partition(":")
     mode = mode.strip()
     if mode not in modes:
@@ -142,7 +143,7 @@ def _parse_mode_value(text: str, lineno: int, modes: tuple[str, ...],
     if not sep:
         return mode, None
     try:
-        return mode, value_kind(val.strip())
+        return mode, float(val.strip())
     except ValueError:
         raise ConfigError(f"line {lineno}: bad value in {text!r}") from None
 
@@ -197,11 +198,6 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     if ("run", "beta") in raw:
         cfg.beta_mode, cfg.beta_value = _parse_mode_value(
             *raw[("run", "beta")], ("practical", "theoretical", "fixed"))
-    if ("run", "eval") in raw:
-        cfg.eval_mode, nval = _parse_mode_value(
-            *raw[("run", "eval")], ("exact", "monte_carlo", "off"), value_kind=int)
-        if nval is not None:
-            cfg.eval_rollouts = nval
     lines = {k: lineno for k, (_, lineno) in raw.items()}
     _check(cfg, lines)
     if not any(section == "sweep" for section, _ in raw):
@@ -245,9 +241,6 @@ def emit_config(cfg: RunConfig) -> str:
                   f"H = {cfg.mdp_horizon}", f"seed = {cfg.mdp_seed}"]
     else:
         lines += [f"path = {cfg.mdp_path}"]
-    eval_text = cfg.eval_mode
-    if cfg.eval_mode == "monte_carlo":
-        eval_text = f"monte_carlo:{cfg.eval_rollouts}"
     lines += ["", "[run]", f"M = {cfg.M}", f"K = {cfg.K}"]
     if cfg.alpha is not None:
         lines.append(f"alpha = {g17(cfg.alpha)}")
@@ -259,7 +252,7 @@ def emit_config(cfg: RunConfig) -> str:
     lines += [
         f"protocol = {cfg.protocol}",
         f"master_seed = {cfg.master_seed}",
-        f"eval = {eval_text}",
+        f"eval = {cfg.eval_mode}",
         f"diagnostics = {'on' if cfg.diagnostics else 'off'}",
         "",
         "[schedule]",

@@ -3,13 +3,13 @@
 A run is strictly sequential: one active agent per episode. Determinism is
 enforced by deriving every random stream from (master_seed, episode, stream
 tag) through a 64-bit avalanche mix, so trajectories are invariant to
-diagnostic toggles and evaluation rollouts never perturb learning.
+diagnostic toggles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -24,10 +24,9 @@ from .server import CentralServer, Decision, ProtocolKind, protocol_decide
 
 _MASK64 = (1 << 64) - 1
 
-# Stream tags: trajectory sampling, evaluation rollouts, participation
-# schedule, initial-state schedule.
+# Stream tags: trajectory sampling, participation schedule, initial-state
+# schedule.
 TAG_TRAJECTORY = 0xA1
-TAG_EVAL = 0xA2
 TAG_SCHEDULE = 0xA3
 TAG_INIT = 0xA4
 
@@ -81,8 +80,7 @@ class RunConfig:
     beta_value: Optional[float] = None
     protocol: str = "async_trigger"
     master_seed: int = 0
-    eval_mode: str = "exact"               # exact | monte_carlo | off
-    eval_rollouts: int = 200
+    eval_mode: str = "exact"               # exact | off
     diagnostics: bool = False
 
     schedule: str = "round_robin"
@@ -119,20 +117,20 @@ class RunConfig:
             bad(f"M must be >= 1, got {self.M}", ("run", "M"))
         if self.alpha is not None and not self.alpha > 0:
             bad(f"alpha must be > 0, got {self.alpha}", ("run", "alpha"))
-        if not self.ridge > 0:
-            bad(f"ridge must be > 0, got {self.ridge}", ("run", "ridge"))
+        if not 0 < self.ridge < math.inf:
+            bad(f"ridge must be finite and > 0, got {self.ridge}", ("run", "ridge"))
         if not 0 < self.delta < 1:
             bad(f"delta must lie in (0,1), got {self.delta}", ("run", "delta"))
         if self.beta_mode not in ("practical", "theoretical", "fixed"):
             bad(f"unknown beta mode {self.beta_mode!r}", ("run", "beta"))
         if self.beta_mode == "fixed" and self.beta_value is None:
             bad("beta mode 'fixed' requires a value", ("run", "beta"))
+        if self.beta_value is not None and not 0 <= self.beta_value < math.inf:
+            bad(f"beta value must be finite and >= 0, got {self.beta_value}", ("run", "beta"))
         if self.protocol not in [p.value for p in ProtocolKind]:
             bad(f"unknown protocol {self.protocol!r}", ("run", "protocol"))
-        if self.eval_mode not in ("exact", "monte_carlo", "off"):
+        if self.eval_mode not in ("exact", "off"):
             bad(f"unknown eval mode {self.eval_mode!r}", ("run", "eval"))
-        if self.eval_mode == "monte_carlo" and self.eval_rollouts < 1:
-            bad("monte_carlo eval needs >= 1 rollouts", ("run", "eval"))
         if self.schedule not in ("round_robin", "uniform_random", "bursty",
                                  "single_agent", "lower_bound"):
             bad(f"unknown schedule {self.schedule!r}", ("schedule", "kind"))
@@ -181,7 +179,6 @@ class RunRecord:
     k: np.ndarray
     m: np.ndarray
     regret_inc: np.ndarray
-    cum_regret: np.ndarray
     triggered: np.ndarray
     trigger_h: np.ndarray
     cum_comm: np.ndarray
@@ -190,6 +187,22 @@ class RunRecord:
     all_logdet: Optional[np.ndarray] = None        # (K, H), universal cov, episode start
     optimism_slack: Optional[np.ndarray] = None    # (K,), min over visited (s,a,h)
     epoch_starts: Optional[list[int]] = None
+
+    @classmethod
+    def empty(cls, K: int, H: int, diagnostics: bool) -> "RunRecord":
+        """Zeroed rows for K episodes of horizon H; run_episode fills row k-1."""
+        record = cls(k=np.arange(1, K + 1, dtype=np.int64), m=np.zeros(K, np.int64),
+                     regret_inc=np.zeros(K), triggered=np.zeros(K, bool),
+                     trigger_h=np.zeros(K, np.int64), cum_comm=np.zeros(K, np.int64),
+                     cum_switch=np.zeros(K, np.int64))
+        if diagnostics:
+            record.agent_logdet, record.all_logdet = np.zeros((K, H)), np.zeros((K, H))
+            record.optimism_slack = np.zeros(K)
+        return record
+
+    @property
+    def cum_regret(self) -> np.ndarray:
+        return np.cumsum(self.regret_inc)
 
     @property
     def total_regret(self) -> float:
@@ -209,12 +222,13 @@ METRICS_HEADER = "k,m_k,regret_inc,cum_regret,triggered,trigger_h,cum_comm,cum_s
 
 def metrics_csv_text(record: RunRecord) -> str:
     lines = [METRICS_HEADER]
+    cum_regret = record.cum_regret
     for i in range(len(record.k)):
         lines.append(",".join((
             str(int(record.k[i])),
             str(int(record.m[i])),
             g17(record.regret_inc[i]),
-            g17(record.cum_regret[i]),
+            g17(cum_regret[i]),
             "1" if record.triggered[i] else "0",
             str(int(record.trigger_h[i])),
             str(int(record.cum_comm[i])),
@@ -301,8 +315,8 @@ class RunState:
     protocol: ProtocolKind
     schedule: np.ndarray
     init_states: np.ndarray
-    beta: float
-    tables: list[Optional[_AgentTables]] = field(default_factory=list)
+    record: RunRecord
+    tables: list[Optional[_AgentTables]]
     all_cov: Optional[list[PsdMatrix]] = None
     cum_comm: int = 0
     cum_switch: int = 0
@@ -331,20 +345,6 @@ class EpisodeView:
     triggered: bool
     trigger_h: Optional[int]
     decision: Decision
-    transitions: list[Transition]
-
-
-class EpisodeResult(NamedTuple):
-    """Metrics produced by one episode of the run loop."""
-
-    m: int
-    regret_inc: float
-    triggered: bool
-    trigger_h: int
-    view: EpisodeView
-    all_logdet_row: Optional[np.ndarray]
-    agent_logdet_row: Optional[np.ndarray]
-    optimism_slack: float
 
 
 def resolve_beta(cfg: RunConfig, d: int, H: int) -> float:
@@ -373,7 +373,6 @@ def build_run_state(cfg: RunConfig) -> RunState:
     beta = resolve_beta(cfg, mdp.d, mdp.H)
     agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)
               for m in range(1, cfg.M + 1)]
-    server = CentralServer(mdp.d, mdp.H, cfg.ridge)
     if cfg.schedule == "lower_bound":
         schedule = lower_bound_schedule(mdp.d, cfg.M, cfg.K)
     else:
@@ -385,26 +384,14 @@ def build_run_state(cfg: RunConfig) -> RunState:
         seed=mix_seed(cfg.master_seed, TAG_INIT),
         epoch_d=mdp.d, n_initial=mdp_mod.hard_num_initial_states(mdp)
         if cfg.mdp_kind == "hard" else None)
-    state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
-                     server=server, protocol=ProtocolKind(cfg.protocol),
-                     schedule=schedule, init_states=init_states, beta=beta)
-    state.tables = [None] * cfg.M
-    if cfg.diagnostics:
-        state.all_cov = [PsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
-    return state
-
-
-def _mc_policy_value(state: RunState, tables: _AgentTables, s1: int,
-                     k: int) -> float:
-    rng = np.random.default_rng(mix_seed(state.config.master_seed, k, TAG_EVAL))
-    mdp, H = state.mdp, state.mdp.H
-    total = 0.0
-    for _ in range(state.config.eval_rollouts):
-        s = s1
-        for h in range(1, H + 1):
-            r, s = mdp.step(s, int(tables.policy[h - 1, s]), h, rng)
-            total += r
-    return total / state.config.eval_rollouts
+    all_cov = ([PsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
+               if cfg.diagnostics else None)
+    return RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
+                    server=CentralServer(mdp.d, mdp.H, cfg.ridge),
+                    protocol=ProtocolKind(cfg.protocol), schedule=schedule,
+                    init_states=init_states,
+                    record=RunRecord.empty(cfg.K, mdp.H, cfg.diagnostics),
+                    tables=[None] * cfg.M, all_cov=all_cov)
 
 
 def _refit(state: RunState, agent: LsviAgent, covs: list[PsdMatrix],
@@ -416,49 +403,40 @@ def _refit(state: RunState, agent: LsviAgent, covs: list[PsdMatrix],
     state.cum_switch += 1
 
 
-def run_episode(state: RunState, k: int, rng: np.random.Generator):
-    """Run episode k end to end and return its EpisodeResult.
+def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeView:
+    """Run episode k end to end, write row k-1 of state.record, return its view.
 
     The active agent acts greedily for h = 1..H under its frozen parameters,
     accumulates the trajectory locally, then the protocol decides whether it
     communicates (upload, download, backward update, local reset). The regret
     increment compares the optimal value at the initial state against the
-    exact (or Monte Carlo) value of the pre-episode greedy policy.
+    exact value of the pre-episode greedy policy (NaN under eval = off).
     """
     cfg = state.config
     mdp = state.mdp
-    m = int(state.schedule[k - 1])
+    rec, i = state.record, k - 1
+    m = int(state.schedule[i])
     agent = state.agents[m - 1]
-    s1 = int(state.init_states[k - 1])
+    s1 = int(state.init_states[i])
     tables = state.agent_tables(m)
 
-    if cfg.eval_mode == "exact":
-        regret_inc = float(state.planner.v_star[0, s1] - tables.value[0, s1])
-    elif cfg.eval_mode == "monte_carlo":
-        regret_inc = float(state.planner.v_star[0, s1]
-                           - _mc_policy_value(state, tables, s1, k))
-    else:
-        regret_inc = float("nan")
-
+    rec.m[i] = m
+    rec.regret_inc[i] = (state.planner.v_star[0, s1] - tables.value[0, s1]
+                         if cfg.eval_mode == "exact" else math.nan)
     diag = cfg.diagnostics
-    all_logdet_row = None
     if diag:
-        all_logdet_row = np.array([c.logdet for c in state.all_cov])
+        rec.all_logdet[i] = [c.logdet for c in state.all_cov]
+    slack = math.inf
 
-    optimism_slack = math.inf
-    transitions = []
     s = s1
     for h in range(1, mdp.H + 1):
         a = int(tables.policy[h - 1, s])
         r, s_next = mdp.step(s, a, h, rng)
-        t = Transition(episode=k, step=h, state=s, action=a, reward=r,
-                       next_state=s_next)
-        agent.record_transition(mdp, t)
-        transitions.append(t)
+        agent.record_transition(mdp, Transition(episode=k, step=h, state=s, action=a,
+                                                reward=r, next_state=s_next))
         if diag:
             state.all_cov[h - 1].rank_one_update(mdp.features[s, a])
-            slack = tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a]
-            optimism_slack = min(optimism_slack, float(slack))
+            slack = min(slack, tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a])
         s = s_next
 
     trig, trig_h = agent.should_communicate()
@@ -473,18 +451,16 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator):
             _refit(state, member, *state.server.download(member))
         state.cum_comm += len(group)
 
-    agent_logdet_row = None
+    rec.triggered[i] = trig
+    rec.trigger_h[i] = trig_h or 0
+    rec.cum_comm[i] = state.cum_comm
+    rec.cum_switch[i] = state.cum_switch
     if diag:
-        agent_logdet_row = np.array([c.logdet for c in agent.qparams.cov])
-    view = EpisodeView(k=k, m=m, mdp=mdp, agent=agent, agents=state.agents,
+        rec.agent_logdet[i] = [c.logdet for c in agent.qparams.cov]
+        rec.optimism_slack[i] = slack
+    return EpisodeView(k=k, m=m, mdp=mdp, agent=agent, agents=state.agents,
                        server=state.server, triggered=trig, trigger_h=trig_h,
-                       decision=decision, transitions=transitions)
-    return EpisodeResult(
-        m=m, regret_inc=regret_inc, triggered=trig, trigger_h=trig_h or 0,
-        view=view, all_logdet_row=all_logdet_row,
-        agent_logdet_row=agent_logdet_row,
-        optimism_slack=optimism_slack if math.isfinite(optimism_slack)
-        else float("nan"))
+                       decision=decision)
 
 
 def run_experiment(config: RunConfig,
@@ -498,41 +474,12 @@ def run_experiment(config: RunConfig,
     """
     state = build_run_state(config)
     cfg = state.config
-    K, H = cfg.K, state.mdp.H
-    ks = np.arange(1, K + 1, dtype=np.int64)
-    ms = np.zeros(K, dtype=np.int64)
-    regret_inc = np.zeros(K)
-    triggered = np.zeros(K, dtype=bool)
-    trigger_h = np.zeros(K, dtype=np.int64)
-    cum_comm = np.zeros(K, dtype=np.int64)
-    cum_switch = np.zeros(K, dtype=np.int64)
-    agent_logdet = np.zeros((K, H)) if cfg.diagnostics else None
-    all_logdet = np.zeros((K, H)) if cfg.diagnostics else None
-    optimism = np.zeros(K) if cfg.diagnostics else None
-
-    for k in range(1, K + 1):
+    for k in range(1, cfg.K + 1):
         rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-        res = run_episode(state, k, rng)
-        i = k - 1
-        ms[i] = res.m
-        regret_inc[i] = res.regret_inc
-        triggered[i] = res.triggered
-        trigger_h[i] = res.trigger_h
-        cum_comm[i] = state.cum_comm
-        cum_switch[i] = state.cum_switch
-        if cfg.diagnostics:
-            all_logdet[i] = res.all_logdet_row
-            agent_logdet[i] = res.agent_logdet_row
-            optimism[i] = res.optimism_slack
+        view = run_episode(state, k, rng)
         if episode_hook is not None:
-            episode_hook(res.view)
-
-    record = RunRecord(
-        k=ks, m=ms, regret_inc=regret_inc, cum_regret=np.cumsum(regret_inc),
-        triggered=triggered, trigger_h=trigger_h,
-        cum_comm=cum_comm, cum_switch=cum_switch,
-        agent_logdet=agent_logdet, all_logdet=all_logdet,
-        optimism_slack=optimism)
+            episode_hook(view)
+    record = state.record
     if cfg.diagnostics:
-        record.epoch_starts = epoch_boundaries(all_logdet, cfg.ridge, state.mdp.d)
+        record.epoch_starts = epoch_boundaries(record.all_logdet, cfg.ridge, state.mdp.d)
     return record

@@ -94,8 +94,8 @@ class TestRunEpisode:
         from coop_lsvi.harness import run_episode
         for k in range(1, 21):
             rng = np.random.default_rng(mix_seed(cfg.master_seed, k, 0xA1))
-            res = run_episode(state, k, rng)
-            assert res.regret_inc == pytest.approx(0.0, abs=1e-12)
+            run_episode(state, k, rng)
+            assert state.record.regret_inc[k - 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_cold_start_full_sync(self):
         rec = run_experiment(RunConfig(mdp_kind="hard", M=2, K=1,
@@ -326,17 +326,6 @@ class TestEpochBoundaries:
 
 
 class TestEvalModes:
-    def test_monte_carlo_close_to_exact(self):
-        base = dict(mdp_kind="hard", mdp_gap=0.2, M=1, K=40,
-                    schedule="round_robin", master_seed=0)
-        exact = run_experiment(RunConfig(**base, eval_mode="exact"))
-        mc = run_experiment(RunConfig(**base, eval_mode="monte_carlo",
-                                      eval_rollouts=4000))
-        # Same trajectories (eval uses its own stream); regret close on average.
-        assert np.array_equal(exact.triggered, mc.triggered)
-        assert abs(exact.total_regret - mc.total_regret) < 0.25 * max(
-            1.0, exact.total_regret)
-
     def test_eval_off_records_nan(self):
         rec = run_experiment(RunConfig(mdp_kind="hard", M=1, K=10,
                                        eval_mode="off", master_seed=0))

@@ -199,8 +199,14 @@ class TestCliRun:
         ("[mdp]\nkind = random\nn_states = 3\nn_actions = 2\nH = 0\n", 5),
         (RUN_CFG + "\n[init_state]\nkind = fixed\nstate = 9\n", 16),  # S = 4
         (RUN_CFG + "\n[schedule]\nkind = bursty\nblock_len = 0\n", 16),
+        (RUN_CFG + "beta = fixed:nan\n", 13),
+        (RUN_CFG + "beta = fixed:-1\n", 13),
+        (RUN_CFG + "beta = practical:inf\n", 13),
+        (RUN_CFG + "beta = theoretical:-1\n", 13),
+        (RUN_CFG + "ridge = inf\n", 13),
     ], ids=["hard_d", "hard_H", "hard_gap", "random_n_states", "random_H",
-            "fixed_state", "bursty_block_len"])
+            "fixed_state", "bursty_block_len", "beta_nan", "beta_negative",
+            "beta_inf", "theoretical_beta_negative", "ridge_inf"])
     def test_instance_and_schedule_errors_name_their_line(self, tmp_path, capsys,
                                                           text, bad_line):
         cfg = self._write(tmp_path, text)
@@ -237,6 +243,30 @@ class TestCliSweep:
         cfg = tmp_path / "r.cfg"
         cfg.write_text(RUN_CFG)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command,flag,env,named", [
+    ("sweep", ["--workers", "-3"], None, "--workers"),
+    ("sweep", ["--workers", "0"], None, "--workers"),
+    ("sweep", [], "abc", "COOP_LSVI_WORKERS"),
+    ("sweep", [], "0", "COOP_LSVI_WORKERS"),
+    ("lower-bound", [], "2.5", "COOP_LSVI_WORKERS"),
+    ("lower-bound", [], "-1", "COOP_LSVI_WORKERS"),
+], ids=["sweep_flag_negative", "sweep_flag_zero", "sweep_env_word", "sweep_env_zero",
+        "lower_bound_env_float", "lower_bound_env_negative"])
+def test_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, command,
+                                            flag, env, named):
+    """A worker count below 1, or a non-integer one, exits 2 naming where it
+    came from, before any run starts. lower-bound reads only the variable."""
+    if env is not None:
+        monkeypatch.setenv("COOP_LSVI_WORKERS", env)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SWEEP_CFG)
+    args = (["sweep", "--config", str(cfg)] if command == "sweep"
+            else ["lower-bound", "--d", "8", "--M", "2", "--K", "64", "--seeds", "1"])
+    assert main(args + ["--out", str(tmp_path / "out")] + flag) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,text,bad_line", [
