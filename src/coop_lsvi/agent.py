@@ -147,9 +147,13 @@ class LsviAgent:
     feature vectors since the last update plus a scratch SPD matrix equal to
     cov_h + sum of their outer products; the scratch is built lazily and kept
     incremental so the determinant trigger is O(H) per episode.
+
+    ``q_table``, if given, is the read-only table of the initial parameters
+    that agents starting alike share; it is built on first use otherwise.
     """
 
-    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float):
+    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float,
+                 q_table: Optional[np.ndarray] = None):
         self.agent_id = agent_id
         self.d = d
         self.H = H
@@ -166,7 +170,7 @@ class LsviAgent:
         self._own = [TransitionStore() for _ in range(H)]
         self._own_moved = [0] * H
         # (H, S, A) table of the current parameters; None until first built.
-        self._q: Optional[np.ndarray] = None
+        self._q = q_table
 
     # -- read-only evaluation ------------------------------------------------
 
@@ -185,12 +189,14 @@ class LsviAgent:
         """(H, S, A) truncated Q estimates of the current parameters.
 
         The backward update stores the table it builds; before the first
-        update the table is built here, once, for the initial parameters.
+        update the table is built here, once, for the initial parameters, and
+        made read-only so that other agents may share it.
         """
         if self._q is None:
             feats_flat = mdp.features.reshape(-1, self.d)
             self._q = np.stack([self._clipped_q(feats_flat, hh) for hh in range(self.H)]
                                ).reshape(self.H, mdp.n_states, mdp.n_actions)
+            self._q.setflags(write=False)
         return self._q
 
     # -- local accumulation and trigger --------------------------------------

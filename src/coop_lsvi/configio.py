@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .harness import ConfigError, RunConfig
-from .mdp import g17
+from .mdp import InvalidMdpError, g17, read_mdp
 
 # (section, key) -> (RunConfig field, type) for every key that sets one field.
 _FIELDS = {
@@ -169,16 +169,26 @@ def _parse_axis(text: str, lineno: int, kind) -> list:
     return out
 
 
-def _check(cfg: RunConfig, lines: dict[tuple[str, str], int]) -> None:
+def _check(cfg: RunConfig, lines: dict[tuple[str, str], int],
+           file_states: Optional[int] = None) -> None:
     """Resolve cfg, so that defaults are checked too; a ConfigError names the
     line of the key at fault when that key is in ``lines``."""
     try:
-        cfg.resolved()
+        cfg.resolved().validate(file_states)
     except ConfigError as e:
         lineno = lines.get(e.key)
         if lineno is None:
             raise
         raise ConfigError(f"line {lineno}: {e}") from None
+
+
+def _file_states(cfg: RunConfig, lines: dict[tuple[str, str], int]) -> int:
+    """Read a file instance once, for the number of states its fixed initial
+    state is checked against; a file that cannot be read names the path line."""
+    try:
+        return read_mdp(cfg.mdp_path).n_states
+    except (OSError, InvalidMdpError) as e:
+        raise ConfigError(f"line {lines[('mdp', 'path')]}: {cfg.mdp_path}: {e}") from None
 
 
 def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
@@ -187,7 +197,8 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     The run, and every run of a sweep, is checked as it will run (defaults
     filled in). Constraint violations raise ConfigError carrying the
     offending line number where one is known; a swept key's error names its
-    [sweep] line.
+    [sweep] line. A file instance is read here, so an unreadable file and a
+    fixed initial state outside its states are config errors too.
     """
     raw = _parse_lines(text)
     cfg = RunConfig()
@@ -200,6 +211,11 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
             *raw[("run", "beta")], ("practical", "theoretical", "fixed"))
     lines = {k: lineno for k, (_, lineno) in raw.items()}
     _check(cfg, lines)
+    file_states = None
+    if cfg.mdp_kind == "file":
+        # No sweep axis changes the instance, so its file is read once, here.
+        file_states = _file_states(cfg, lines)
+        _check(cfg, lines, file_states)
     if not any(section == "sweep" for section, _ in raw):
         return cfg
 
@@ -216,7 +232,7 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     if spec.size() > spec.cap:
         raise ConfigError(f"sweep would launch {spec.size()} runs, over the cap {spec.cap}")
     for run in expand_sweep(spec):
-        _check(run, lines)
+        _check(run, lines, file_states)
     return spec
 
 

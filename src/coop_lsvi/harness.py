@@ -91,7 +91,7 @@ class RunConfig:
     init_state: Optional[str] = None       # fixed | uniform_random | epoch
     init_state_fixed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, file_states: Optional[int] = None) -> None:
         def bad(msg, key):
             raise ConfigError(msg, key)
 
@@ -99,9 +99,11 @@ class RunConfig:
             bad(f"unknown mdp kind {self.mdp_kind!r}", ("mdp", "kind"))
         if self.mdp_kind == "file" and not self.mdp_path:
             bad("mdp kind 'file' requires a path", ("mdp", "path"))
+        if self.mdp_seed < 0:
+            bad(f"mdp seed must be >= 0, got {self.mdp_seed}", ("mdp", "seed"))
         # The number of states of a file instance is known only once it is
-        # read, so its fixed initial state is checked when the run starts.
-        n_states = None
+        # read, so the caller that reads it passes it in as file_states.
+        n_states = file_states
         try:
             if self.mdp_kind == "hard":
                 n_states = mdp_mod.check_hard_params(self.mdp_d, self.mdp_horizon,
@@ -137,6 +139,8 @@ class RunConfig:
         if self.schedule == "single_agent" and not 1 <= self.schedule_agent <= self.M:
             bad(f"schedule agent {self.schedule_agent} out of [1, {self.M}]",
                 ("schedule", "agent"))
+        if self.schedule_seed is not None and self.schedule_seed < 0:
+            bad(f"schedule seed must be >= 0, got {self.schedule_seed}", ("schedule", "seed"))
         if self.schedule == "bursty" and self.schedule_block < 1:
             bad(f"block_len must be >= 1, got {self.schedule_block}",
                 ("schedule", "block_len"))
@@ -371,8 +375,11 @@ def build_run_state(cfg: RunConfig) -> RunState:
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)
-    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)
-              for m in range(1, cfg.M + 1)]
+    # All agents start from w = 0 and cov_h = ridge * I: one initial Q-table.
+    agents = [LsviAgent(1, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)]
+    q0 = agents[0].q_table(mdp)
+    agents += [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, q0)
+               for m in range(2, cfg.M + 1)]
     if cfg.schedule == "lower_bound":
         schedule = lower_bound_schedule(mdp.d, cfg.M, cfg.K)
     else:

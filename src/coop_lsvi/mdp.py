@@ -339,7 +339,8 @@ def read_mdp(path: str) -> LinearMdp:
     reward_rows: dict[tuple[int, ...], tuple[int, list[list[float]]]] = {}
     section: Optional[str] = None
     index: tuple[int, ...] = ()
-    with open(path) as f:
+    # Undecodable bytes become U+FFFD, so they fail as bad text on their line.
+    with open(path, errors="replace") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

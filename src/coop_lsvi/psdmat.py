@@ -92,9 +92,14 @@ class PsdMatrix:
         return max(0.0, float(v @ self.inv @ v))
 
     def quad_form_many(self, vs: np.ndarray) -> np.ndarray:
-        """Row-wise v^T inv v for an (n, d) stack of vectors."""
-        prods = np.einsum("nd,de,ne->n", vs, self.inv, vs)
-        return np.maximum(prods, 0.0)
+        """Row-wise v^T inv v for an (n, d) stack of vectors.
+
+        One matrix product and a row sum, so the O(n d^2) work runs in BLAS.
+        Every instance is one-hot (mdp._tabular_to_linear), so a row e_j gives
+        inv[j, j] plus exact zeros, whatever the summation order; on dense
+        rows the result agrees with quad_form to rounding.
+        """
+        return np.maximum(((vs @ self.inv) * vs).sum(axis=1), 0.0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve mat x = b via the cached inverse plus one refinement step."""

@@ -6,8 +6,11 @@ episode order. The sha256 of ``metrics_csv_text`` is compared against a digest
 recorded before the transition store was made incremental. Regret is
 evaluated exactly from each greedy policy, so a digest moves when any greedy
 action anywhere in a run changes; a last-bit change in the weights that flips
-no action at these sizes does not show here. A change that moves a digest must
-re-record it on purpose and say why.
+no action at these sizes does not show here. The d = 200 cases close that gap
+on the high-dimensional path: their digest also covers the bytes of the
+optimism slack and the agents' log-determinants, so a last-bit move in a
+Q-table or a covariance shows. A change that moves a digest must re-record it
+on purpose and say why.
 """
 
 import hashlib
@@ -53,3 +56,24 @@ def golden_text(instance: str, protocol: str) -> str:
 def test_metrics_csv_digest(instance, protocol):
     text = golden_text(instance, protocol)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(instance, protocol)]
+
+
+# Random 40 x 5 (d = 200), diagnostics on; recorded before the row-wise
+# quadratic form became one matrix product.
+D200 = dict(mdp_kind="random", mdp_n_states=40, mdp_n_actions=5, mdp_horizon=3,
+            mdp_seed=3, M=3, K=12, beta_mode="fixed", beta_value=0.05, diagnostics=True)
+
+D200_DIGESTS = {
+    "async_trigger": "172275c89243b8929b347d27db3439dab386bd58727fd3237239b7c20bf409f3",
+    "no_comm": "957875f862a19212ce0939278adabc63588747025265c92167f2f52dc3a3e374",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(D200_DIGESTS))
+def test_d200_digest_with_diagnostics(protocol):
+    record = run_experiment(RunConfig(protocol=protocol, schedule="uniform_random",
+                                      master_seed=11, **D200))
+    digest = hashlib.sha256(metrics_csv_text(record).encode())
+    digest.update(record.optimism_slack.tobytes())
+    digest.update(record.agent_logdet.tobytes())
+    assert digest.hexdigest() == D200_DIGESTS[protocol]

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from coop_lsvi.harness import (ConfigError, RunConfig, build_run_state,
+from coop_lsvi.agent import LsviAgent
+from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_state,
                                count_nonempty_epochs, epoch_boundaries,
                                metrics_csv_text, mix_seed, per_epoch_counts,
                                run_experiment)
@@ -65,11 +66,26 @@ class TestConfigValidation:
         dict(K=0), dict(M=0), dict(alpha=0.0), dict(ridge=0.0),
         dict(delta=1.0), dict(protocol="nope"), dict(eval_mode="nope"),
         dict(schedule="nope"), dict(beta_mode="fixed", beta_value=None),
-        dict(mdp_kind="random", init_state="epoch"),
+        dict(mdp_kind="random", init_state="epoch"), dict(mdp_seed=-1),
+        dict(schedule="uniform_random", schedule_seed=-5),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs).validate()
+
+    def test_negative_master_seed_is_legal(self):
+        # mix_seed masks the master seed to 64 bits.
+        cfg = RunConfig(master_seed=-5, schedule="uniform_random").resolved()
+        assert cfg.schedule_seed == mix_seed(-5, TAG_SCHEDULE) >= 0
+
+    def test_file_instance_fixed_state_checked_against_its_states(self):
+        cfg = RunConfig(mdp_kind="file", mdp_path="inst.mdp", init_state="fixed",
+                        init_state_fixed=4)
+        cfg.validate()
+        cfg.validate(file_states=5)
+        with pytest.raises(ConfigError) as e:
+            cfg.validate(file_states=4)
+        assert e.value.key == ("init_state", "state")
 
     def test_resolved_defaults(self):
         cfg = RunConfig(mdp_kind="hard", M=4, K=1000).resolved()
@@ -221,6 +237,26 @@ class TestOneQTable:
         assert switches > 0
         assert any(not np.array_equal(q, ag.q_table(state.mdp))
                    for q, ag in zip(initial, state.agents))
+
+    def test_agents_share_one_read_only_initial_table(self):
+        cfg = RunConfig(mdp_kind="random", mdp_n_states=6, mdp_n_actions=3, mdp_horizon=3,
+                        mdp_seed=1, M=3, K=10, beta_mode="fixed", beta_value=0.05)
+        state = build_run_state(cfg)
+        mdp, agents = state.mdp, state.agents
+        q0 = agents[0].q_table(mdp)
+        assert all(ag.q_table(mdp) is q0 for ag in agents)
+        assert not q0.flags.writeable
+        fresh = LsviAgent(1, mdp.d, mdp.H, 1.0, cfg.ridge, agents[0].qparams.beta)
+        assert np.array_equal(fresh.q_table(mdp), q0)
+
+        # Round robin: agent 1 acts first, and its first trigger fires.
+        before = q0.copy()
+        from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
+        run_episode(state, 1, np.random.default_rng(mix_seed(0, 1, TAG_TRAJECTORY)))
+        assert state.cum_switch == 1
+        assert agents[0].q_table(mdp) is not q0
+        assert all(ag.q_table(mdp) is q0 for ag in agents[1:])
+        assert np.array_equal(q0, before)
 
 
 class TestInactiveFreeze:

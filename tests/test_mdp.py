@@ -261,6 +261,13 @@ class TestMalformedFile:
         with pytest.raises(InvalidMdpError, match=rf"^line {lineno}: "):
             read_mdp(path)
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path, lines = self.corrupt(tmp_path, "[reward 1]\n", "[reward 1]\nBAD\n")
+        raw = tmp_path / "bad.mdp"
+        raw.write_bytes(raw.read_bytes().replace(b"BAD", b"0.5 \xff\xfe"))
+        with pytest.raises(InvalidMdpError, match=rf"^line {lines.index('BAD') + 1}: "):
+            read_mdp(path)
+
 
 def test_default_hard_gap():
     assert mdp_mod.default_hard_gap(8, 4, 32) == 0.25  # capped

@@ -134,6 +134,28 @@ class TestQuadForm:
         for i in range(50):
             assert many[i] == pytest.approx(m.quad_form(vs[i]), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [8, 200])
+    def test_quad_form_many_of_one_hot_rows_is_the_exact_diagonal(self, d):
+        # Every instance's features are one-hot, so the trajectories rest on
+        # this being exact, not merely close; 3d updates on half the
+        # directions repeat most of them and pass a refresh at d = 200.
+        rng = np.random.default_rng(d)
+        m = PsdMatrix(d, 1.0)
+        for j in rng.integers(0, d // 2, size=3 * d):
+            m.rank_one_update(e(j, d))
+        assert np.array_equal(m.quad_form_many(np.eye(d)), np.maximum(np.diag(m.inv), 0.0))
+
+    def test_quad_form_many_matches_scalar_on_dense_rows_d200(self):
+        rng = np.random.default_rng(5)
+        d = 200
+        m = PsdMatrix(d, 1.0)
+        for v in random_unit_vectors(rng, 300, d):
+            m.rank_one_update(v)
+        vs = random_unit_vectors(rng, 40, d)
+        many = m.quad_form_many(vs)
+        for i in range(40):
+            assert many[i] == pytest.approx(m.quad_form(vs[i]), rel=1e-12)
+
 
 class TestSolve:
     def test_identity(self):

@@ -204,9 +204,12 @@ class TestCliRun:
         (RUN_CFG + "beta = practical:inf\n", 13),
         (RUN_CFG + "beta = theoretical:-1\n", 13),
         (RUN_CFG + "ridge = inf\n", 13),
+        ("[mdp]\nkind = random\nn_states = 3\nn_actions = 2\nH = 2\nseed = -1\n", 6),
+        (RUN_CFG + "\n[schedule]\nkind = uniform_random\nseed = -5\n", 16),
     ], ids=["hard_d", "hard_H", "hard_gap", "random_n_states", "random_H",
             "fixed_state", "bursty_block_len", "beta_nan", "beta_negative",
-            "beta_inf", "theoretical_beta_negative", "ridge_inf"])
+            "beta_inf", "theoretical_beta_negative", "ridge_inf", "mdp_seed_negative",
+            "schedule_seed_negative"])
     def test_instance_and_schedule_errors_name_their_line(self, tmp_path, capsys,
                                                           text, bad_line):
         cfg = self._write(tmp_path, text)
@@ -318,6 +321,12 @@ class TestCliValidate:
         assert main(["validate", str(path)]) == 2
         assert "file error: line " in capsys.readouterr().err
 
+    def test_bytes_that_are_not_utf8_are_a_file_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.mdp"
+        path.write_bytes(b"\xff\xfe\x00[meta]\n")
+        assert main(["validate", str(path)]) == 2
+        assert "file error: line 1: " in capsys.readouterr().err
+
 
 class TestCliLowerBound:
     def test_report(self, tmp_path, capsys):
@@ -390,6 +399,20 @@ master_seed = 1
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "metrics.csv").read_text().strip().split("\n")) == 21
+
+    @pytest.mark.parametrize("make_file,tail,bad_line", [
+        (True, "\n[init_state]\nkind = fixed\nstate = 9\n", 7),  # 4 states
+        (False, "", 3),
+    ], ids=["fixed_state_out_of_range", "missing_file"])
+    def test_file_errors_name_their_line(self, tmp_path, capsys, make_file, tail, bad_line):
+        mdp_path = tmp_path / "inst.mdp"
+        if make_file:
+            write_mdp(hard_instance(8, 3, 0.2), str(mdp_path))
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(f"[mdp]\nkind = file\npath = {mdp_path}\n{tail}")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"line {bad_line}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDerivedScheduleSeedEcho:
