@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .harness import ConfigError, RunConfig
-from .mdp import InvalidMdpError, g17, read_mdp
+from .mdp import InvalidMdpError, g17, read_mdp, require_valid
 
 # (section, key) -> (RunConfig field, type) for every key that sets one field.
 _FIELDS = {
@@ -183,10 +183,11 @@ def _check(cfg: RunConfig, lines: dict[tuple[str, str], int],
 
 
 def _file_states(cfg: RunConfig, lines: dict[tuple[str, str], int]) -> int:
-    """Read a file instance once, for the number of states its fixed initial
-    state is checked against; a file that cannot be read names the path line."""
+    """Read and check a file instance once, for the number of states its fixed
+    initial state is checked against; a file that cannot be read or fails a
+    table check names the path line."""
     try:
-        return read_mdp(cfg.mdp_path).n_states
+        return require_valid(read_mdp(cfg.mdp_path)).n_states
     except (OSError, InvalidMdpError) as e:
         raise ConfigError(f"line {lines[('mdp', 'path')]}: {cfg.mdp_path}: {e}") from None
 

@@ -366,7 +366,7 @@ def build_mdp(cfg: RunConfig) -> LinearMdp:
     if cfg.mdp_kind == "random":
         return mdp_mod.random_tabular(cfg.mdp_seed, cfg.mdp_n_states,
                                       cfg.mdp_n_actions, cfg.mdp_horizon)
-    return mdp_mod.read_mdp(cfg.mdp_path)
+    return mdp_mod.require_valid(mdp_mod.read_mdp(cfg.mdp_path))
 
 
 def build_run_state(cfg: RunConfig) -> RunState:
@@ -393,12 +393,15 @@ def build_run_state(cfg: RunConfig) -> RunState:
         if cfg.mdp_kind == "hard" else None)
     all_cov = ([PsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
                if cfg.diagnostics else None)
-    return RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
-                    server=CentralServer(mdp.d, mdp.H, cfg.ridge),
-                    protocol=ProtocolKind(cfg.protocol), schedule=schedule,
-                    init_states=init_states,
-                    record=RunRecord.empty(cfg.K, mdp.H, cfg.diagnostics),
-                    tables=[None] * cfg.M, all_cov=all_cov)
+    state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
+                     server=CentralServer(mdp.d, mdp.H, cfg.ridge),
+                     protocol=ProtocolKind(cfg.protocol), schedule=schedule,
+                     init_states=init_states,
+                     record=RunRecord.empty(cfg.K, mdp.H, cfg.diagnostics),
+                     tables=[None] * cfg.M, all_cov=all_cov)
+    # Every agent starts from agent 1's table, so from its policy and value too.
+    state.tables[:] = [state.agent_tables(1)] * cfg.M
+    return state
 
 
 def _refit(state: RunState, agent: LsviAgent, covs: list[PsdMatrix],

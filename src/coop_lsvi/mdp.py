@@ -1,9 +1,10 @@
 """Linear MDP construction, exact planning, sampling, and serialization.
 
 All instances here are tabular MDPs embedded as linear MDPs via the one-hot
-feature map phi(s, a) = e_{s * n_actions + a}, so the transition kernel is
-P_h(.|s,a) = phi^T mu_h and the reward is r_h(s,a) = phi^T gamma_h, with the
-exact tables retained for planning and regret accounting.
+feature map phi(s, a) = e_{s * n_actions + a}, so the linear MDP's measures
+mu_h and reward parameters are the exact (P, r) tables reshaped. The tables
+are the only description kept, and the norm bounds on phi, mu_h and the reward
+parameters follow from the three table checks in validate_linear_mdp.
 
 Index conventions: states and actions are 0-based everywhere; the step index
 h is 1-based (1 <= h <= H) in public signatures, matching the episodic
@@ -20,6 +21,9 @@ import numpy as np
 
 PROB_ROW_TOL = 1e-10     # probability rows must sum to 1 within this
 PROB_NEG_TOL = 1e-12     # entries may dip this far below zero from rounding
+# Files store rewards exactly (17 digits reparse to the same double), so this
+# only forgives rounding in tables computed elsewhere: thousands of ulps at 1.
+REWARD_RANGE_TOL = 1e-12
 
 
 class InvalidMdpError(ValueError):
@@ -41,8 +45,6 @@ class LinearMdp:
         d: feature dimension (= n_states * n_actions for one-hot instances)
         H: horizon length
         features: (n_states, n_actions, d) feature map
-        mu: (H, d, n_states) unnormalized transition measures
-        gamma: (H, d) reward parameters
         transitions: (H, S, A, S) exact transition tables
         rewards: (H, S, A) exact reward tables
     """
@@ -52,16 +54,13 @@ class LinearMdp:
     n_states: int
     n_actions: int
     features: np.ndarray
-    mu: np.ndarray
-    gamma: np.ndarray
     transitions: np.ndarray
     rewards: np.ndarray
     _cum_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._cum_rows = np.cumsum(self.transitions, axis=-1)
-        for arr in (self.features, self.mu, self.gamma, self.transitions, self.rewards,
-                    self._cum_rows):
+        for arr in (self.features, self.transitions, self.rewards, self._cum_rows):
             arr.setflags(write=False)
 
     def step(self, s: int, a: int, h: int, rng: np.random.Generator) -> tuple[float, int]:
@@ -99,38 +98,19 @@ def _tabular_to_linear(P: np.ndarray, r: np.ndarray) -> LinearMdp:
     if S2 != S or r.shape != (H, S, A):
         raise InvalidMdpError(f"inconsistent table shapes P{P.shape} r{r.shape}")
     d = S * A
-    features = np.eye(d).reshape(S, A, d)
-    mu = np.zeros((H, d, S))
-    gamma = np.zeros((H, d))
-    for h in range(H):
-        mu[h] = P[h].reshape(d, S)
-        gamma[h] = r[h].reshape(d)
-    return LinearMdp(
-        d=d, H=H, n_states=S, n_actions=A,
-        features=features, mu=mu, gamma=gamma,
-        transitions=P.copy(), rewards=r.copy(),
-    )
+    return LinearMdp(d=d, H=H, n_states=S, n_actions=A,
+                     features=np.eye(d).reshape(S, A, d),
+                     transitions=P.copy(), rewards=r.copy())
 
 
 def build_tabular_as_linear(P: np.ndarray, r: np.ndarray) -> LinearMdp:
     """Embed exact (P, r) tables as a linear MDP with one-hot features.
 
     P has shape (H, S, A, S) with valid probability rows; r has shape
-    (H, S, A) with entries in [0, 1].
+    (H, S, A) with entries in [0, 1]; otherwise InvalidMdpError carries the
+    detail of the first failing check of validate_linear_mdp.
     """
-    P = np.asarray(P, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    sums = P.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > PROB_ROW_TOL):
-        h, s, a = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
-        raise InvalidMdpError(
-            f"transition row (h={h + 1}, s={s}, a={a}) sums to {sums[h, s, a]:.12g}"
-        )
-    if np.any(P < -PROB_NEG_TOL):
-        raise InvalidMdpError("transition table has negative entries")
-    if np.any(r < 0.0) or np.any(r > 1.0):
-        raise InvalidMdpError("rewards must lie in [0, 1]")
-    return _tabular_to_linear(P, r)
+    return require_valid(_tabular_to_linear(P, r))
 
 
 def check_random_sizes(n_states: int, n_actions: int, H: int) -> int:
@@ -243,44 +223,33 @@ class CheckResult:
 
 
 def validate_linear_mdp(mdp: LinearMdp) -> list[CheckResult]:
-    """Run every structural constraint check, reporting worst-case slack.
+    """Check the (P, r) tables; each detail names the worst entry, pass or fail.
 
     Slack is "amount by which the constraint is exceeded": <= 0 passes.
     """
-    out = []
-    norms = np.linalg.norm(mdp.features.reshape(-1, mdp.d), axis=1)
-    out.append(CheckResult("feature_norm_le_1", bool(norms.max() <= 1.0 + 1e-9),
-                           float(norms.max() - 1.0)))
-
-    probs = np.einsum("sad,hdt->hsat", mdp.features.reshape(mdp.n_states, mdp.n_actions, mdp.d), mdp.mu)
-    sums = probs.sum(axis=-1)
+    P, r = mdp.transitions, mdp.rewards
+    sums = P.sum(axis=-1)
     row_err = np.abs(sums - 1.0)
     h, s, a = np.unravel_index(np.argmax(row_err), row_err.shape)
-    out.append(CheckResult("transition_rows_sum_to_1", bool(row_err.max() <= PROB_ROW_TOL),
-                           float(row_err.max() - PROB_ROW_TOL),
-                           f"worst at (h={h + 1}, s={s}, a={a}), sum={sums[h, s, a]:.12g}"))
-    neg = -probs.min()
-    out.append(CheckResult("transition_probs_nonnegative", bool(neg <= PROB_NEG_TOL),
-                           float(neg - PROB_NEG_TOL)))
+    neg = -P.min()
+    slack = max(-r.min(), r.max() - 1.0)
+    return [
+        CheckResult("transition_rows_sum_to_1", bool(row_err.max() <= PROB_ROW_TOL),
+                    float(row_err.max() - PROB_ROW_TOL),
+                    f"transition row (h={h + 1}, s={s}, a={a}) sums to {sums[h, s, a]:.12g}"),
+        CheckResult("transition_probs_nonnegative", bool(neg <= PROB_NEG_TOL),
+                    float(neg - PROB_NEG_TOL), f"smallest transition probability {-neg:.12g}"),
+        CheckResult("rewards_in_unit_interval", bool(slack <= REWARD_RANGE_TOL), float(slack),
+                    f"rewards must lie in [0, 1]; they span [{r.min():.12g}, {r.max():.12g}]"),
+    ]
 
-    rewards = np.einsum("sad,hd->hsa", mdp.features.reshape(mdp.n_states, mdp.n_actions, mdp.d), mdp.gamma)
-    low, high = rewards.min(), rewards.max()
-    slack = max(0.0 - low, high - 1.0)
-    out.append(CheckResult("rewards_in_unit_interval", bool(slack <= 1e-12), float(slack)))
 
-    sqrt_d = math.sqrt(mdp.d)
-    gnorm = np.linalg.norm(mdp.gamma, axis=1).max()
-    out.append(CheckResult("gamma_norm_le_sqrt_d", bool(gnorm <= sqrt_d + 1e-9),
-                           float(gnorm - sqrt_d)))
-    mu_total = np.linalg.norm(mdp.mu.sum(axis=2), axis=1).max()
-    out.append(CheckResult("mu_total_measure_norm_le_sqrt_d", bool(mu_total <= sqrt_d + 1e-9),
-                           float(mu_total - sqrt_d)))
-
-    diff = float(np.abs(probs - mdp.transitions).max())
-    out.append(CheckResult("embedding_matches_tables", diff <= 1e-12, diff))
-    rdiff = float(np.abs(rewards - mdp.rewards).max())
-    out.append(CheckResult("reward_embedding_matches_tables", rdiff <= 1e-12, rdiff))
-    return out
+def require_valid(mdp: LinearMdp) -> LinearMdp:
+    """Return mdp, or raise InvalidMdpError with its first failing check."""
+    for check in validate_linear_mdp(mdp):
+        if not check.passed:
+            raise InvalidMdpError(f"{check.name}: {check.detail}")
+    return mdp
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ from scipy.linalg import cho_factor, cho_solve
 # keeps the cached quantities within ~1e-12 of exact over long runs.
 REFRESH_PERIOD = 512
 
+# Slack on the feature-norm bound ||v|| <= 1: a unit feature vector computed
+# in floating point (normalized, or a convex mix of unit rows) can overshoot 1
+# by a few ulps, which must not be mistaken for an out-of-model feature.
+FEATURE_NORM_SLACK = 1e-9
+
 # Instances are dense; dimensions beyond this are almost certainly a
 # misconfigured one-hot embedding.
 MAX_DIM = 4096
@@ -67,7 +72,7 @@ class PsdMatrix:
         if v.shape != (self.dim,):
             raise ValueError(f"vector shape {v.shape} != ({self.dim},)")
         sq_norm = float(v @ v)
-        if not sq_norm <= (1.0 + 1e-9) ** 2:
+        if not sq_norm <= (1.0 + FEATURE_NORM_SLACK) ** 2:
             raise ValueError(f"feature norm {math.sqrt(sq_norm):.6g} exceeds 1")
         u = self.inv @ v
         q = float(v @ u)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coop_lsvi import mdp as mdp_mod
 from coop_lsvi.agent import LsviAgent
 from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_state,
                                count_nonempty_epochs, epoch_boundaries,
@@ -211,6 +212,16 @@ class TestOneQTable:
                     row = agent.action_values(mdp, s, hh + 1)
                     assert np.array_equal(q[hh, s], row)
                     assert tables.policy[hh, s] == np.argmax(row)
+
+    def test_agents_start_from_one_table(self, monkeypatch):
+        calls = []
+        evaluate = mdp_mod.eval_policy
+        monkeypatch.setattr(mdp_mod, "eval_policy",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        state = build_run_state(RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=3, M=3, K=5))
+        assert state.tables[0] is not None
+        assert all(tables is state.tables[0] for tables in state.tables)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("instance", [
         dict(mdp_kind="hard", mdp_d=8, mdp_horizon=3),

@@ -1,6 +1,7 @@
 """Tests for linear MDP construction, exact planning, sampling, and file IO."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,17 +24,14 @@ class TestBuildTabular:
         m = degenerate_mdp()
         assert m.d == 1
         assert m.features[0, 0, 0] == 1.0
-        assert m.gamma[0, 0] == 1.0
+        assert m.rewards[0, 0, 0] == 1.0
 
     def test_one_hot_reconstruction(self):
         m = random_tabular(11, 2, 2, 3)
         assert m.d == 4
-        for h in range(1, 4):
-            for s in range(2):
-                for a in range(2):
-                    phi = m.features[s, a]
-                    assert np.count_nonzero(phi) == 1
-                    assert np.allclose(phi @ m.mu[h - 1], m.transitions[h - 1, s, a])
+        for s in range(2):
+            for a in range(2):
+                assert np.array_equal(m.features[s, a], np.eye(4)[s * 2 + a])
 
     def test_random_instance_passes_validator(self):
         m = random_tabular(5, 5, 3, 2)
@@ -49,6 +47,21 @@ class TestBuildTabular:
         P = np.ones((1, 1, 1, 1))
         r = np.full((1, 1, 1), 1.5)
         with pytest.raises(InvalidMdpError, match="rewards"):
+            build_tabular_as_linear(P, r)
+
+    @pytest.mark.parametrize("field,index,value,check", [
+        ("P", (0, 1, 0), [1.0 + 1e-9, 0.0], "transition_rows_sum_to_1"),
+        ("P", (1, 0, 1), [1.5, -0.5], "transition_probs_nonnegative"),
+        ("r", (1, 1, 0), -1e-9, "rewards_in_unit_interval"),
+    ], ids=["row_sum", "negative_prob", "reward_range"])
+    def test_each_check_fails_alone(self, field, index, value, check):
+        P = np.full((2, 2, 2, 2), 0.5)
+        r = np.full((2, 2, 2), 0.5)
+        {"P": P, "r": r}[field][index] = value
+        results = validate_linear_mdp(mdp_mod._tabular_to_linear(P, r))
+        assert [c.name for c in results if not c.passed] == [check]
+        detail = next(c.detail for c in results if c.name == check)
+        with pytest.raises(InvalidMdpError, match=re.escape(f"{check}: {detail}")):
             build_tabular_as_linear(P, r)
 
 

@@ -44,3 +44,22 @@ def test_traced_names_exist():
                if attr not in vars(owner)]
     assert targets
     assert missing == []
+
+
+def _named_constants(tree: ast.Module) -> set[int]:
+    """ids of the values of module-level UPPER_CASE assignments."""
+    return {id(stmt.value) for stmt in tree.body
+            if isinstance(stmt, ast.Assign)
+            and all(isinstance(t, ast.Name) and t.id.isupper() for t in stmt.targets)}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_tolerances_are_named(path):
+    """A tolerance-sized float literal (0 < |x| < 1e-6) is bound to a
+    module-level UPPER_CASE name, where its reason can be given once."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = _named_constants(tree)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and 0 < abs(node.value) < 1e-6 and id(node) not in named]
+    assert lines == [], f"{path.name}: unnamed tolerance literals at lines {lines}"

@@ -12,7 +12,7 @@ import coop_lsvi
 from coop_lsvi.cli import main
 from coop_lsvi.configio import parse_config
 from coop_lsvi.harness import ConfigError, RunConfig, run_experiment
-from coop_lsvi.mdp import hard_instance, random_tabular, write_mdp
+from coop_lsvi.mdp import InvalidMdpError, hard_instance, random_tabular, write_mdp
 from coop_lsvi.sweep import expand_sweep, run_sweep, scaling_fits
 
 RUN_CFG = """
@@ -413,6 +413,35 @@ master_seed = 1
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"line {bad_line}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def write_invalid(path):
+        """A file read_mdp loads whose tables fail all three checks: a row
+        summing to 1.5, a probability of -0.5 and a reward of 2."""
+        write_mdp(random_tabular(1, 2, 2, 2), str(path))
+        lines = path.read_text().splitlines()
+        lines[lines.index("[transition 0 0 1]") + 1] = "2 -0.5"
+        lines[lines.index("[reward 0]") + 1] = "2 0.5"
+        path.write_text("\n".join(lines))
+
+    @pytest.mark.parametrize("command,tail", [
+        ("run", ""), ("sweep", "\n[sweep]\nseeds = 0, 1\n")], ids=["run", "sweep"])
+    def test_invalid_tables_are_a_config_error(self, tmp_path, capsys, command, tail):
+        mdp_path = tmp_path / "inst.mdp"
+        self.write_invalid(mdp_path)
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(f"[mdp]\nkind = file\npath = {mdp_path}\n{tail}")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "line 3:" in err
+        assert "transition row (h=1, s=0, a=1) sums to 1.5" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_tables_fail_a_library_run(self, tmp_path):
+        mdp_path = tmp_path / "inst.mdp"
+        self.write_invalid(mdp_path)
+        with pytest.raises(InvalidMdpError, match="transition_rows_sum_to_1"):
+            run_experiment(RunConfig(mdp_kind="file", mdp_path=str(mdp_path), M=2, K=5))
 
 
 class TestDerivedScheduleSeedEcho:
