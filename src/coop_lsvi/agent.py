@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .psdmat import PsdMatrix
 TRIGGER_LOG_TOLERANCE = 1e-11
 
 
-@dataclass
-class Transition:
+class Transition(NamedTuple):
     """One environment step; ``step`` is the 1-based h index."""
 
     episode: int
@@ -41,6 +40,11 @@ class Transition:
     action: int
     reward: float
     next_state: int
+
+
+# One Transition as a record; a TransitionStore keeps its rows in this dtype.
+TRANSITION_ROW = np.dtype([(name, np.float64 if name == "reward" else np.int64)
+                           for name in Transition._fields])
 
 
 @dataclass
@@ -61,26 +65,18 @@ class TransitionBatch:
         return self.episode.shape[0]
 
     @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "TransitionBatch":
+        """Column views of a TRANSITION_ROW record array."""
+        return cls(rows["episode"], rows["state"], rows["action"], rows["reward"],
+                   rows["next_state"])
+
+    @classmethod
     def empty(cls) -> "TransitionBatch":
-        return cls(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64),
-                   np.empty(0, np.float64), np.empty(0, np.int64))
+        return cls.from_rows(np.empty(0, TRANSITION_ROW))
 
     @classmethod
     def from_transitions(cls, transitions: Sequence[Transition]) -> "TransitionBatch":
-        if not transitions:
-            return cls.empty()
-        return cls(
-            np.array([t.episode for t in transitions], np.int64),
-            np.array([t.state for t in transitions], np.int64),
-            np.array([t.action for t in transitions], np.int64),
-            np.array([t.reward for t in transitions], np.float64),
-            np.array([t.next_state for t in transitions], np.int64),
-        )
-
-
-# One row of a TransitionStore; the field names match TransitionBatch.
-_STORE_ROW = np.dtype([("episode", np.int64), ("state", np.int64), ("action", np.int64),
-                       ("reward", np.float64), ("next_state", np.int64)])
+        return cls.from_rows(np.array(list(transitions), TRANSITION_ROW))
 
 
 class TransitionStore:
@@ -97,7 +93,7 @@ class TransitionStore:
 
     def __init__(self) -> None:
         self._pending: list[Transition] = []
-        self._rows = np.empty(0, _STORE_ROW)
+        self._rows = np.empty(0, TRANSITION_ROW)
         self._view = TransitionBatch.empty()
 
     def add(self, t: Transition) -> None:
@@ -111,20 +107,19 @@ class TransitionStore:
         n0 = len(self._view)
         n = n0 + len(new)
         if n > len(self._rows):
-            grown = np.empty(max(n, 2 * len(self._rows)), _STORE_ROW)
+            grown = np.empty(max(n, 2 * len(self._rows)), TRANSITION_ROW)
             grown[:n0] = self._rows[:n0]
             self._rows = grown
         rows = self._rows
-        rows[n0:n] = [(t.episode, t.state, t.action, t.reward, t.next_state) for t in new]
-        # The order check runs on Python ints: a download usually brings a
-        # few rows, where numpy's per-call overhead would dominate.
-        ep, eps = rows["episode"], [t.episode for t in new]
-        if (n0 and eps[0] < ep[n0 - 1]) or any(map(operator.gt, eps, eps[1:])):
+        rows[n0:n] = new
+        # The order check runs on Python ints from the last stored row on: a
+        # download usually brings a few rows, where numpy's overhead dominates.
+        ep = rows["episode"]
+        eps = ep[max(n0 - 1, 0):n].tolist()
+        if any(map(operator.gt, eps, eps[1:])):
             lo = int(np.searchsorted(ep[:n0], min(eps), side="right"))
             rows[lo:n] = rows[lo:n][np.argsort(ep[lo:n], kind="stable")]
-        r = rows[:n]
-        self._view = TransitionBatch(r["episode"], r["state"], r["action"], r["reward"],
-                                     r["next_state"])
+        self._view = TransitionBatch.from_rows(rows[:n])
         return self._view
 
 
@@ -147,18 +142,13 @@ class LsviAgent:
     feature vectors since the last update plus a scratch SPD matrix equal to
     cov_h + sum of their outer products; the scratch is built lazily and kept
     incremental so the determinant trigger is O(H) per episode.
-
-    ``q_table``, if given, is the read-only table of the initial parameters
-    that agents starting alike share; it is built on first use otherwise.
     """
 
-    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float,
-                 q_table: Optional[np.ndarray] = None):
+    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float):
         self.agent_id = agent_id
         self.d = d
         self.H = H
         self.alpha = float(alpha)
-        self.ridge = float(ridge)
         self.qparams = QParams(d, H, ridge, beta)
         self._log_threshold = math.log1p(self.alpha)
         # Per-h local delta since last update: raw vectors + aligned transitions.
@@ -170,7 +160,7 @@ class LsviAgent:
         self._own = [TransitionStore() for _ in range(H)]
         self._own_moved = [0] * H
         # (H, S, A) table of the current parameters; None until first built.
-        self._q = q_table
+        self._q: Optional[np.ndarray] = None
 
     # -- read-only evaluation ------------------------------------------------
 

@@ -137,7 +137,7 @@ def cmd_lower_bound(args) -> int:
     base = RunConfig(mdp_kind="hard", mdp_d=d, mdp_horizon=H, mdp_gap=args.gap,
                      M=M, K=K, schedule="lower_bound", init_state="epoch")
     try:
-        gap = base.resolved().mdp_gap
+        cfg = base.resolved()
         if K < d * M:
             raise ConfigError(f"K must be >= d*M = {d * M}, got {K}")
         if args.seeds < 1:
@@ -158,6 +158,7 @@ def cmd_lower_bound(args) -> int:
         if r["status"] != "ok":
             print(f"run failed: {r['status']}", file=sys.stderr)
             return EXIT_RUN
+    gap = cfg.mdp_gap
     report = {"d": d, "H": H, "M": M, "K": K, "gap": gap, "n_seeds": args.seeds}
     for proto in spec.axes["protocol"]:
         regs = [r["total_regret"] for r in rows if r["protocol"] == proto]
@@ -172,12 +173,11 @@ def cmd_lower_bound(args) -> int:
     mean_nc = report["no_comm"]["mean_total_regret"]
     report["regret_ratio_no_comm_over_async"] = (
         mean_nc / mean_async if mean_async != 0 else float("inf"))
-    alpha = 1.0 / (M * M)
     scale = d * H * M * M * math.log(1.0 + K / d)
     report["comm_bound_scale_dHM2logK"] = scale
     report["async_comm_fitted_constant"] = (
         report["async_trigger"]["mean_total_comm"] / scale)
-    report["comm_budget_full_form"] = comm_complexity_scale(d, H, M, alpha, K, 1.0)
+    report["comm_budget_full_form"] = comm_complexity_scale(d, H, M, cfg.alpha, K, cfg.ridge)
     if args.out:
         atomic_write(os.path.join(args.out, "lower_bound_report.json"), _json_text(report))
     print(f"hard instance d={d} H={H} M={M} K={K} gap={gap:.6g} seeds={args.seeds}")

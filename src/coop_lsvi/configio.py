@@ -93,9 +93,11 @@ def expand_sweep(spec: SweepSpec) -> list[RunConfig]:
     return out
 
 
-def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
-    """Map each (section, key) to its (value text, line number)."""
+def _parse_lines(text: str) -> tuple[dict[tuple[str, str], tuple[str, int]], set[str]]:
+    """Map each (section, key) to its (value text, line number); also return
+    the names of the sections present."""
     raw = {}
+    sections = set()
     section = None
     for lineno, full in enumerate(text.splitlines(), start=1):
         line = full.split("#", 1)[0].strip()
@@ -105,6 +107,7 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            sections.add(section)
             continue
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
@@ -117,7 +120,7 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
         if (section, key) in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         raw[(section, key)] = (value.strip(), lineno)
-    return raw
+    return raw, sections
 
 
 def _convert(text: str, lineno: int, key: str, kind):
@@ -193,7 +196,8 @@ def _file_states(cfg: RunConfig, lines: dict[tuple[str, str], int]) -> int:
 
 
 def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
-    """Parse config text into a RunConfig, or a SweepSpec if [sweep] present.
+    """Parse config text into a RunConfig, or a SweepSpec if a [sweep] header
+    is present (with no axes, a sweep of one run).
 
     The run, and every run of a sweep, is checked as it will run (defaults
     filled in). Constraint violations raise ConfigError carrying the
@@ -201,7 +205,7 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     [sweep] line. A file instance is read here, so an unreadable file and a
     fixed initial state outside its states are config errors too.
     """
-    raw = _parse_lines(text)
+    raw, sections = _parse_lines(text)
     cfg = RunConfig()
     for (section, key), (name, kind) in _FIELDS.items():
         if (section, key) in raw:
@@ -217,7 +221,7 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
         # No sweep axis changes the instance, so its file is read once, here.
         file_states = _file_states(cfg, lines)
         _check(cfg, lines, file_states)
-    if not any(section == "sweep" for section, _ in raw):
+    if "sweep" not in sections:
         return cfg
 
     axes: dict[str, list] = {}

@@ -302,7 +302,7 @@ class _AgentTables(NamedTuple):
     """An agent's Q-table with its greedy policy (first-max ties) and, under
     exact evaluation, that policy's value; valid while parameters are frozen."""
 
-    q: np.ndarray                  # (H, S, A), the agent's own q_table
+    q: np.ndarray                  # (H, S, A), read-only while shared
     policy: np.ndarray             # (H, S)
     value: Optional[np.ndarray]    # (H, S)
 
@@ -375,11 +375,8 @@ def build_run_state(cfg: RunConfig) -> RunState:
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)
-    # All agents start from w = 0 and cov_h = ridge * I: one initial Q-table.
-    agents = [LsviAgent(1, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)]
-    q0 = agents[0].q_table(mdp)
-    agents += [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, q0)
-               for m in range(2, cfg.M + 1)]
+    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)
+              for m in range(1, cfg.M + 1)]
     if cfg.schedule == "lower_bound":
         schedule = lower_bound_schedule(mdp.d, cfg.M, cfg.K)
     else:
@@ -399,7 +396,8 @@ def build_run_state(cfg: RunConfig) -> RunState:
                      init_states=init_states,
                      record=RunRecord.empty(cfg.K, mdp.H, cfg.diagnostics),
                      tables=[None] * cfg.M, all_cov=all_cov)
-    # Every agent starts from agent 1's table, so from its policy and value too.
+    # All agents start from w = 0 and cov_h = ridge * I: every slot holds agent
+    # 1's read-only table, policy and value until that agent's first refit.
     state.tables[:] = [state.agent_tables(1)] * cfg.M
     return state
 
@@ -458,7 +456,7 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
         for member in group:
             state.server.upload(member)
         for member in group:
-            _refit(state, member, *state.server.download(member))
+            _refit(state, member, *state.server.download())
         state.cum_comm += len(group)
 
     rec.triggered[i] = trig

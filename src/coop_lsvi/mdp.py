@@ -19,11 +19,18 @@ from typing import Optional
 
 import numpy as np
 
+from .psdmat import MAX_DIM
+
 PROB_ROW_TOL = 1e-10     # probability rows must sum to 1 within this
 PROB_NEG_TOL = 1e-12     # entries may dip this far below zero from rounding
 # Files store rewards exactly (17 digits reparse to the same double), so this
 # only forgives rounding in tables computed elsewhere: thousands of ulps at 1.
 REWARD_RANGE_TOL = 1e-12
+# Most entries H*S*A*S of a transition table. One table at the cap is 1 GiB of
+# float64, and building an instance holds three (the parsed or drawn table,
+# the instance's copy and its cumulative rows), so the cap keeps an instance
+# within a few GiB; the largest any shipped config builds has 40,000 entries.
+MAX_TABLE_ENTRIES = 2 ** 27
 
 
 class InvalidMdpError(ValueError):
@@ -113,11 +120,29 @@ def build_tabular_as_linear(P: np.ndarray, r: np.ndarray) -> LinearMdp:
     return require_valid(_tabular_to_linear(P, r))
 
 
+def check_table_sizes(H: int, S: int, A: int, dim_param: Optional[str] = None,
+                      table_param: Optional[str] = None) -> None:
+    """Raise InvalidMdpError unless an instance with H steps, S states and A
+    actions can be allocated and run: its dimension S*A is at most MAX_DIM and
+    its transition table at most MAX_TABLE_ENTRIES. Call it before any table
+    is allocated; the params name the argument each error is charged to."""
+    if S * A > MAX_DIM:
+        raise InvalidMdpError(
+            f"feature dimension n_states * n_actions = {S * A} exceeds {MAX_DIM}", dim_param)
+    if H * S * A * S > MAX_TABLE_ENTRIES:
+        raise InvalidMdpError(f"transition table of H * n_states * n_actions * n_states = "
+                              f"{H * S * A * S} entries exceeds {MAX_TABLE_ENTRIES}",
+                              table_param)
+
+
 def check_random_sizes(n_states: int, n_actions: int, H: int) -> int:
-    """Raise InvalidMdpError naming the first size below 1; else return n_states."""
+    """Raise InvalidMdpError naming the first size below 1, or the size charged
+    with a too large instance; else return n_states."""
     for name, n in (("n_states", n_states), ("n_actions", n_actions), ("H", H)):
         if n < 1:
             raise InvalidMdpError(f"{name} must be >= 1, got {n}", name)
+    check_table_sizes(H, n_states, n_actions,
+                      "n_states" if n_states >= n_actions else "n_actions", "H")
     return n_states
 
 
@@ -146,6 +171,7 @@ def check_hard_params(d: int, H: int, gap: Optional[float]) -> int:
         raise InvalidMdpError(f"H must be >= 2, got {H}", "H")
     if gap is not None and not 0.0 <= gap < 0.5:
         raise InvalidMdpError(f"gap must lie in [0, 1/2), got {gap}", "gap")
+    check_table_sizes(H, d // 2, 2, "d", "H")
     return d // 2
 
 
@@ -302,6 +328,7 @@ def read_mdp(path: str) -> LinearMdp:
     sizes, a repeated section) raises InvalidMdpError naming its line.
     """
     meta: dict[str, int] = {}
+    meta_line = 0
     # Section index -> (header line, data rows). A repeated header is an
     # error, since its rows would silently replace the first section's.
     trans_rows: dict[tuple[int, ...], tuple[int, list[list[float]]]] = {}
@@ -319,6 +346,8 @@ def read_mdp(path: str) -> LinearMdp:
                 section = words[0] if words else None
                 if section not in ("meta", "transition", "reward"):
                     raise InvalidMdpError(f"line {lineno}: unknown section {line!r}")
+                if section == "meta" and not meta_line:
+                    meta_line = lineno
                 index = tuple(_numbers(words[1:], int, lineno))
                 if section == "transition" and len(index) != 3:
                     raise InvalidMdpError(
@@ -345,6 +374,10 @@ def read_mdp(path: str) -> LinearMdp:
         raise InvalidMdpError(f"missing meta key {e}") from None
     if min(H, S, A) < 1:
         raise InvalidMdpError(f"meta sizes H={H}, n_states={S}, n_actions={A} must be >= 1")
+    try:
+        check_table_sizes(H, S, A)
+    except InvalidMdpError as e:
+        raise InvalidMdpError(f"line {meta_line}: [meta] {e}") from None
 
     def check_index(lineno: int, idx: tuple[int, ...], sizes: tuple[int, ...]) -> None:
         if not all(0 <= i < n for i, n in zip(idx, sizes)):

@@ -1,7 +1,7 @@
 """Central server state and the communication protocols.
 
 The server aggregates, per step h, a covariance matrix (initialized to
-ridge * I so a download can replace an agent's covariance wholesale) and a
+ridge * I so a refit can adopt a downloaded copy wholesale) and a
 deduplicated, episode-ordered global transition store. One
 communication round is one paired upload + download by a single agent.
 """
@@ -57,8 +57,6 @@ class CentralServer:
         # Per h: the global store plus the set of its episode keys.
         self._store = [TransitionStore() for _ in range(H)]
         self._episodes: list[set[int]] = [set() for _ in range(H)]
-        self.uploads_received = 0
-        self.downloads_served = 0
 
     def upload(self, agent: "LsviAgent") -> None:
         """Absorb the agent's buffered local delta (buffer is not cleared here).
@@ -78,20 +76,15 @@ class CentralServer:
                 episodes.add(t.episode)
                 store.add(t)
                 self.cov[hh].rank_one_update(phi)
-        self.uploads_received += 1
 
-    def download(self, agent: "LsviAgent") -> tuple[list[PsdMatrix], list[TransitionBatch]]:
-        """Hand the agent covariance snapshots and the full global store.
+    def download(self) -> tuple[list[PsdMatrix], list[TransitionBatch]]:
+        """Per-h covariance snapshots and the full global store.
 
-        The agent's per-h covariance is replaced by a copy of the server's;
-        the returned batches are sorted by episode, ready for the backward
-        update, and stay valid until the next upload.
+        The snapshots are copies the caller may adopt (the backward update
+        installs them as the agent's covariance); the batches are sorted by
+        episode, ready for that update, and stay valid until the next upload.
         """
-        covs = [c.copy() for c in self.cov]
-        data = [store.batch() for store in self._store]
-        agent.qparams.cov = covs
-        self.downloads_served += 1
-        return covs, data
+        return [c.copy() for c in self.cov], [store.batch() for store in self._store]
 
 
 def protocol_decide(kind: ProtocolKind, trigger_fired: bool) -> Decision:

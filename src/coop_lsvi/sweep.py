@@ -13,7 +13,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -25,7 +25,14 @@ AGGREGATE_HEADER = ("run,K,M,alpha,ridge,gap,protocol,seed,status,"
                     "total_regret,total_comm,total_switch,config_hash")
 SCALING_HEADER = ("protocol,alpha,n_grid,n_seeds,regret_loglog_slope,"
                   "regret_slope_halfwidth,comm_vs_logk_slope,"
-                  "comm_vs_logk_intercept,comm_slope_halfwidth")
+                  "comm_vs_logk_intercept,comm_slope_halfwidth,M,ridge,gap")
+COMPARISON_HEADER = ("K,mean_regret_async_trigger,mean_regret_no_comm,"
+                     "ratio_no_comm_over_async,M,alpha,ridge,gap")
+# Summaries keep apart runs that differ in any swept value but the seed. A
+# scaling fit runs over K, and the default hard gap shrinks with K, so the gap
+# splits fits only where it is swept.
+FIT_GROUP = ("protocol", "alpha", "M", "ridge")
+COMPARISON_GROUP = ("K", "M", "alpha", "ridge", "gap")
 MIN_GRID_POINTS = 3
 MIN_SEEDS = 5
 
@@ -86,7 +93,7 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> list[dict]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, jobs))
     atomic_write(os.path.join(out_dir, "aggregate.csv"), aggregate_csv_text(rows))
-    fits = scaling_fits(rows)
+    fits = scaling_fits(rows, spec.axes)
     atomic_write(os.path.join(out_dir, "scaling.csv"), scaling_csv_text(fits))
     comparison = collaboration_comparison(rows)
     if comparison:
@@ -107,12 +114,26 @@ def aggregate_csv_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _groups(rows: list[dict], names: tuple[str, ...]) -> list[list[dict]]:
+    """The rows grouped by their values of ``names``, in ascending order of
+    those values; NaN (the gap of a non-hard run) is one value, above all."""
+    groups: dict[tuple, list[dict]] = {}
+    for r in rows:
+        key = tuple((1, 0) if r[n] != r[n] else (0, r[n]) for n in names)
+        groups.setdefault(key, []).append(r)
+    return [groups[key] for key in sorted(groups)]
+
+
 @dataclass
 class ScalingFit:
-    """Scaling-law fit for one (protocol, alpha) group of the sweep."""
+    """Scaling-law fit over K for one group of runs that share every swept
+    value except K and seed; ``gap`` is NaN unless the runs share one."""
 
     protocol: str
     alpha: float
+    M: int
+    ridge: float
+    gap: float
     n_grid: int
     n_seeds: int
     regret_slope: float = float("nan")
@@ -125,7 +146,9 @@ class ScalingFit:
 def _fit_group(rows: list[dict]) -> ScalingFit:
     ks = sorted({r["K"] for r in rows})
     seeds = sorted({r["seed"] for r in rows})
-    fit = ScalingFit(protocol=rows[0]["protocol"], alpha=rows[0]["alpha"],
+    gaps = {r["gap"] for r in rows}
+    fit = ScalingFit(**{name: rows[0][name] for name in FIT_GROUP},
+                     gap=gaps.pop() if len(gaps) == 1 else math.nan,
                      n_grid=len(ks), n_seeds=len(seeds))
     if len(ks) < MIN_GRID_POINTS or len(seeds) < MIN_SEEDS:
         return fit
@@ -160,12 +183,11 @@ def _fit_group(rows: list[dict]) -> ScalingFit:
     return fit
 
 
-def scaling_fits(rows: list[dict]) -> list[ScalingFit]:
+def scaling_fits(rows: list[dict], swept: Collection[str] = ()) -> list[ScalingFit]:
+    """One fit per FIT_GROUP of the ok runs, split by gap too if "gap" is swept."""
     ok = [r for r in rows if r["status"] == "ok"]
-    groups: dict[tuple, list[dict]] = {}
-    for r in ok:
-        groups.setdefault((r["protocol"], r["alpha"]), []).append(r)
-    return [_fit_group(groups[key]) for key in sorted(groups)]
+    names = FIT_GROUP + (("gap",) if "gap" in swept else ())
+    return [_fit_group(group) for group in _groups(ok, names)]
 
 
 def scaling_csv_text(fits: list[ScalingFit]) -> str:
@@ -175,25 +197,26 @@ def scaling_csv_text(fits: list[ScalingFit]) -> str:
             f.protocol, g17(f.alpha), str(f.n_grid), str(f.n_seeds),
             g17(f.regret_slope), g17(f.regret_halfwidth),
             g17(f.comm_slope), g17(f.comm_intercept), g17(f.comm_halfwidth),
+            str(f.M), g17(f.ridge), g17(f.gap),
         )))
     return "\n".join(lines) + "\n"
 
 
 def collaboration_comparison(rows: list[dict]) -> Optional[str]:
-    """Per-K regret ratio no_comm / async_trigger when both groups ran."""
+    """Regret ratio no_comm / async_trigger per COMPARISON_GROUP where both ran."""
     ok = [r for r in rows if r["status"] == "ok"]
     protocols = {r["protocol"] for r in ok}
     if not {"async_trigger", "no_comm"} <= protocols:
         return None
-    ks = sorted({r["K"] for r in ok})
-    lines = ["K,mean_regret_async_trigger,mean_regret_no_comm,ratio_no_comm_over_async"]
-    for K in ks:
-        a = [r["total_regret"] for r in ok
-             if r["K"] == K and r["protocol"] == "async_trigger"]
-        n = [r["total_regret"] for r in ok if r["K"] == K and r["protocol"] == "no_comm"]
+    lines = [COMPARISON_HEADER]
+    for group in _groups(ok, COMPARISON_GROUP):
+        a = [r["total_regret"] for r in group if r["protocol"] == "async_trigger"]
+        n = [r["total_regret"] for r in group if r["protocol"] == "no_comm"]
         if not a or not n:
             continue
         ma, mn = float(np.mean(a)), float(np.mean(n))
         ratio = mn / ma if ma != 0 else float("inf")
-        lines.append(f"{K},{g17(ma)},{g17(mn)},{g17(ratio)}")
+        r = group[0]
+        lines.append(f"{r['K']},{g17(ma)},{g17(mn)},{g17(ratio)},{r['M']},"
+                     f"{g17(r['alpha'])},{g17(r['ridge'])},{g17(r['gap'])}")
     return "\n".join(lines) + "\n"

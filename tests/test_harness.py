@@ -205,7 +205,10 @@ class TestOneQTable:
         for m, agent in enumerate(state.agents, start=1):
             tables = state.agent_tables(m)
             q = agent.q_table(mdp)
-            assert tables.q is q
+            if tables.q.flags.writeable:  # built by the agent's own refit
+                assert tables.q is q
+            else:  # until its first refit, the slot shares the initial table
+                assert np.array_equal(tables.q, q)
             assert q.shape == (mdp.H, mdp.n_states, mdp.n_actions)
             for hh in range(mdp.H):
                 for s in range(mdp.n_states):
@@ -254,8 +257,8 @@ class TestOneQTable:
                         mdp_seed=1, M=3, K=10, beta_mode="fixed", beta_value=0.05)
         state = build_run_state(cfg)
         mdp, agents = state.mdp, state.agents
-        q0 = agents[0].q_table(mdp)
-        assert all(ag.q_table(mdp) is q0 for ag in agents)
+        q0 = state.tables[0].q
+        assert all(tables.q is q0 for tables in state.tables)
         assert not q0.flags.writeable
         fresh = LsviAgent(1, mdp.d, mdp.H, 1.0, cfg.ridge, agents[0].qparams.beta)
         assert np.array_equal(fresh.q_table(mdp), q0)
@@ -265,8 +268,8 @@ class TestOneQTable:
         from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
         run_episode(state, 1, np.random.default_rng(mix_seed(0, 1, TAG_TRAJECTORY)))
         assert state.cum_switch == 1
-        assert agents[0].q_table(mdp) is not q0
-        assert all(ag.q_table(mdp) is q0 for ag in agents[1:])
+        assert state.agent_tables(1).q is agents[0].q_table(mdp) is not q0
+        assert all(state.agent_tables(m).q is q0 for m in range(2, cfg.M + 1))
         assert np.array_equal(q0, before)
 
 

@@ -1,10 +1,14 @@
 """Tests for linear MDP construction, exact planning, sampling, and file IO."""
 
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coop_lsvi import mdp as mdp_mod
 from coop_lsvi.mdp import (InvalidMdpError, build_tabular_as_linear, eval_policy,
@@ -280,6 +284,68 @@ class TestMalformedFile:
         raw.write_bytes(raw.read_bytes().replace(b"BAD", b"0.5 \xff\xfe"))
         with pytest.raises(InvalidMdpError, match=rf"^line {lines.index('BAD') + 1}: "):
             read_mdp(path)
+
+
+def _written_and_read(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.mdp")
+        write_mdp(m, path)
+        return read_mdp(path)
+
+
+def _assert_bitwise_equal(back, m):
+    assert (back.d, back.H, back.n_states, back.n_actions) == (m.d, m.H, m.n_states,
+                                                                m.n_actions)
+    assert back.transitions.tobytes() == m.transitions.tobytes()
+    assert back.rewards.tobytes() == m.rewards.tobytes()
+
+
+class TestSerializationProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 5),
+           n_actions=st.integers(1, 5), H=st.integers(1, 4))
+    def test_random_round_trip_is_bitwise(self, seed, n_states, n_actions, H):
+        m = random_tabular(seed, n_states, n_actions, H)
+        _assert_bitwise_equal(_written_and_read(m), m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([8, 10, 12]), H=st.integers(2, 4),
+           gap=st.floats(0.0, 0.5, exclude_max=True))
+    def test_hard_round_trip_is_bitwise(self, d, H, gap):
+        m = hard_instance(d, H, gap)
+        _assert_bitwise_equal(_written_and_read(m), m)
+
+    # Lines of a fuzzed file, after an optional well-formed [meta] block. Meta
+    # sizes stay at most 6, and the junk holds no '=', so no line can declare
+    # a larger instance.
+    _PREFIX = st.one_of(st.just([]), st.builds(
+        "[meta]\nH = {}\nn_states = {}\nn_actions = {}".format,
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).map(lambda m: [m]))
+    _HEADER = st.builds(lambda name, idx: "[" + " ".join([name, *map(str, idx)]) + "]",
+                        st.sampled_from(["meta", "transition", "reward", "other", ""]),
+                        st.lists(st.integers(-2, 7), max_size=4))
+    _META = st.builds("{} = {}".format,
+                      st.sampled_from(["d", "H", "n_states", "n_actions", "size"]),
+                      st.integers(-1, 6))
+    _ROW = st.lists(st.one_of(st.integers(-3, 3).map(str), st.floats().map(repr),
+                              st.sampled_from(["1e400", "-0", "x", "0x1", "1,5"])),
+                    min_size=1, max_size=7).map(" ".join)
+    _JUNK = st.text(st.characters(blacklist_characters="=\r\n",
+                                  blacklist_categories=("Cs",)), max_size=10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=_PREFIX,
+           lines=st.lists(st.one_of(_HEADER, _META, _ROW, _JUNK), max_size=30))
+    def test_fuzzed_text_loads_or_is_a_file_error(self, prefix, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.mdp")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write("\n".join(prefix + lines))
+            try:
+                m = read_mdp(path)
+            except InvalidMdpError:
+                return
+        assert m.transitions.shape == (m.H, m.n_states, m.n_actions, m.n_states)
 
 
 def test_default_hard_gap():

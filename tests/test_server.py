@@ -27,7 +27,7 @@ def agent_with_rollout(mdp, agent_id, episodes, seed, alpha=0.5):
 
 def reconstruct_cov(server, mdp, hh):
     total = server.ridge * np.eye(server.d)
-    _, data = server.download(LsviAgent(0, server.d, server.H, 0.5, 1.0, 1.0))
+    _, data = server.download()
     batch = data[hh]
     for i in range(len(batch)):
         phi = mdp.features[batch.state[i], batch.action[i]]
@@ -41,7 +41,6 @@ class TestUpload:
         srv = CentralServer(m.d, m.H, 1.0)
         before = [c.mat.copy() for c in srv.cov]
         srv.upload(LsviAgent(1, m.d, m.H, 0.5, 1.0, 1.0))
-        assert srv.uploads_received == 1
         for hh in range(m.H):
             assert np.array_equal(srv.cov[hh].mat, before[hh])
 
@@ -93,13 +92,13 @@ class TestDownload:
         ag = agent_with_rollout(m, 1, [1, 2, 3], seed=5)
         phis = [list(v for v in ag.loc_features[hh]) for hh in range(m.H)]
         srv.upload(ag)
-        covs, data = srv.download(ag)
+        covs, data = srv.download()
+        ag.lsvi_backward_update(m, data, covs)
         for hh in range(m.H):
             expected = np.eye(m.d) + sum(np.outer(v, v) for v in phis[hh])
             assert np.abs(covs[hh].mat - expected).max() < 1e-8
             assert ag.qparams.cov[hh] is covs[hh]
             assert list(data[hh].episode) == [1, 2, 3]
-        assert srv.downloads_served == 1
 
     def test_aggregation_reaches_later_agent(self):
         m = random_tabular(2, 3, 2, 2)
@@ -108,7 +107,7 @@ class TestDownload:
         b = agent_with_rollout(m, 2, [2], seed=2)
         srv.upload(a)
         srv.upload(b)
-        _, data = srv.download(b)
+        _, data = srv.download()
         assert set(data[0].episode) == {1, 2}
 
     def test_cold_start_reproduces_init_q(self):
@@ -116,7 +115,7 @@ class TestDownload:
         srv = CentralServer(m.d, m.H, 1.0)
         ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.9)
         reference = LsviAgent(2, m.d, m.H, 0.5, 1.0, 0.9)
-        covs, data = srv.download(ag)
+        covs, data = srv.download()
         ag.lsvi_backward_update(m, data, covs)
         for s in range(m.n_states):
             for a in range(m.n_actions):
@@ -132,7 +131,7 @@ class TestDownload:
         ag = agent_with_rollout(m, 4, [10], seed=9)
         pre = [c.mat.copy() for c in ag.qparams.cov]
         srv.upload(ag)
-        covs, _ = srv.download(ag)
+        covs, _ = srv.download()
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((100, m.d))
         for hh in range(m.H):
@@ -295,7 +294,7 @@ class TestDownloadOrdering:
         b = agent_with_rollout(m, 2, [2, 4, 5], seed=2)
         srv.upload(b)
         srv.upload(a)
-        _, data = srv.download(a)
+        _, data = srv.download()
         for hh in range(m.H):
             assert list(data[hh].episode) == [1, 2, 3, 4, 5, 6]
 

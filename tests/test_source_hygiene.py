@@ -63,3 +63,36 @@ def test_tolerances_are_named(path):
              if isinstance(node, ast.Constant) and type(node.value) is float
              and 0 < abs(node.value) < 1e-6 and id(node) not in named]
     assert lines == [], f"{path.name}: unnamed tolerance literals at lines {lines}"
+
+
+def _write_targets(node: ast.AST):
+    """Attribute and subscript targets of an assignment, tuples unpacked."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _write_targets(elt)
+    elif isinstance(node, ast.Starred):
+        yield from _write_targets(node.value)
+    elif isinstance(node, (ast.Attribute, ast.Subscript)):
+        yield node
+
+
+def test_server_writes_no_agent_state():
+    """The server only reads agents: every object it writes is rooted at
+    ``self``, so an agent's parameters have one writer, the agent."""
+    path = next(p for p in SRC if p.name == "server.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in (t for tgt in targets for t in _write_targets(tgt)):
+            root = target
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id == "self"):
+                bad.append(target.lineno)
+    assert bad == [], f"server.py: writes outside self at lines {bad}"

@@ -12,8 +12,8 @@ import coop_lsvi
 from coop_lsvi.cli import main
 from coop_lsvi.configio import parse_config
 from coop_lsvi.harness import ConfigError, RunConfig, run_experiment
-from coop_lsvi.mdp import InvalidMdpError, hard_instance, random_tabular, write_mdp
-from coop_lsvi.sweep import expand_sweep, run_sweep, scaling_fits
+from coop_lsvi.mdp import InvalidMdpError, g17, hard_instance, random_tabular, write_mdp
+from coop_lsvi.sweep import expand_sweep, run_sweep, scaling_csv_text, scaling_fits
 
 RUN_CFG = """
 [mdp]
@@ -216,6 +216,18 @@ class TestCliRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"line {bad_line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,bad_line", [
+        ("[mdp]\nkind = random\nn_states = 100000\nn_actions = 2\nH = 2\n", 3),
+        ("[mdp]\nkind = random\nn_states = 2\nn_actions = 5000\nH = 2\n", 4),
+        ("[mdp]\nkind = random\nn_states = 4000\nn_actions = 1\nH = 9\n", 5),
+        ("[mdp]\nkind = hard\nd = 200000\nH = 3\n", 3),
+    ], ids=["random_states", "random_actions", "random_table", "hard_d"])
+    def test_oversized_instance_is_a_config_error(self, tmp_path, capsys, text, bad_line):
+        # Checked before any table is allocated; unchecked, each asks for gigabytes.
+        cfg = self._write(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"line {bad_line}: " in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error")
     def test_eval_off_writes_strict_json_and_chart(self, tmp_path):
         cfg = self._write(tmp_path, RUN_CFG + "eval = off\n")
@@ -246,6 +258,15 @@ class TestCliSweep:
         cfg = tmp_path / "r.cfg"
         cfg.write_text(RUN_CFG)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_empty_sweep_section_is_a_sweep_of_one_run(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(RUN_CFG + "\n[sweep]\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "use the 'sweep' subcommand" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "aggregate.csv").read_text().strip().split("\n")) == 2
 
 
 @pytest.mark.parametrize("command,flag,env,named", [
@@ -327,6 +348,19 @@ class TestCliValidate:
         assert main(["validate", str(path)]) == 2
         assert "file error: line 1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes,limit", [
+        ("H = 2\nn_states = 100000\nn_actions = 1", "4096"),
+        ("H = 9\nn_states = 4000\nn_actions = 1", "134217728"),
+    ], ids=["dimension", "table"])
+    def test_oversized_meta_is_a_file_error(self, tmp_path, capsys, sizes, limit):
+        # The size check runs before any table is allocated; without it this
+        # file would ask for gigabytes.
+        path = tmp_path / "big.mdp"
+        path.write_text(f"# sizes only\n[meta]\n{sizes}\n")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "file error: line 2: [meta]" in err and f"exceeds {limit}" in err
+
 
 class TestCliLowerBound:
     def test_report(self, tmp_path, capsys):
@@ -379,6 +413,48 @@ class TestComparisonOutput:
         assert len(comp) == 2
         ratio = float(comp[1].split(",")[3])
         assert math.isfinite(ratio) or ratio == float("inf")
+
+
+class TestSummaryGroups:
+    """Runs that differ in a swept value other than K and seed are summarized
+    apart: every summary row is the fit or mean of its own runs only."""
+
+    @pytest.mark.parametrize("axis,values,gap_column", [
+        ("ridge", (1.0, 4.0), lambda v: "nan"),  # the default gap shrinks with K
+        ("gap", (0.1, 0.2), g17),
+    ])
+    def test_scaling_row_per_swept_value(self, tmp_path, axis, values, gap_column):
+        spec = parse_config(RUN_CFG.replace("gap = 0.2\n", "")
+                            .replace("protocol = full_sync", "protocol = async_trigger")
+                            + "alpha = 0.25\n\n[sweep]\nK = 100, 200, 400\nseeds = 0..4\n"
+                            + f"{axis} = {', '.join(map(str, values))}\n")
+        rows = run_sweep(spec, str(tmp_path), workers=1)
+        got = (tmp_path / "scaling.csv").read_text().strip().split("\n")
+        assert got[0].endswith(",M,ridge,gap")
+        assert len(got) == 3
+        for line, value in zip(got[1:], values):
+            own = [r for r in rows if r[axis] == value]
+            assert len(own) == 15
+            assert line == scaling_csv_text(scaling_fits(own)).split("\n")[1]
+            ridge = value if axis == "ridge" else 1.0
+            assert line.split(",")[-3:] == ["2", g17(ridge), gap_column(value)]
+
+    def test_comparison_row_per_k_and_swept_m(self, tmp_path):
+        text = SWEEP_CFG + "M = 2, 8\nprotocol = async_trigger, no_comm\n"
+        spec = parse_config(text.replace("seeds = 0..4", "seeds = 0..1")
+                            .replace("K = 40, 80, 160", "K = 40, 80"))
+        rows = run_sweep(spec, str(tmp_path), workers=1)
+        got = (tmp_path / "comparison.csv").read_text().strip().split("\n")
+        assert got[0].endswith(",M,alpha,ridge,gap")
+        want = []
+        for K in (40, 80):
+            for M in (2, 8):
+                ma, mn = (sum(r["total_regret"] for r in rows
+                              if (r["K"], r["M"], r["protocol"]) == (K, M, p)) / 2
+                          for p in ("async_trigger", "no_comm"))
+                want.append(f"{K},{g17(ma)},{g17(mn)},{g17(mn / ma)},{M},"
+                            f"{g17(1 / M ** 2)},1,nan")
+        assert got[1:] == want
 
 
 class TestFileBackedMdpRun:
