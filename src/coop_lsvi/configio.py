@@ -242,7 +242,9 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
 
 
 def parse_config_file(path: str) -> Union[RunConfig, SweepSpec]:
-    with open(path) as f:
+    # Undecodable bytes become U+FFFD: ignored in a comment, and a bad key or
+    # value on their line.
+    with open(path, errors="replace") as f:
         return parse_config(f.read())
 
 

@@ -19,7 +19,7 @@ from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
                     theoretical_beta)
 from .mdp import LinearMdp, PlannerOutput, g17
 from .psdmat import PsdMatrix
-from .schedules import lower_bound_schedule, make_initial_states, make_schedule
+from .schedules import INIT_STATE_KINDS, SCHEDULE_KINDS, make_initial_states, make_schedule
 from .server import CentralServer, Decision, ProtocolKind, protocol_decide
 
 _MASK64 = (1 << 64) - 1
@@ -133,8 +133,7 @@ class RunConfig:
             bad(f"unknown protocol {self.protocol!r}", ("run", "protocol"))
         if self.eval_mode not in ("exact", "off"):
             bad(f"unknown eval mode {self.eval_mode!r}", ("run", "eval"))
-        if self.schedule not in ("round_robin", "uniform_random", "bursty",
-                                 "single_agent", "lower_bound"):
+        if self.schedule not in SCHEDULE_KINDS:
             bad(f"unknown schedule {self.schedule!r}", ("schedule", "kind"))
         if self.schedule == "single_agent" and not 1 <= self.schedule_agent <= self.M:
             bad(f"schedule agent {self.schedule_agent} out of [1, {self.M}]",
@@ -144,7 +143,7 @@ class RunConfig:
         if self.schedule == "bursty" and self.schedule_block < 1:
             bad(f"block_len must be >= 1, got {self.schedule_block}",
                 ("schedule", "block_len"))
-        if self.init_state not in (None, "fixed", "uniform_random", "epoch"):
+        if self.init_state not in (None, *INIT_STATE_KINDS):
             bad(f"unknown init-state schedule {self.init_state!r}", ("init_state", "kind"))
         if self.init_state == "epoch" and self.mdp_kind != "hard":
             bad("epoch initial-state schedule requires the hard instance",
@@ -372,28 +371,20 @@ def build_mdp(cfg: RunConfig) -> LinearMdp:
 def build_run_state(cfg: RunConfig) -> RunState:
     cfg = cfg.resolved()
     mdp = build_mdp(cfg)
+    cfg.validate(mdp.n_states)  # a file instance's state count is known only now
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)
     agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)
               for m in range(1, cfg.M + 1)]
-    if cfg.schedule == "lower_bound":
-        schedule = lower_bound_schedule(mdp.d, cfg.M, cfg.K)
-    else:
-        schedule = make_schedule(cfg.schedule, cfg.M, cfg.K, seed=cfg.schedule_seed,
-                                 block_len=cfg.schedule_block, agent=cfg.schedule_agent)
-    init_states = make_initial_states(
-        cfg.init_state, cfg.K, mdp.n_states,
-        fixed=cfg.init_state_fixed,
-        seed=mix_seed(cfg.master_seed, TAG_INIT),
-        epoch_d=mdp.d, n_initial=mdp_mod.hard_num_initial_states(mdp)
-        if cfg.mdp_kind == "hard" else None)
     all_cov = ([PsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
                if cfg.diagnostics else None)
     state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
                      server=CentralServer(mdp.d, mdp.H, cfg.ridge),
-                     protocol=ProtocolKind(cfg.protocol), schedule=schedule,
-                     init_states=init_states,
+                     protocol=ProtocolKind(cfg.protocol),
+                     schedule=make_schedule(cfg, mdp.d),
+                     init_states=make_initial_states(
+                         cfg, mdp, mix_seed(cfg.master_seed, TAG_INIT)),
                      record=RunRecord.empty(cfg.K, mdp.H, cfg.diagnostics),
                      tables=[None] * cfg.M, all_cov=all_cov)
     # All agents start from w = 0 and cov_h = ridge * I: every slot holds agent

@@ -325,9 +325,12 @@ def read_mdp(path: str) -> LinearMdp:
     Validation is deliberately separate (validate_linear_mdp) so corrupt
     files can still be loaded and reported on. Text that cannot be placed in
     the tables at all (a non-numeric entry, a section index outside the meta
-    sizes, a repeated section) raises InvalidMdpError naming its line.
+    sizes, a repeated section, an unknown or repeated meta key, a meta size
+    below 1 or a d other than n_states * n_actions) raises InvalidMdpError
+    naming its line.
     """
     meta: dict[str, int] = {}
+    meta_lines: dict[str, int] = {}
     meta_line = 0
     # Section index -> (header line, data rows). A repeated header is an
     # error, since its rows would silently replace the first section's.
@@ -364,16 +367,25 @@ def read_mdp(path: str) -> LinearMdp:
             if section is None:
                 raise InvalidMdpError(f"line {lineno}: content outside any section")
             if section == "meta":
-                key, _, val = line.partition("=")
-                meta[key.strip()] = _numbers([val.strip()], int, lineno)[0]
+                key, _, val = (part.strip() for part in line.partition("="))
+                if key not in ("d", "H", "n_states", "n_actions"):
+                    raise InvalidMdpError(f"line {lineno}: unknown meta key {key!r}")
+                if key in meta:
+                    raise InvalidMdpError(f"line {lineno}: repeated meta key {key!r}")
+                meta[key] = _numbers([val], int, lineno)[0]
+                meta_lines[key] = lineno
             else:
                 table[index][1].append(_numbers(line.split(), float, lineno))
     try:
         H, S, A = meta["H"], meta["n_states"], meta["n_actions"]
     except KeyError as e:
         raise InvalidMdpError(f"missing meta key {e}") from None
-    if min(H, S, A) < 1:
-        raise InvalidMdpError(f"meta sizes H={H}, n_states={S}, n_actions={A} must be >= 1")
+    for key in ("H", "n_states", "n_actions"):
+        if meta[key] < 1:
+            raise InvalidMdpError(f"line {meta_lines[key]}: meta {key}={meta[key]} must be >= 1")
+    if meta.get("d", S * A) != S * A:
+        raise InvalidMdpError(
+            f"line {meta_lines['d']}: meta d={meta['d']} inconsistent with {S}*{A}")
     try:
         check_table_sizes(H, S, A)
     except InvalidMdpError as e:
@@ -398,7 +410,4 @@ def read_mdp(path: str) -> LinearMdp:
             raise InvalidMdpError(
                 f"line {lineno}: reward section {idx[0]} must have {S} rows of {A} entries")
         r[idx[0]] = rows
-    mdp = _tabular_to_linear(P, r)
-    if meta.get("d", mdp.d) != mdp.d:
-        raise InvalidMdpError(f"meta d={meta['d']} inconsistent with {S}*{A}")
-    return mdp
+    return _tabular_to_linear(P, r)

@@ -1,77 +1,65 @@
 """Participation schedules (episode -> active agent) and initial-state schedules.
 
 Agent ids are 1-based to match the run metrics; episode indices are 1-based.
-Every schedule is precomputed as an array so a run's participation pattern is
-a pure function of its configuration.
+Every schedule is precomputed as an array from a resolved RunConfig, whose
+validate() has checked every field read here, so a run's participation
+pattern is a pure function of its configuration.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .mdp import LinearMdp, hard_num_initial_states
 
-def make_schedule(kind: str, M: int, K: int, *, seed: Optional[int] = None,
-                  block_len: int = 10, agent: int = 1) -> np.ndarray:
-    """Length-K array of active agent ids in [1, M]."""
-    if M < 1 or K < 1:
-        raise ValueError("M and K must be >= 1")
-    if kind == "round_robin":
-        return (np.arange(K) % M) + 1
-    if kind == "single_agent":
-        if not 1 <= agent <= M:
-            raise ValueError(f"agent {agent} out of range [1, {M}]")
-        return np.full(K, agent, dtype=np.int64)
-    if kind == "uniform_random":
-        rng = np.random.default_rng(seed)
-        return rng.integers(1, M + 1, size=K, dtype=np.int64)
-    if kind == "bursty":
-        if block_len < 1:
-            raise ValueError("block_len must be >= 1")
-        rng = np.random.default_rng(seed)
-        n_blocks = -(-K // block_len)
-        blocks = rng.integers(1, M + 1, size=n_blocks, dtype=np.int64)
-        return np.repeat(blocks, block_len)[:K]
-    raise ValueError(f"unknown schedule kind {kind!r}")
+if TYPE_CHECKING:
+    from .harness import RunConfig
+
+SCHEDULE_KINDS = ("round_robin", "uniform_random", "bursty", "single_agent", "lower_bound")
+INIT_STATE_KINDS = ("fixed", "uniform_random", "epoch")
 
 
-def lower_bound_schedule(d: int, M: int, K: int) -> np.ndarray:
-    """The deterministic epoch participation pattern of the hard construction.
+def _epoch_len(K: int, d: int) -> int:
+    """Episodes per epoch of the hard construction: K episodes in d/2 epochs."""
+    return -(-2 * K // d)
 
-    Episodes split into d/2 epochs of ceil(2K/d) episodes; within each epoch
-    the agents take turns in contiguous blocks of ceil(2K/(dM)) episodes each,
-    in agent-id order.
+
+def make_schedule(cfg: RunConfig, d: int) -> np.ndarray:
+    """Length-K array of active agent ids in [1, M].
+
+    ``lower_bound`` is the epoch participation pattern of the hard
+    construction: within each epoch the agents take turns in contiguous
+    blocks of ceil(epoch/M) episodes each, in agent-id order.
     """
-    epoch_len = -(-2 * K // d)
-    agent_block = -(-epoch_len // M)
-    out = np.empty(K, dtype=np.int64)
-    for k0 in range(K):
-        within = k0 % epoch_len
-        out[k0] = min(within // agent_block, M - 1) + 1
-    return out
+    M, K = cfg.M, cfg.K
+    if cfg.schedule == "round_robin":
+        return (np.arange(K) % M) + 1
+    if cfg.schedule == "single_agent":
+        return np.full(K, cfg.schedule_agent, dtype=np.int64)
+    if cfg.schedule == "lower_bound":
+        epoch_len = _epoch_len(K, d)
+        return np.minimum(np.arange(K) % epoch_len // -(-epoch_len // M), M - 1) + 1
+    rng = np.random.default_rng(cfg.schedule_seed)
+    if cfg.schedule == "uniform_random":
+        return rng.integers(1, M + 1, size=K, dtype=np.int64)
+    block = cfg.schedule_block  # bursty
+    blocks = rng.integers(1, M + 1, size=-(-K // block), dtype=np.int64)
+    return np.repeat(blocks, block)[:K]
 
 
-def make_initial_states(kind: str, K: int, n_states: int, *, fixed: int = 0,
-                        seed: Optional[int] = None, epoch_d: Optional[int] = None,
-                        n_initial: Optional[int] = None) -> np.ndarray:
+def make_initial_states(cfg: RunConfig, mdp: LinearMdp, seed: int) -> np.ndarray:
     """Length-K array of initial states.
 
     ``epoch`` reproduces the hard-instance analysis schedule: epoch i of
     length ceil(2K/d) starts from initial state i, wrapping modulo the number
     of available initial states.
     """
-    if kind == "fixed":
-        if not 0 <= fixed < n_states:
-            raise ValueError(f"fixed initial state {fixed} out of range")
-        return np.full(K, fixed, dtype=np.int64)
-    if kind == "uniform_random":
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, n_states, size=K, dtype=np.int64)
-    if kind == "epoch":
-        if epoch_d is None or n_initial is None:
-            raise ValueError("epoch schedule needs epoch_d and n_initial")
-        epoch_len = -(-2 * K // epoch_d)
-        epochs = np.arange(K) // epoch_len
-        return (epochs % n_initial).astype(np.int64)
-    raise ValueError(f"unknown initial-state schedule kind {kind!r}")
+    K = cfg.K
+    if cfg.init_state == "fixed":
+        return np.full(K, cfg.init_state_fixed, dtype=np.int64)
+    if cfg.init_state == "uniform_random":
+        return np.random.default_rng(seed).integers(0, mdp.n_states, size=K, dtype=np.int64)
+    epochs = np.arange(K) // _epoch_len(K, mdp.d)  # epoch
+    return (epochs % hard_num_initial_states(mdp)).astype(np.int64)

@@ -17,7 +17,7 @@ import hashlib
 
 import pytest
 
-from coop_lsvi.harness import RunConfig, metrics_csv_text, run_experiment
+from coop_lsvi.harness import RunConfig, build_run_state, metrics_csv_text, run_experiment
 
 INSTANCES = {
     "hard": dict(mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.05, M=3, K=240),
@@ -77,3 +77,47 @@ def test_d200_digest_with_diagnostics(protocol):
     digest.update(record.optimism_slack.tobytes())
     digest.update(record.agent_logdet.tobytes())
     assert digest.hexdigest() == D200_DIGESTS[protocol]
+
+
+# One short async run per participation and initial-state schedule kind on the
+# hard instance. K = 150 is not a multiple of the epoch length ceil(2K/d) = 38
+# nor of the bursty block of 7. The digest also covers the bytes of the run's
+# schedule and initial-state arrays. Recorded before the schedules were built
+# from the resolved RunConfig.
+SCHEDULE_CASES = {
+    "round_robin": dict(schedule="round_robin"),
+    "bursty": dict(schedule="bursty", schedule_block=7),
+    "single_agent": dict(schedule="single_agent", schedule_agent=2),
+    "lower_bound": dict(schedule="lower_bound"),
+    "init_fixed": dict(schedule="uniform_random", init_state="fixed", init_state_fixed=1),
+    "init_uniform_random": dict(schedule="uniform_random", init_state="uniform_random"),
+    "init_epoch": dict(schedule="uniform_random", init_state="epoch"),
+}
+
+SCHEDULE_DIGESTS = {
+    "bursty":
+        "84159d58b444b2425613d0a6120e89130b222181bade8ada7a32242103660659",
+    "init_epoch":
+        "ef84ef4467d2693722ad19c8d3f765c0f505b46e75a3dcf98998dd857699e905",
+    "init_fixed":
+        "62dde345e4e1108ec787da8f3f2981ec435907efd4a4c45128713cf322f5865b",
+    "init_uniform_random":
+        "7fd6c4fad328f2c0e3384f15b05a864e8796546b017e02d2b5e06fef5579e8e4",
+    "lower_bound":
+        "043e9c4ce42471b7e2dbe0156d9bfd967c79bd0c98bffeee7ad9da6d85e91532",
+    "round_robin":
+        "58aa15e318368b5f5f9080fbbdd1a7f50f96f993e564f534c57b93fcdf1e1de3",
+    "single_agent":
+        "40e680a09bebc853cf461ebf22da2fc399801b468321cb9f73a65ce0851a8157",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_schedule_kind_digest(case):
+    cfg = RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.05, M=3, K=150,
+                    master_seed=11, **SCHEDULE_CASES[case])
+    state = build_run_state(cfg)
+    digest = hashlib.sha256(metrics_csv_text(run_experiment(cfg)).encode())
+    digest.update(state.schedule.tobytes())
+    digest.update(state.init_states.tobytes())
+    assert digest.hexdigest() == SCHEDULE_DIGESTS[case]

@@ -13,8 +13,7 @@ from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_s
                                run_experiment)
 from coop_lsvi.mdp import value_iteration
 from coop_lsvi.psdmat import det_ratio
-from coop_lsvi.schedules import (lower_bound_schedule, make_initial_states,
-                                 make_schedule)
+from coop_lsvi.schedules import make_initial_states, make_schedule
 
 
 class TestMixSeed:
@@ -31,34 +30,42 @@ class TestMixSeed:
 
 class TestSchedules:
     def test_round_robin_example(self):
-        assert list(make_schedule("round_robin", 3, 5)) == [1, 2, 3, 1, 2]
+        cfg = RunConfig(schedule="round_robin", M=3, K=5)
+        assert list(make_schedule(cfg, 8)) == [1, 2, 3, 1, 2]
 
     def test_single_agent(self):
-        assert list(make_schedule("single_agent", 4, 3, agent=2)) == [2, 2, 2]
+        cfg = RunConfig(schedule="single_agent", M=4, K=3, schedule_agent=2)
+        assert list(make_schedule(cfg, 8)) == [2, 2, 2]
 
     def test_uniform_random_frequencies(self):
-        s = make_schedule("uniform_random", 4, 100_000, seed=0)
+        cfg = RunConfig(schedule="uniform_random", M=4, K=100_000, schedule_seed=0)
+        s = make_schedule(cfg, 8)
         for m in range(1, 5):
             assert abs(np.mean(s == m) - 0.25) < 0.01
 
     def test_bursty_blocks(self):
-        s = make_schedule("bursty", 3, 20, seed=1, block_len=5)
+        cfg = RunConfig(schedule="bursty", M=3, K=20, schedule_seed=1, schedule_block=5)
+        s = make_schedule(cfg, 8)
         assert len(s) == 20
         for i in range(0, 20, 5):
             assert len(set(s[i:i + 5])) == 1
 
     def test_lower_bound_pattern(self):
         # d=8, M=2, K=32: epochs of 8 episodes, agent blocks of 4.
-        s = lower_bound_schedule(8, 2, 32)
+        s = make_schedule(RunConfig(schedule="lower_bound", M=2, K=32), 8)
         assert list(s[:8]) == [1, 1, 1, 1, 2, 2, 2, 2]
         assert list(s[:8]) == list(s[8:16])
 
     def test_initial_state_schedules(self):
-        assert list(make_initial_states("fixed", 4, 3, fixed=2)) == [2, 2, 2, 2]
-        u = make_initial_states("uniform_random", 1000, 3, seed=0)
+        three_states = mdp_mod.random_tabular(0, 3, 2, 1)
+        fixed = RunConfig(mdp_kind="random", init_state="fixed", init_state_fixed=2, K=4)
+        assert list(make_initial_states(fixed, three_states, 0)) == [2, 2, 2, 2]
+        uniform = RunConfig(mdp_kind="random", init_state="uniform_random", K=1000)
+        u = make_initial_states(uniform, three_states, 0)
         assert set(u) == {0, 1, 2}
         # d=8 -> 2 initial states; epoch length ceil(2*12/8) = 3; wraps mod 2.
-        e = make_initial_states("epoch", 12, 4, epoch_d=8, n_initial=2)
+        epoch = RunConfig(mdp_kind="hard", mdp_d=8, init_state="epoch", K=12)
+        e = make_initial_states(epoch, mdp_mod.hard_instance(8, 2, 0.1), 0)
         assert list(e) == [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1]
 
 
@@ -86,6 +93,16 @@ class TestConfigValidation:
         cfg.validate(file_states=5)
         with pytest.raises(ConfigError) as e:
             cfg.validate(file_states=4)
+        assert e.value.key == ("init_state", "state")
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_run_checks_fixed_state_against_file_instance(self, tmp_path, state):
+        path = tmp_path / "inst.mdp"
+        mdp_mod.write_mdp(mdp_mod.random_tabular(0, 3, 2, 2), str(path))
+        cfg = RunConfig(mdp_kind="file", mdp_path=str(path), init_state="fixed",
+                        init_state_fixed=state, K=5)
+        with pytest.raises(ConfigError) as e:
+            build_run_state(cfg)
         assert e.value.key == ("init_state", "state")
 
     def test_resolved_defaults(self):

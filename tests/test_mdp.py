@@ -271,6 +271,10 @@ class TestMalformedFile:
         ("[reward 1]", "[reward 0]", "[reward 0]"),                     # repeated section
         ("[transition 0 1 0]", "[transition 0 0 0]", "[transition 0 0 0]"),
         ("[transition 0 1 0]\n", "[transition 0 1 0]\n0.5 0.5\n", "[transition 0 1 0]"),  # two rows
+        ("H = 2", "H = 1\nH = 2", "H = 2"),                               # repeated meta key
+        ("n_actions = 2", "n_actions = 2\nsize = 3", "size = 3"),         # unknown meta key
+        ("H = 2", "H = 0", "H = 0"),                                     # meta size below 1
+        ("d = 4", "d = 5", "d = 5"),                                     # d other than S * A
     ])
     def test_rejected_naming_line(self, tmp_path, old, new, bad_line):
         path, lines = self.corrupt(tmp_path, old, new)

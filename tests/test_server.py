@@ -190,10 +190,7 @@ def reference_single_agent_lsvi(cfg):
     K, lam, alpha, beta = resolved.K, resolved.ridge, resolved.alpha, None
     from coop_lsvi.harness import resolve_beta
     beta = resolve_beta(resolved, d, H)
-    init_states = make_initial_states(
-        resolved.init_state, K, S, fixed=resolved.init_state_fixed,
-        seed=mix_seed(resolved.master_seed, 0xA4),
-        epoch_d=d, n_initial=S - 2 if resolved.mdp_kind == "hard" else None)
+    init_states = make_initial_states(resolved, mdp, mix_seed(resolved.master_seed, 0xA4))
     planner = value_iteration(mdp)
 
     cov = [lam * np.eye(d) for _ in range(H)]

@@ -269,6 +269,22 @@ class TestCliSweep:
         assert len((out / "aggregate.csv").read_text().strip().split("\n")) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bytes_that_are_not_utf8_in_a_config(tmp_path, capsys, command):
+    """A byte that is not UTF-8 is ignored in a comment and fails as its
+    line's bad key or value elsewhere; it never escapes as a traceback."""
+    text = RUN_CFG.encode() + (b"\n[sweep]\n" if command == "sweep" else b"")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"# r\xe9sum\xe9\n" + text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    cfg.write_bytes(text.replace(b"M = 2", b"M = 2\xe9"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert "line 9: bad value for 'M'" in capsys.readouterr().err
+    cfg.write_bytes(text.replace(b"M = 2", b"M\xe9 = 2"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert "line 9: unknown key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,flag,env,named", [
     ("sweep", ["--workers", "-3"], None, "--workers"),
     ("sweep", ["--workers", "0"], None, "--workers"),
