@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .mdp import LinearMdp
-from .psdmat import PsdMatrix
+from .psdmat import Covariance, PsdMatrix
 
 # Strictness guard for the determinant trigger. One-hot features make the
 # determinant ratio a product of small rationals, so it lands EXACTLY on the
@@ -124,13 +124,14 @@ class TransitionStore:
 
 
 class QParams:
-    """Regression weights, covariance snapshots, and the bonus multiplier."""
+    """Regression weights, covariance snapshots (of class ``cov_cls``), and the
+    bonus multiplier."""
 
     __slots__ = ("w", "cov", "beta")
 
-    def __init__(self, d: int, H: int, ridge: float, beta: float):
+    def __init__(self, d: int, H: int, ridge: float, beta: float, cov_cls: type = PsdMatrix):
         self.w = np.zeros((H, d))
-        self.cov = [PsdMatrix(d, ridge) for _ in range(H)]
+        self.cov: list[Covariance] = [cov_cls(d, ridge) for _ in range(H)]
         self.beta = float(beta)
 
 
@@ -144,17 +145,18 @@ class LsviAgent:
     incremental so the determinant trigger is O(H) per episode.
     """
 
-    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float):
+    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float,
+                 cov_cls: type = PsdMatrix):
         self.agent_id = agent_id
         self.d = d
         self.H = H
         self.alpha = float(alpha)
-        self.qparams = QParams(d, H, ridge, beta)
+        self.qparams = QParams(d, H, ridge, beta, cov_cls)
         self._log_threshold = math.log1p(self.alpha)
         # Per-h local delta since last update: raw vectors + aligned transitions.
         self.loc_features: list[list[np.ndarray]] = [[] for _ in range(H)]
         self.loc_transitions: list[list[Transition]] = [[] for _ in range(H)]
-        self._scratch: list[Optional[PsdMatrix]] = [None] * H
+        self._scratch: list[Optional[Covariance]] = [None] * H
         # Own-trajectory history per h, filled by own_history (read only by
         # the no-communication refit); _own_moved counts rows already moved.
         self._own = [TransitionStore() for _ in range(H)]
@@ -201,7 +203,7 @@ class LsviAgent:
         if self._scratch[hh] is not None:
             self._scratch[hh].rank_one_update(phi)
 
-    def _ensure_scratch(self, hh: int) -> PsdMatrix:
+    def _ensure_scratch(self, hh: int) -> Covariance:
         if self._scratch[hh] is None:
             scratch = self.qparams.cov[hh].copy()
             for v in self.loc_features[hh]:
@@ -232,7 +234,7 @@ class LsviAgent:
         self._scratch = [None] * self.H
         self._own_moved = [0] * self.H
 
-    def local_cov_snapshot(self) -> list[PsdMatrix]:
+    def local_cov_snapshot(self) -> list[Covariance]:
         """Per-h cov_h + local delta, handing off the scratch objects.
 
         This is the covariance a no-communication learner adopts when its
@@ -256,7 +258,7 @@ class LsviAgent:
 
     def lsvi_backward_update(self, mdp: LinearMdp,
                              global_data: Sequence[TransitionBatch],
-                             global_cov: Sequence[PsdMatrix]) -> QParams:
+                             global_cov: Sequence[Covariance]) -> QParams:
         """Recompute all regression weights from the given global dataset.
 
         For h = H down to 1 the targets are r + max_a Q_{h+1}(s', a) with

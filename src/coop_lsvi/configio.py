@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 from .harness import ConfigError, RunConfig
 from .mdp import InvalidMdpError, g17, read_mdp, require_valid
+from .schedules import SEEDED_SCHEDULE_KINDS
 
 # (section, key) -> (RunConfig field, type) for every key that sets one field.
 _FIELDS = {
@@ -281,7 +282,7 @@ def emit_config(cfg: RunConfig) -> str:
         "[schedule]",
         f"kind = {cfg.schedule}",
     ]
-    if cfg.schedule in ("uniform_random", "bursty") and cfg.schedule_seed is not None:
+    if cfg.schedule in SEEDED_SCHEDULE_KINDS and cfg.schedule_seed is not None:
         lines.append(f"seed = {cfg.schedule_seed}")
     if cfg.schedule == "bursty":
         lines.append(f"block_len = {cfg.schedule_block}")

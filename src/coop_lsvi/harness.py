@@ -18,8 +18,9 @@ from . import mdp as mdp_mod
 from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
                     theoretical_beta)
 from .mdp import LinearMdp, PlannerOutput, g17
-from .psdmat import PsdMatrix
-from .schedules import INIT_STATE_KINDS, SCHEDULE_KINDS, make_initial_states, make_schedule
+from .psdmat import Covariance, covariance_class
+from .schedules import (INIT_STATE_KINDS, SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS,
+                        make_initial_states, make_schedule)
 from .server import CentralServer, Decision, ProtocolKind, protocol_decide
 
 _MASK64 = (1 << 64) - 1
@@ -165,7 +166,7 @@ class RunConfig:
             out.beta_value = 0.1 if out.beta_mode == "practical" else 1.0
         if out.init_state is None:
             out.init_state = "epoch" if out.mdp_kind == "hard" else "fixed"
-        if out.schedule in ("uniform_random", "bursty") and out.schedule_seed is None:
+        if out.schedule in SEEDED_SCHEDULE_KINDS and out.schedule_seed is None:
             out.schedule_seed = mix_seed(out.master_seed, TAG_SCHEDULE)
         out.validate()
         return out
@@ -320,7 +321,7 @@ class RunState:
     init_states: np.ndarray
     record: RunRecord
     tables: list[Optional[_AgentTables]]
-    all_cov: Optional[list[PsdMatrix]] = None
+    all_cov: Optional[list[Covariance]] = None
     cum_comm: int = 0
     cum_switch: int = 0
 
@@ -375,12 +376,14 @@ def build_run_state(cfg: RunConfig) -> RunState:
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)
-    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)
+    # Every covariance of the run is of one class: diagonal on one-hot features.
+    cov_cls = covariance_class(mdp.features)
+    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, cov_cls)
               for m in range(1, cfg.M + 1)]
-    all_cov = ([PsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
+    all_cov = ([cov_cls(mdp.d, cfg.ridge) for _ in range(mdp.H)]
                if cfg.diagnostics else None)
     state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
-                     server=CentralServer(mdp.d, mdp.H, cfg.ridge),
+                     server=CentralServer(mdp.d, mdp.H, cfg.ridge, cov_cls),
                      protocol=ProtocolKind(cfg.protocol),
                      schedule=make_schedule(cfg, mdp.d),
                      init_states=make_initial_states(
@@ -393,7 +396,7 @@ def build_run_state(cfg: RunConfig) -> RunState:
     return state
 
 
-def _refit(state: RunState, agent: LsviAgent, covs: list[PsdMatrix],
+def _refit(state: RunState, agent: LsviAgent, covs: list[Covariance],
            data: list[TransitionBatch]) -> None:
     """Adopt new parameters: backward update, local reset, stale table out."""
     agent.lsvi_backward_update(state.mdp, data, covs)

@@ -1,15 +1,22 @@
-"""Dense SPD matrices maintained under rank-one updates.
+"""SPD matrices maintained under rank-one updates.
 
 Every covariance matrix in the simulator (per-agent, per-server, and the
-universal diagnostic matrix) is one of these: a ridge-regularized sum of
-feature outer products, with the inverse and log-determinant cached so a
-single update costs O(d^2) instead of O(d^3).
+universal diagnostic matrix) is a ridge-regularized sum of feature outer
+products with cached inverse and log-determinant. ``covariance_class`` picks
+its class once per run from the instance's features. ``PsdMatrix`` is the
+dense reference, O(d^2) per update. ``DiagonalPsdMatrix`` serves one-hot
+features, which every built instance has: each update is some e_j, so the
+matrix stays ridge * I plus a diagonal of visit counts, at O(1) per update.
+On a diagonal matrix every off-diagonal product of the dense path is an
+exact zero, so repeating its arithmetic entry by entry, Cholesky refresh
+every REFRESH_PERIOD updates included, gives the same bits: a run's
+trajectory does not depend on the class it uses.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -116,7 +123,119 @@ class PsdMatrix:
         return x
 
 
-def det_ratio(base: PsdMatrix, delta: Iterable[np.ndarray]) -> float:
+def _read_only_diag(values: np.ndarray) -> np.ndarray:
+    out = np.diag(values)
+    out.setflags(write=False)
+    return out
+
+
+class DiagonalPsdMatrix:
+    """ridge * I plus a diagonal of counts, grown by standard basis vectors.
+
+    Stores the diagonals of the matrix and of its inverse. For e_j it computes
+    what PsdMatrix computes (q = inv[j]; diag[j] += 1; inv[j] -= q*q/(1+q);
+    logdet += log1p(q)). Its refresh is the dense Cholesky refresh done
+    elementwise: the factor is c = sqrt(diag), and OpenBLAS's triangular
+    solves give inv = (1/c)*(1/c), which 1/diag and (1/c)/c are not, bit for
+    bit. tests/test_psdmat.py checks the equality exactly, so a BLAS that
+    rounds the refresh differently fails there. ``mat`` and ``inv`` are
+    read-only dense copies.
+    """
+
+    __slots__ = ("dim", "ridge", "diag", "inv_diag", "logdet", "updates_since_refresh")
+
+    def __init__(self, dim: int, ridge: float):
+        if not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        if dim > MAX_DIM:
+            raise ValueError(f"dim {dim} exceeds MAX_DIM={MAX_DIM}")
+        if not ridge > 0.0:
+            raise ValueError(f"ridge must be positive, got {ridge!r}")
+        self.dim = int(dim)
+        self.ridge = float(ridge)
+        self.diag = np.full(self.dim, self.ridge)
+        self.inv_diag = 1.0 / self.diag
+        self.logdet = self.dim * math.log(self.ridge)
+        self.updates_since_refresh = 0
+
+    mat = property(lambda self: _read_only_diag(self.diag))
+    inv = property(lambda self: _read_only_diag(self.inv_diag))
+
+    def copy(self) -> "DiagonalPsdMatrix":
+        """Deep copy preserving the refresh counter (bit-identical replay)."""
+        out = object.__new__(DiagonalPsdMatrix)
+        out.dim = self.dim
+        out.ridge = self.ridge
+        out.diag = self.diag.copy()
+        out.inv_diag = self.inv_diag.copy()
+        out.logdet = self.logdet
+        out.updates_since_refresh = self.updates_since_refresh
+        return out
+
+    def rank_one_update(self, v: np.ndarray) -> None:
+        """Add e_j e_j^T in place; v must be a standard basis vector."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.dim,):
+            raise ValueError(f"vector shape {v.shape} != ({self.dim},)")
+        nonzero = v.nonzero()[0].tolist()
+        if len(nonzero) != 1 or v.item(nonzero[0]) != 1.0:
+            norm = float(np.linalg.norm(v))
+            if not norm <= 1.0 + FEATURE_NORM_SLACK:
+                raise ValueError(f"feature norm {norm:.6g} exceeds 1")
+            raise ValueError("a diagonal covariance takes only standard basis vectors")
+        j = nonzero[0]
+        q = self.inv_diag.item(j)
+        self.diag[j] += 1.0
+        self.inv_diag[j] = q - q * q / (1.0 + q)
+        self.logdet += math.log1p(q)
+        self.updates_since_refresh += 1
+        if self.updates_since_refresh >= REFRESH_PERIOD:
+            self.refresh()
+
+    def refresh(self) -> None:
+        """Recompute inverse and logdet from the diagonal's Cholesky factor."""
+        c = np.sqrt(self.diag)
+        r = 1.0 / c
+        self.inv_diag = r * r
+        self.logdet = 2.0 * float(np.sum(np.log(c)))
+        self.updates_since_refresh = 0
+
+    def quad_form_many(self, vs: np.ndarray) -> np.ndarray:
+        """Row-wise v^T inv v for an (n, d) stack of vectors, in O(n d).
+
+        A one-hot row e_j gives inv[j] exactly, as in ``PsdMatrix``; the
+        inverse diagonal is positive, so no clamp at 0 is needed.
+        """
+        return (vs * vs) @ self.inv_diag
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve mat x = b with PsdMatrix.solve's refinement, elementwise."""
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (self.dim,):
+            raise ValueError(f"right-hand side shape {b.shape} != ({self.dim},)")
+        x = self.inv_diag * b
+        x += self.inv_diag * (b - self.diag * x)
+        return x
+
+
+# A run's covariance matrices are all of one of these classes.
+Covariance = Union[PsdMatrix, DiagonalPsdMatrix]
+
+
+def covariance_class(features: np.ndarray) -> type:
+    """The covariance class for a run on an instance with these features.
+
+    DiagonalPsdMatrix when every feature row is a standard basis vector,
+    which holds for every instance the simulator builds; the dense PsdMatrix
+    otherwise.
+    """
+    rows = features.reshape(-1, features.shape[-1])
+    one_hot = (np.all(np.count_nonzero(rows, axis=1) == 1)
+               and np.all(rows.max(axis=1) == 1.0))
+    return DiagonalPsdMatrix if one_hot else PsdMatrix
+
+
+def det_ratio(base: Covariance, delta: Iterable[np.ndarray]) -> float:
     """det(base + sum vv^T) / det(base), computed entirely in log space.
 
     A scratch copy of ``base`` receives the delta vectors as rank-one
@@ -126,7 +245,7 @@ def det_ratio(base: PsdMatrix, delta: Iterable[np.ndarray]) -> float:
     return math.exp(log_det_ratio(base, delta))
 
 
-def log_det_ratio(base: PsdMatrix, delta: Iterable[np.ndarray]) -> float:
+def log_det_ratio(base: Covariance, delta: Iterable[np.ndarray]) -> float:
     """log of det_ratio; this is the form the communication trigger compares."""
     scratch = base.copy()
     for v in delta:

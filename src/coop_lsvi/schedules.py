@@ -18,6 +18,8 @@ if TYPE_CHECKING:
     from .harness import RunConfig
 
 SCHEDULE_KINDS = ("round_robin", "uniform_random", "bursty", "single_agent", "lower_bound")
+# The kinds that draw from schedule_seed; RunConfig.resolved() fills it for them.
+SEEDED_SCHEDULE_KINDS = ("uniform_random", "bursty")
 INIT_STATE_KINDS = ("fixed", "uniform_random", "epoch")
 
 

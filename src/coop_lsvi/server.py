@@ -12,7 +12,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .agent import TransitionBatch, TransitionStore
-from .psdmat import PsdMatrix
+from .psdmat import Covariance, PsdMatrix
 
 if TYPE_CHECKING:
     from .agent import LsviAgent
@@ -49,11 +49,11 @@ class ProtocolViolation(RuntimeError):
 class CentralServer:
     """Aggregated covariance and transition store, mutated strictly in turn."""
 
-    def __init__(self, d: int, H: int, ridge: float):
+    def __init__(self, d: int, H: int, ridge: float, cov_cls: type = PsdMatrix):
         self.d = d
         self.H = H
         self.ridge = ridge
-        self.cov = [PsdMatrix(d, ridge) for _ in range(H)]
+        self.cov: list[Covariance] = [cov_cls(d, ridge) for _ in range(H)]
         # Per h: the global store plus the set of its episode keys.
         self._store = [TransitionStore() for _ in range(H)]
         self._episodes: list[set[int]] = [set() for _ in range(H)]
@@ -77,7 +77,7 @@ class CentralServer:
                 store.add(t)
                 self.cov[hh].rank_one_update(phi)
 
-    def download(self) -> tuple[list[PsdMatrix], list[TransitionBatch]]:
+    def download(self) -> tuple[list[Covariance], list[TransitionBatch]]:
         """Per-h covariance snapshots and the full global store.
 
         The snapshots are copies the caller may adopt (the backward update

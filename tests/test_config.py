@@ -11,6 +11,7 @@ from coop_lsvi.configio import (_AXES, _FIELDS, SweepSpec, config_hash,
                                 emit_config, expand_sweep, parse_config,
                                 parse_config_file)
 from coop_lsvi.harness import ConfigError, RunConfig
+from coop_lsvi.schedules import SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS
 from coop_lsvi.server import ProtocolKind
 
 CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -172,6 +173,14 @@ seed = 77
 """
         resolved = parse_config(text).resolved()
         assert parse_config(emit_config(resolved)).resolved() == resolved
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_seeded_kinds_fill_and_echo_their_seed(self, kind):
+        # A seeded kind left without a seed would draw from OS entropy.
+        resolved = RunConfig(schedule=kind, M=2, K=10).resolved()
+        seeded = kind in SEEDED_SCHEDULE_KINDS
+        assert (resolved.schedule_seed is not None) == seeded
+        assert (f"seed = {resolved.schedule_seed}" in emit_config(resolved)) == seeded
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=_run_configs())

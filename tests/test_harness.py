@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coop_lsvi import harness
 from coop_lsvi import mdp as mdp_mod
 from coop_lsvi.agent import LsviAgent
 from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_state,
@@ -12,8 +13,9 @@ from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_s
                                metrics_csv_text, mix_seed, per_epoch_counts,
                                run_experiment)
 from coop_lsvi.mdp import value_iteration
-from coop_lsvi.psdmat import det_ratio
+from coop_lsvi.psdmat import DiagonalPsdMatrix, PsdMatrix, det_ratio
 from coop_lsvi.schedules import make_initial_states, make_schedule
+from coop_lsvi.server import ProtocolKind
 
 
 class TestMixSeed:
@@ -173,6 +175,38 @@ class TestDeterminism:
         assert np.array_equal(a.regret_inc, b.regret_inc)
         assert b.total_comm == 0
         assert a.total_comm == a.total_switches == b.total_switches
+
+
+def _run_bytes(cfg):
+    """The covariance classes a run used, its metrics CSV bytes and the bytes
+    of its diagnostic arrays."""
+    classes = set()
+
+    def hook(view):
+        classes.update(type(c) for c in view.server.cov + view.agent.qparams.cov)
+
+    rec = run_experiment(cfg, episode_hook=hook)
+    return classes, (metrics_csv_text(rec).encode(), rec.agent_logdet.tobytes(),
+                     rec.all_logdet.tobytes(), rec.optimism_slack.tobytes())
+
+
+class TestCovarianceClasses:
+    """A run's bytes do not depend on which covariance class it uses."""
+
+    @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+    @pytest.mark.parametrize("instance", [
+        dict(mdp_kind="hard", mdp_d=8, M=4, K=1200),
+        dict(mdp_kind="random", mdp_n_states=40, mdp_n_actions=5, mdp_horizon=3, M=3, K=12),
+    ], ids=["hard", "random_d200"])
+    def test_diagonal_and_dense_runs_are_byte_identical(self, monkeypatch, instance, protocol):
+        cfg = RunConfig(**instance, protocol=protocol, schedule="uniform_random",
+                        master_seed=3, diagnostics=True)
+        diag_classes, diag_bytes = _run_bytes(cfg)
+        monkeypatch.setattr(harness, "covariance_class", lambda features: PsdMatrix)
+        dense_classes, dense_bytes = _run_bytes(cfg)
+        assert diag_classes == {DiagonalPsdMatrix}
+        assert dense_classes == {PsdMatrix}
+        assert diag_bytes == dense_bytes
 
 
 class TestAccounting:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coop_lsvi.psdmat import MAX_DIM, REFRESH_PERIOD, PsdMatrix, det_ratio, log_det_ratio
+from coop_lsvi import mdp
+from coop_lsvi.psdmat import (MAX_DIM, REFRESH_PERIOD, DiagonalPsdMatrix, PsdMatrix,
+                             covariance_class, det_ratio, log_det_ratio)
 
 
 def e(i, d):
@@ -260,3 +262,138 @@ def test_det_ratio_at_least_one(seed, n):
     deltas = list(random_unit_vectors(rng, n, d)) if n else []
     assert log_det_ratio(base, deltas) >= 0.0
     assert det_ratio(base, deltas) >= 1.0
+
+
+# -- the diagonal covariance of one-hot runs ----------------------------------
+
+
+def assert_same_bits(diag, dense, rng):
+    """Every cached quantity of ``diag`` equals the dense one exactly."""
+    d = dense.dim
+    assert diag.logdet == dense.logdet
+    assert diag.updates_since_refresh == dense.updates_since_refresh
+    assert np.array_equal(diag.mat, dense.mat)
+    assert np.array_equal(diag.inv_diag, np.diag(dense.inv))
+    assert np.array_equal(diag.inv, dense.inv)
+    assert np.array_equal(diag.quad_form_many(np.eye(d)), dense.quad_form_many(np.eye(d)))
+    for _ in range(3):
+        b = rng.standard_normal(d)
+        assert np.array_equal(diag.solve(b), dense.solve(b))
+
+
+def one_hot_run(d, ridge, js, rng, check_every):
+    """Apply e_j for each j to both classes, comparing them as they go."""
+    diag, dense = DiagonalPsdMatrix(d, ridge), PsdMatrix(d, ridge)
+    assert_same_bits(diag, dense, rng)
+    for i, j in enumerate(js, 1):
+        diag.rank_one_update(e(j, d))
+        dense.rank_one_update(e(j, d))
+        assert diag.logdet == dense.logdet
+        if i % check_every == 0 or dense.updates_since_refresh == 0:
+            assert_same_bits(diag, dense, rng)
+    assert_same_bits(diag, dense, rng)
+    return diag, dense
+
+
+class TestDiagonalBitIdentity:
+    """DiagonalPsdMatrix holds the same bits as PsdMatrix after the same
+    one-hot updates, refreshes included; trajectories rest on this."""
+
+    @pytest.mark.parametrize("ridge", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("d", [8, 200])
+    def test_matches_dense_across_refreshes(self, d, ridge):
+        rng = np.random.default_rng(d)
+        n = 2 * REFRESH_PERIOD + 100
+        # Skewed indices: some coordinates collect hundreds of counts.
+        js = np.minimum(rng.geometric(4.0 / d, size=n) - 1, d - 1)
+        diag, dense = one_hot_run(d, ridge, js, rng, check_every=97)
+        assert diag.updates_since_refresh == 100
+
+    @pytest.mark.parametrize("d", [8, 200])
+    def test_copy_is_independent(self, d):
+        rng = np.random.default_rng(d + 1)
+        diag, dense = one_hot_run(d, 1.0, rng.integers(0, d, size=300), rng, check_every=100)
+        diag_copy, dense_copy = diag.copy(), dense.copy()
+        for j in rng.integers(0, d, size=REFRESH_PERIOD):
+            diag.rank_one_update(e(j, d))
+            dense.rank_one_update(e(j, d))
+        assert_same_bits(diag, dense, rng)
+        assert_same_bits(diag_copy, dense_copy, rng)
+        assert diag_copy.updates_since_refresh == 300
+        assert not np.array_equal(diag_copy.mat, diag.mat)
+        for j in rng.integers(0, d, size=REFRESH_PERIOD):
+            diag_copy.rank_one_update(e(j, d))
+            dense_copy.rank_one_update(e(j, d))
+        assert_same_bits(diag_copy, dense_copy, rng)
+        assert_same_bits(diag, dense, rng)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=12),
+           ridge=st.floats(min_value=1e-3, max_value=10.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=0, max_value=2 * REFRESH_PERIOD + 10))
+    def test_matches_dense_property(self, d, ridge, seed, n):
+        rng = np.random.default_rng(seed)
+        one_hot_run(d, ridge, rng.integers(0, d, size=n), rng, check_every=REFRESH_PERIOD // 2)
+
+    def test_trigger_ratio_matches_dense(self):
+        rng = np.random.default_rng(7)
+        deltas = [e(j, 6) for j in rng.integers(0, 6, size=9)]
+        diag, dense = one_hot_run(6, 1.0, rng.integers(0, 6, size=40), rng, check_every=10)
+        assert log_det_ratio(diag, deltas) == log_det_ratio(dense, deltas)
+
+
+class TestDiagonalInvariants:
+    @pytest.mark.parametrize("v", [np.zeros(3), np.zeros((2, 1)), np.ones((1, 2))])
+    def test_wrong_shape_rejected(self, v):
+        with pytest.raises(ValueError, match="shape"):
+            DiagonalPsdMatrix(2, 1.0).rank_one_update(v)
+
+    @pytest.mark.parametrize("v", [np.zeros(2), np.array([0.5, 0.0]), np.array([0.6, 0.8]),
+                                   np.array([-1.0, 0.0]), np.array([1.0, 1e-300]),
+                                   np.array([np.nan, 0.0]), np.array([1.0, np.nan])])
+    def test_non_coordinate_vector_rejected(self, v):
+        m = DiagonalPsdMatrix(2, 1.0)
+        with pytest.raises(ValueError):
+            m.rank_one_update(v)
+        assert np.array_equal(m.mat, np.eye(2)) and m.logdet == 0.0
+        assert m.updates_since_refresh == 0
+
+    @pytest.mark.parametrize("v", [np.array([5.0, 0.0]), np.array([0.8, 0.8]),
+                                   np.array([1.0, 1e-3])])
+    def test_norm_above_one_rejected(self, v):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            DiagonalPsdMatrix(2, 1.0).rank_one_update(v)
+
+    @pytest.mark.parametrize("dim,ridge", [(0, 1.0), (-1, 1.0), (2.0, 1.0), (3, 0.0),
+                                           (3, -2.0), (MAX_DIM + 1, 1.0)])
+    def test_invalid_arguments(self, dim, ridge):
+        with pytest.raises(ValueError):
+            DiagonalPsdMatrix(dim, ridge)
+
+    def test_solve_rejects_matrix_right_hand_side(self):
+        with pytest.raises(ValueError, match="shape"):
+            DiagonalPsdMatrix(2, 1.0).solve(np.eye(2))
+
+    def test_dense_views_are_read_only(self):
+        m = DiagonalPsdMatrix(3, 1.0)
+        for view in (m.mat, m.inv):
+            with pytest.raises(ValueError):
+                view[0, 0] = 5.0
+        assert m.diag[0] == 1.0 and m.inv_diag[0] == 1.0
+
+
+class TestCovarianceClass:
+    def test_every_built_instance_is_diagonal(self, tmp_path):
+        path = tmp_path / "inst.mdp"
+        mdp.write_mdp(mdp.random_tabular(1, 4, 3, 2), str(path))
+        for inst in (mdp.hard_instance(8, 3, 0.25), mdp.random_tabular(0, 40, 5, 3),
+                     mdp.read_mdp(str(path))):
+            assert covariance_class(inst.features) is DiagonalPsdMatrix
+
+    @pytest.mark.parametrize("feature", [[0.6, 0.8], [0.5, 0.0], [-1.0, 0.0], [1.0, 1.0]])
+    def test_other_features_are_dense(self, feature):
+        inst = mdp.LinearMdp(d=2, H=1, n_states=1, n_actions=2,
+                             features=np.array([[feature, [0.0, 1.0]]]),
+                             transitions=np.ones((1, 1, 2, 1)), rewards=np.zeros((1, 1, 2)))
+        assert covariance_class(inst.features) is PsdMatrix
