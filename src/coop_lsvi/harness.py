@@ -18,7 +18,7 @@ from . import mdp as mdp_mod
 from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
                     theoretical_beta)
 from .mdp import LinearMdp, PlannerOutput, g17
-from .psdmat import Covariance, covariance_class
+from .psdmat import Covariance, DiagonalPsdMatrix
 from .schedules import (INIT_STATE_KINDS, SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS,
                         make_initial_states, make_schedule)
 from .server import CentralServer, Decision, ProtocolKind, protocol_decide
@@ -376,14 +376,14 @@ def build_run_state(cfg: RunConfig) -> RunState:
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)
-    # Every covariance of the run is of one class: diagonal on one-hot features.
-    cov_cls = covariance_class(mdp.features)
-    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, cov_cls)
+    # Every built instance is one-hot, so every covariance of the run is a
+    # diagonal; its rank_one_update rejects any other feature vector.
+    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, DiagonalPsdMatrix)
               for m in range(1, cfg.M + 1)]
-    all_cov = ([cov_cls(mdp.d, cfg.ridge) for _ in range(mdp.H)]
+    all_cov = ([DiagonalPsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
                if cfg.diagnostics else None)
     state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
-                     server=CentralServer(mdp.d, mdp.H, cfg.ridge, cov_cls),
+                     server=CentralServer(mdp.d, mdp.H, cfg.ridge, DiagonalPsdMatrix),
                      protocol=ProtocolKind(cfg.protocol),
                      schedule=make_schedule(cfg, mdp.d),
                      init_states=make_initial_states(

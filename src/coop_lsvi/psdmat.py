@@ -2,11 +2,11 @@
 
 Every covariance matrix in the simulator (per-agent, per-server, and the
 universal diagnostic matrix) is a ridge-regularized sum of feature outer
-products with cached inverse and log-determinant. ``covariance_class`` picks
-its class once per run from the instance's features. ``PsdMatrix`` is the
-dense reference, O(d^2) per update. ``DiagonalPsdMatrix`` serves one-hot
-features, which every built instance has: each update is some e_j, so the
-matrix stays ridge * I plus a diagonal of visit counts, at O(1) per update.
+products with cached inverse and log-determinant. ``PsdMatrix`` is the
+dense reference, O(d^2) per update, and the default of an agent or server
+built directly. ``DiagonalPsdMatrix`` is what every run uses: every built
+instance has one-hot features, so each update is some e_j and the matrix
+stays ridge * I plus a diagonal of visit counts, at O(1) per update.
 On a diagonal matrix every off-diagonal product of the dense path is an
 exact zero, so repeating its arithmetic entry by entry, Cholesky refresh
 every REFRESH_PERIOD updates included, gives the same bits: a run's
@@ -218,21 +218,8 @@ class DiagonalPsdMatrix:
         return x
 
 
-# A run's covariance matrices are all of one of these classes.
+# Either class serves wherever the agent, server and trigger read a covariance.
 Covariance = Union[PsdMatrix, DiagonalPsdMatrix]
-
-
-def covariance_class(features: np.ndarray) -> type:
-    """The covariance class for a run on an instance with these features.
-
-    DiagonalPsdMatrix when every feature row is a standard basis vector,
-    which holds for every instance the simulator builds; the dense PsdMatrix
-    otherwise.
-    """
-    rows = features.reshape(-1, features.shape[-1])
-    one_hot = (np.all(np.count_nonzero(rows, axis=1) == 1)
-               and np.all(rows.max(axis=1) == 1.0))
-    return DiagonalPsdMatrix if one_hot else PsdMatrix
 
 
 def det_ratio(base: Covariance, delta: Iterable[np.ndarray]) -> float:

@@ -202,7 +202,7 @@ class TestCovarianceClasses:
         cfg = RunConfig(**instance, protocol=protocol, schedule="uniform_random",
                         master_seed=3, diagnostics=True)
         diag_classes, diag_bytes = _run_bytes(cfg)
-        monkeypatch.setattr(harness, "covariance_class", lambda features: PsdMatrix)
+        monkeypatch.setattr(harness, "DiagonalPsdMatrix", PsdMatrix)
         dense_classes, dense_bytes = _run_bytes(cfg)
         assert diag_classes == {DiagonalPsdMatrix}
         assert dense_classes == {PsdMatrix}

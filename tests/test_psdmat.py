@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coop_lsvi import mdp
 from coop_lsvi.psdmat import (MAX_DIM, REFRESH_PERIOD, DiagonalPsdMatrix, PsdMatrix,
-                             covariance_class, det_ratio, log_det_ratio)
+                             det_ratio, log_det_ratio)
 
 
 def e(i, d):
@@ -381,19 +380,3 @@ class TestDiagonalInvariants:
             with pytest.raises(ValueError):
                 view[0, 0] = 5.0
         assert m.diag[0] == 1.0 and m.inv_diag[0] == 1.0
-
-
-class TestCovarianceClass:
-    def test_every_built_instance_is_diagonal(self, tmp_path):
-        path = tmp_path / "inst.mdp"
-        mdp.write_mdp(mdp.random_tabular(1, 4, 3, 2), str(path))
-        for inst in (mdp.hard_instance(8, 3, 0.25), mdp.random_tabular(0, 40, 5, 3),
-                     mdp.read_mdp(str(path))):
-            assert covariance_class(inst.features) is DiagonalPsdMatrix
-
-    @pytest.mark.parametrize("feature", [[0.6, 0.8], [0.5, 0.0], [-1.0, 0.0], [1.0, 1.0]])
-    def test_other_features_are_dense(self, feature):
-        inst = mdp.LinearMdp(d=2, H=1, n_states=1, n_actions=2,
-                             features=np.array([[feature, [0.0, 1.0]]]),
-                             transitions=np.ones((1, 1, 2, 1)), rewards=np.zeros((1, 1, 2)))
-        assert covariance_class(inst.features) is PsdMatrix
