@@ -3,7 +3,10 @@
 A run is strictly sequential: one active agent per episode. Determinism is
 enforced by deriving every random stream from (master_seed, episode, stream
 tag) through a 64-bit avalanche mix, so trajectories are invariant to
-diagnostic toggles.
+diagnostic toggles. Episode k's trajectory stream is the uniforms
+np.random.default_rng(mix_seed(master_seed, k, TAG_TRAJECTORY)) gives; the run
+loop computes them for a block of episodes at a time with
+streams.default_rng_uniforms, which returns those same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from .psdmat import Covariance, DiagonalPsdMatrix
 from .schedules import (INIT_STATE_KINDS, SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS,
                         make_initial_states, make_schedule)
 from .server import CentralServer, Decision, ProtocolKind, protocol_decide
-
-_MASK64 = (1 << 64) - 1
+from .streams import default_rng_uniforms, mix_seed, mix_seeds
 
 # Stream tags: trajectory sampling, participation schedule, initial-state
 # schedule.
@@ -31,18 +33,10 @@ TAG_TRAJECTORY = 0xA1
 TAG_SCHEDULE = 0xA3
 TAG_INIT = 0xA4
 
-
-def mix_seed(master: int, *streams: int) -> int:
-    """Chain the splitmix64 finalizer over (master, streams...)."""
-    z = master & _MASK64
-    for s in streams:
-        z = (z + 0x9E3779B97F4A7C15 + (s & _MASK64)) & _MASK64
-        z ^= z >> 30
-        z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-        z ^= z >> 27
-        z = (z * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-    return z
+# Episodes whose trajectory uniforms run_experiment computes in one call of
+# default_rng_uniforms: enough to spread the call's fixed cost thin, and a
+# bound (TRAJECTORY_BLOCK * H) on the uniforms held at once, whatever K is.
+TRAJECTORY_BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -465,6 +459,21 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
                        decision=decision)
 
 
+class _EpisodeUniforms:
+    """Stands in for episode k's trajectory generator in run_episode: its
+    random() hands out the H precomputed uniforms in order, and no more."""
+
+    __slots__ = ("_left",)
+
+    def __init__(self, draws: list[float]):
+        self._left = draws[::-1]
+
+    def random(self) -> float:
+        if not self._left:
+            raise RuntimeError("an episode draws at most H trajectory uniforms")
+        return self._left.pop()
+
+
 def run_experiment(config: RunConfig,
                    episode_hook: Optional[Callable[[EpisodeView], None]] = None
                    ) -> RunRecord:
@@ -472,15 +481,18 @@ def run_experiment(config: RunConfig,
 
     Identical configurations produce identical RunRecords; the optional
     diagnostic hook observes each finished episode and must not mutate run
-    state or consume its random streams.
+    state. Each block of episodes' trajectory uniforms is computed before the
+    block runs, so a hook cannot consume the trajectory stream.
     """
     state = build_run_state(config)
     cfg = state.config
-    for k in range(1, cfg.K + 1):
-        rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-        view = run_episode(state, k, rng)
-        if episode_hook is not None:
-            episode_hook(view)
+    for start in range(1, cfg.K + 1, TRAJECTORY_BLOCK):
+        ks = np.arange(start, min(start + TRAJECTORY_BLOCK, cfg.K + 1))
+        seeds = mix_seeds(cfg.master_seed, ks, TAG_TRAJECTORY)
+        for k, draws in zip(ks.tolist(), default_rng_uniforms(seeds, state.mdp.H).tolist()):
+            view = run_episode(state, k, _EpisodeUniforms(draws))
+            if episode_hook is not None:
+                episode_hook(view)
     record = state.record
     if cfg.diagnostics:
         record.epoch_starts = epoch_boundaries(record.all_logdet, cfg.ridge, state.mdp.d)

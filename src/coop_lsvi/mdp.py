@@ -74,8 +74,15 @@ class LinearMdp:
         """Sample one environment step; the reward is deterministic in (s, a, h).
 
         The next state is drawn by inverse CDF on the transition row, so the
-        outcome is a pure function of (mdp, s, a, h, rng state).
+        outcome is a pure function of (mdp, s, a, h, rng state). An index out
+        of range raises ValueError rather than wrapping to another row.
         """
+        if not 0 <= s < self.n_states:
+            raise ValueError(f"s={s}: state out of [0, {self.n_states})")
+        if not 0 <= a < self.n_actions:
+            raise ValueError(f"a={a}: action out of [0, {self.n_actions})")
+        if not 1 <= h <= self.H:
+            raise ValueError(f"h={h}: step out of [1, {self.H}]")
         cum_row = self._cum_rows[h - 1, s, a]
         u = rng.random()
         nxt = int(np.searchsorted(cum_row, u, side="right"))

@@ -177,6 +177,11 @@ class TestDeterminism:
         assert a.total_comm == a.total_switches == b.total_switches
 
 
+def _diagnostic_bytes(rec):
+    return (metrics_csv_text(rec).encode(), rec.agent_logdet.tobytes(),
+            rec.all_logdet.tobytes(), rec.optimism_slack.tobytes())
+
+
 def _run_bytes(cfg):
     """The covariance classes a run used, its metrics CSV bytes and the bytes
     of its diagnostic arrays."""
@@ -186,8 +191,7 @@ def _run_bytes(cfg):
         classes.update(type(c) for c in view.server.cov + view.agent.qparams.cov)
 
     rec = run_experiment(cfg, episode_hook=hook)
-    return classes, (metrics_csv_text(rec).encode(), rec.agent_logdet.tobytes(),
-                     rec.all_logdet.tobytes(), rec.optimism_slack.tobytes())
+    return classes, _diagnostic_bytes(rec)
 
 
 class TestCovarianceClasses:
@@ -207,6 +211,37 @@ class TestCovarianceClasses:
         assert diag_classes == {DiagonalPsdMatrix}
         assert dense_classes == {PsdMatrix}
         assert diag_bytes == dense_bytes
+
+
+class TestTrajectoryBlocks:
+    """run_experiment's block-computed trajectory uniforms are the numbers a
+    fresh default_rng per episode draws."""
+
+    @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+    @pytest.mark.parametrize("instance", [
+        dict(mdp_kind="hard", mdp_d=8, M=4, K=101),
+        dict(mdp_kind="random", mdp_n_states=5, mdp_n_actions=3, mdp_horizon=3, M=3, K=61),
+    ], ids=["hard", "random"])
+    def test_blocked_run_matches_per_episode_generators(self, monkeypatch, instance, protocol):
+        from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
+        cfg = RunConfig(**instance, protocol=protocol, schedule="uniform_random",
+                        master_seed=3, diagnostics=True)
+        state = build_run_state(cfg)
+        for k in range(1, cfg.K + 1):
+            run_episode(state, k, np.random.default_rng(
+                mix_seed(cfg.master_seed, k, TAG_TRAJECTORY)))
+        # A block of 7 makes K cross several block boundaries.
+        monkeypatch.setattr(harness, "TRAJECTORY_BLOCK", 7)
+        seen = []
+        rec = run_experiment(cfg, episode_hook=lambda view: seen.append(view.k))
+        assert seen == list(range(1, cfg.K + 1))
+        assert _diagnostic_bytes(rec) == _diagnostic_bytes(state.record)
+
+    def test_episode_draws_at_most_h_uniforms(self):
+        draws = harness._EpisodeUniforms([0.25, 0.5])
+        assert (draws.random(), draws.random()) == (0.25, 0.5)
+        with pytest.raises(RuntimeError, match="at most H"):
+            draws.random()
 
 
 class TestAccounting:

@@ -211,6 +211,21 @@ class TestStep:
         out2 = [m.step(1, 0, 2, np.random.default_rng(9)) for _ in range(1)]
         assert out1 == out2
 
+    @pytest.mark.parametrize("s, a, h, name", [
+        (0, 0, 0, "h"), (0, 0, 4, "h"),
+        (-1, 0, 1, "s"), (4, 0, 1, "s"),
+        (0, -1, 1, "a"), (0, 2, 1, "a"),
+    ])
+    def test_out_of_range_index_raises(self, s, a, h, name):
+        """A negative index would otherwise wrap to another row's transition."""
+        m = hard_instance(8, 3, 0.1)
+        assert (m.n_states, m.n_actions, m.H) == (4, 2, 3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=rf"^{name}="):
+            m.step(s, a, h, rng)
+        # Nothing was drawn before the check.
+        assert rng.random() == np.random.default_rng(0).random()
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
