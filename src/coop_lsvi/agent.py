@@ -139,10 +139,11 @@ class LsviAgent:
     """One agent's state and operations.
 
     Between parameter updates the Q-function is frozen, so greedy acting is a
-    pure function of (s, h). Local accumulation tracks, per step h, the raw
-    feature vectors since the last update plus a scratch SPD matrix equal to
-    cov_h + sum of their outer products; the scratch is built lazily and kept
-    incremental so the determinant trigger is O(H) per episode.
+    pure function of (s, h). Local accumulation tracks, per step h, the cell
+    indices j (phi = e_j, mdp.LinearMdp.cell) of the transitions since the
+    last update plus a scratch SPD matrix equal to cov_h + sum of their
+    e_j e_j^T; the scratch is built lazily and kept incremental so the
+    determinant trigger is O(H) per episode.
     """
 
     def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float,
@@ -153,8 +154,8 @@ class LsviAgent:
         self.alpha = float(alpha)
         self.qparams = QParams(d, H, ridge, beta, cov_cls)
         self._log_threshold = math.log1p(self.alpha)
-        # Per-h local delta since last update: raw vectors + aligned transitions.
-        self.loc_features: list[list[np.ndarray]] = [[] for _ in range(H)]
+        # Per-h local delta since last update: cell indices + aligned transitions.
+        self.loc_cells: list[list[int]] = [[] for _ in range(H)]
         self.loc_transitions: list[list[Transition]] = [[] for _ in range(H)]
         self._scratch: list[Optional[Covariance]] = [None] * H
         # Own-trajectory history per h, filled by own_history (read only by
@@ -193,21 +194,29 @@ class LsviAgent:
 
     # -- local accumulation and trigger --------------------------------------
 
+    @property
+    def loc_features(self) -> list[list[np.ndarray]]:
+        """Per-h feature vectors of the local delta: read-only rows of eye(d)
+        at the recorded cell indices."""
+        eye = np.eye(self.d)
+        eye.setflags(write=False)
+        return [[eye[j] for j in cells] for cells in self.loc_cells]
+
     def record_transition(self, mdp: LinearMdp, t: Transition) -> None:
         if not 1 <= t.step <= self.H:
             raise ValueError(f"transition step {t.step} outside [1, {self.H}]")
         hh = t.step - 1
-        phi = mdp.features[t.state, t.action]
-        self.loc_features[hh].append(phi)
+        j = mdp.cell(t.state, t.action)
+        self.loc_cells[hh].append(j)
         self.loc_transitions[hh].append(t)
         if self._scratch[hh] is not None:
-            self._scratch[hh].rank_one_update(phi)
+            self._scratch[hh].add_basis(j)
 
     def _ensure_scratch(self, hh: int) -> Covariance:
         if self._scratch[hh] is None:
             scratch = self.qparams.cov[hh].copy()
-            for v in self.loc_features[hh]:
-                scratch.rank_one_update(v)
+            for j in self.loc_cells[hh]:
+                scratch.add_basis(j)
             self._scratch[hh] = scratch
         return self._scratch[hh]
 
@@ -220,7 +229,7 @@ class LsviAgent:
         1 + alpha never fires, matching the strict inequality.
         """
         for hh in range(self.H):
-            if not self.loc_features[hh]:
+            if not self.loc_cells[hh]:
                 continue
             delta = self._ensure_scratch(hh).logdet - self.qparams.cov[hh].logdet
             if delta > self._log_threshold + TRIGGER_LOG_TOLERANCE:
@@ -229,7 +238,7 @@ class LsviAgent:
 
     def reset_local(self) -> None:
         """Clear the local delta after an update (upload consumed it)."""
-        self.loc_features = [[] for _ in range(self.H)]
+        self.loc_cells = [[] for _ in range(self.H)]
         self.loc_transitions = [[] for _ in range(self.H)]
         self._scratch = [None] * self.H
         self._own_moved = [0] * self.H
@@ -272,6 +281,9 @@ class LsviAgent:
         """
         qp = self.qparams
         S, A = mdp.n_states, mdp.n_actions
+        # Row j of the flat table is phi of cell j; a 1-D take of the rows
+        # gives the same C-contiguous (n, d) design matrix as
+        # features[state, action], so phis.T @ y has the same bits.
         feats_flat = mdp.features.reshape(S * A, self.d)
         q = np.empty((self.H, S, A))
         next_value = None  # value table for step h+1, None means zero
@@ -283,7 +295,7 @@ class LsviAgent:
                 y = batch.reward.copy()
                 if next_value is not None:
                     y += next_value[batch.next_state]
-                phis = mdp.features[batch.state, batch.action]
+                phis = feats_flat[mdp.cell(batch.state, batch.action)]
                 qp.w[hh] = cov.solve(phis.T @ y)
             qp.cov[hh] = cov
             # Value table V_h(s) = max_a Q_h(s, a) for the step below.

@@ -20,7 +20,7 @@ import numpy as np
 from . import mdp as mdp_mod
 from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
                     theoretical_beta)
-from .mdp import LinearMdp, PlannerOutput, g17
+from .mdp import LinearMdp, PlannerOutput
 from .psdmat import Covariance, DiagonalPsdMatrix
 from .schedules import (INIT_STATE_KINDS, SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS,
                         make_initial_states, make_schedule)
@@ -36,6 +36,7 @@ TAG_INIT = 0xA4
 # Episodes whose trajectory uniforms run_experiment computes in one call of
 # default_rng_uniforms: enough to spread the call's fixed cost thin, and a
 # bound (TRAJECTORY_BLOCK * H) on the uniforms held at once, whatever K is.
+# metrics_csv_text formats this many rows per block, for the same reasons.
 TRAJECTORY_BLOCK = 1024
 
 
@@ -218,20 +219,20 @@ class RunRecord:
 METRICS_HEADER = "k,m_k,regret_inc,cum_regret,triggered,trigger_h,cum_comm,cum_switch"
 
 
+# One metrics row: "%d" of a Python int or bool is str(int(x)), and "%.17g"
+# of a Python float is g17(x).
+_METRICS_ROW = "%d,%d,%.17g,%.17g,%d,%d,%d,%d"
+
+
 def metrics_csv_text(record: RunRecord) -> str:
+    """The metrics CSV, formatted TRAJECTORY_BLOCK rows at a time: each block's
+    columns become Python lists once, so no whole column is held as one."""
+    columns = (record.k, record.m, record.regret_inc, record.cum_regret, record.triggered,
+               record.trigger_h, record.cum_comm, record.cum_switch)
     lines = [METRICS_HEADER]
-    cum_regret = record.cum_regret
-    for i in range(len(record.k)):
-        lines.append(",".join((
-            str(int(record.k[i])),
-            str(int(record.m[i])),
-            g17(record.regret_inc[i]),
-            g17(cum_regret[i]),
-            "1" if record.triggered[i] else "0",
-            str(int(record.trigger_h[i])),
-            str(int(record.cum_comm[i])),
-            str(int(record.cum_switch[i])),
-        )))
+    for lo in range(0, len(record.k), TRAJECTORY_BLOCK):
+        block = [col[lo:lo + TRAJECTORY_BLOCK].tolist() for col in columns]
+        lines.extend(map(_METRICS_ROW.__mod__, zip(*block)))
     return "\n".join(lines) + "\n"
 
 
@@ -371,7 +372,7 @@ def build_run_state(cfg: RunConfig) -> RunState:
     planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)
     # Every built instance is one-hot, so every covariance of the run is a
-    # diagonal; its rank_one_update rejects any other feature vector.
+    # diagonal, grown by add_basis at the cell index of each phi(s, a) = e_j.
     agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, DiagonalPsdMatrix)
               for m in range(1, cfg.M + 1)]
     all_cov = ([DiagonalPsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
@@ -431,7 +432,7 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
         agent.record_transition(mdp, Transition(episode=k, step=h, state=s, action=a,
                                                 reward=r, next_state=s_next))
         if diag:
-            state.all_cov[h - 1].rank_one_update(mdp.features[s, a])
+            state.all_cov[h - 1].add_basis(mdp.cell(s, a))
             slack = min(slack, tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a])
         s = s_next
 

@@ -70,6 +70,15 @@ class LinearMdp:
         for arr in (self.features, self.transitions, self.rewards, self._cum_rows):
             arr.setflags(write=False)
 
+    def cell(self, s: int | np.ndarray, a: int | np.ndarray) -> int | np.ndarray:
+        """The index j of the one-hot feature phi(s, a) = e_j, j = s * A + a.
+
+        Works elementwise on integer arrays too. The run loop carries j in
+        place of phi: features[s, a] is row j of the flat (S * A, d) view of
+        features, which is eye(d).
+        """
+        return s * self.n_actions + a
+
     def step(self, s: int, a: int, h: int, rng: np.random.Generator) -> tuple[float, int]:
         """Sample one environment step; the reward is deterministic in (s, a, h).
 
@@ -85,7 +94,7 @@ class LinearMdp:
             raise ValueError(f"h={h}: step out of [1, {self.H}]")
         cum_row = self._cum_rows[h - 1, s, a]
         u = rng.random()
-        nxt = int(np.searchsorted(cum_row, u, side="right"))
+        nxt = int(cum_row.searchsorted(u, side="right"))
         if nxt >= self.n_states:
             nxt = self.n_states - 1
         return float(self.rewards[h - 1, s, a]), nxt

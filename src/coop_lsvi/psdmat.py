@@ -7,6 +7,8 @@ dense reference, O(d^2) per update, and the default of an agent or server
 built directly. ``DiagonalPsdMatrix`` is what every run uses: every built
 instance has one-hot features, so each update is some e_j and the matrix
 stays ridge * I plus a diagonal of visit counts, at O(1) per update.
+The run loop adds e_j by its index, ``add_basis(j)`` with j the cell index
+of mdp.LinearMdp.cell, so no d-vector is built or searched for its 1.
 On a diagonal matrix every off-diagonal product of the dense path is an
 exact zero, so repeating its arithmetic entry by entry, Cholesky refresh
 every REFRESH_PERIOD updates included, gives the same bits: a run's
@@ -90,6 +92,13 @@ class PsdMatrix:
         if self.updates_since_refresh >= REFRESH_PERIOD:
             self.refresh()
 
+    def add_basis(self, j: int) -> None:
+        """Add e_j e_j^T in place: rank_one_update of the j-th basis vector."""
+        _check_basis_index(j, self.dim)
+        e_j = np.zeros(self.dim)
+        e_j[j] = 1.0
+        self.rank_one_update(e_j)
+
     def refresh(self) -> None:
         """Recompute inverse and logdet from scratch via Cholesky."""
         c, low = cho_factor(self.mat, lower=True)
@@ -121,6 +130,13 @@ class PsdMatrix:
         # keeping the residual at machine precision between refreshes.
         x += self.inv @ (b - self.mat @ x)
         return x
+
+
+def _check_basis_index(j: int, dim: int) -> None:
+    """Raise ValueError unless j is an integer in [0, dim): a negative index
+    must not wrap around to another basis vector."""
+    if not (isinstance(j, (int, np.integer)) and 0 <= j < dim):
+        raise ValueError(f"basis index {j!r} outside [0, {dim})")
 
 
 def _read_only_diag(values: np.ndarray) -> np.ndarray:
@@ -183,7 +199,11 @@ class DiagonalPsdMatrix:
             if not norm <= 1.0 + FEATURE_NORM_SLACK:
                 raise ValueError(f"feature norm {norm:.6g} exceeds 1")
             raise ValueError("a diagonal covariance takes only standard basis vectors")
-        j = nonzero[0]
+        self.add_basis(nonzero[0])
+
+    def add_basis(self, j: int) -> None:
+        """Add e_j e_j^T in place, in O(1); the run loop's update."""
+        _check_basis_index(j, self.dim)
         q = self.inv_diag.item(j)
         self.diag[j] += 1.0
         self.inv_diag[j] = q - q * q / (1.0 + q)

@@ -61,21 +61,21 @@ class CentralServer:
     def upload(self, agent: "LsviAgent") -> None:
         """Absorb the agent's buffered local delta (buffer is not cleared here).
 
-        Each buffered feature becomes a rank-one covariance update; each
-        buffered transition is inserted under its episode key. Every episode
-        is uploaded by exactly one agent exactly once, so a key collision is
+        Each buffered transition adds e_j e_j^T for its cell index j to the
+        covariance and is inserted under its episode key. Every episode is
+        uploaded by exactly one agent exactly once, so a key collision is
         fatal.
         """
         for hh in range(self.H):
             episodes = self._episodes[hh]
             store = self._store[hh]
-            for t, phi in zip(agent.loc_transitions[hh], agent.loc_features[hh]):
+            for t, j in zip(agent.loc_transitions[hh], agent.loc_cells[hh]):
                 if t.episode in episodes:
                     raise ProtocolViolation(
                         f"duplicate upload for episode {t.episode}, step {t.step}")
                 episodes.add(t.episode)
                 store.add(t)
-                self.cov[hh].rank_one_update(phi)
+                self.cov[hh].add_basis(j)
 
     def download(self) -> tuple[list[Covariance], list[TransitionBatch]]:
         """Per-h covariance snapshots and the full global store.

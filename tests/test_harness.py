@@ -12,7 +12,7 @@ from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_s
                                count_nonempty_epochs, epoch_boundaries,
                                metrics_csv_text, mix_seed, per_epoch_counts,
                                run_experiment)
-from coop_lsvi.mdp import value_iteration
+from coop_lsvi.mdp import g17, value_iteration
 from coop_lsvi.psdmat import DiagonalPsdMatrix, PsdMatrix, det_ratio
 from coop_lsvi.schedules import make_initial_states, make_schedule
 from coop_lsvi.server import ProtocolKind
@@ -242,6 +242,39 @@ class TestTrajectoryBlocks:
         assert (draws.random(), draws.random()) == (0.25, 0.5)
         with pytest.raises(RuntimeError, match="at most H"):
             draws.random()
+
+
+class TestCellIndexPath:
+    """The run loop adds e_j by the cell index j of phi(s, a), never by vector."""
+
+    @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+    @pytest.mark.parametrize("instance", [
+        dict(mdp_kind="hard", mdp_d=8, M=4, K=300),
+        dict(mdp_kind="random", mdp_n_states=5, mdp_n_actions=3, mdp_horizon=3, M=3, K=100),
+    ], ids=["hard", "random"])
+    def test_runs_never_take_the_vector_path(self, monkeypatch, instance, protocol):
+        def vector_update(self, v):
+            raise AssertionError("the run loop took the vector path")
+
+        monkeypatch.setattr(DiagonalPsdMatrix, "rank_one_update", vector_update)
+        rec = run_experiment(RunConfig(**instance, protocol=protocol, schedule="uniform_random",
+                                       master_seed=3, diagnostics=True))
+        assert rec.total_switches > 0
+
+    @pytest.mark.parametrize("kind", ["hard", "random", "file"])
+    def test_features_are_basis_vectors_of_their_cells(self, tmp_path, kind):
+        m = (mdp_mod.hard_instance(8, 3, 0.1) if kind == "hard"
+             else mdp_mod.random_tabular(4, 5, 3, 2))
+        if kind == "file":
+            path = str(tmp_path / "m.mdp")
+            mdp_mod.write_mdp(m, path)
+            m = mdp_mod.read_mdp(path)
+        eye = np.eye(m.d)
+        states, actions = np.divmod(np.arange(m.d), m.n_actions)
+        assert np.array_equal(m.cell(states, actions), np.arange(m.d))
+        for s in range(m.n_states):
+            for a in range(m.n_actions):
+                assert np.array_equal(m.features[s, a], eye[m.cell(s, a)])
 
 
 class TestAccounting:
@@ -497,6 +530,43 @@ class TestMetricsCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "k,m_k,regret_inc,cum_regret,triggered,trigger_h,cum_comm,cum_switch"
         assert len(lines) == 11
+
+    @staticmethod
+    def row_by_row(record):
+        """Reference formatter: one row at a time, one field at a time."""
+        lines = [harness.METRICS_HEADER]
+        cum_regret = record.cum_regret
+        for i in range(len(record.k)):
+            lines.append(",".join((
+                str(int(record.k[i])), str(int(record.m[i])),
+                g17(record.regret_inc[i]), g17(cum_regret[i]),
+                "1" if record.triggered[i] else "0", str(int(record.trigger_h[i])),
+                str(int(record.cum_comm[i])), str(int(record.cum_switch[i])))))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("eval_off", [False, True])
+    @pytest.mark.parametrize("K", [0, 1, harness.TRAJECTORY_BLOCK, harness.TRAJECTORY_BLOCK + 1])
+    def test_blocks_match_row_by_row_reference(self, K, eval_off):
+        rng = np.random.default_rng(K)
+        rec = harness.RunRecord.empty(K, 3, diagnostics=False)
+        rec.m[:] = rng.integers(1, 5, size=K)
+        # Negative increments, -0.0 and values spanning many magnitudes.
+        rec.regret_inc[:] = rng.standard_normal(K) * 10.0 ** rng.integers(-20, 20, size=K)
+        rec.regret_inc[::5] = -0.0
+        if eval_off:
+            rec.regret_inc[:] = math.nan
+        rec.triggered[:] = rng.random(K) < 0.3
+        rec.trigger_h[:] = np.where(rec.triggered, rng.integers(1, 4, size=K), 0)
+        rec.cum_comm[:] = np.cumsum(rec.triggered) * 2
+        rec.cum_switch[:] = np.cumsum(rec.triggered)
+        assert metrics_csv_text(rec) == self.row_by_row(rec)
+
+    def test_run_matches_row_by_row_reference(self, monkeypatch):
+        monkeypatch.setattr(harness, "TRAJECTORY_BLOCK", 7)
+        rec = run_experiment(RunConfig(mdp_kind="random", mdp_n_states=5, mdp_n_actions=3,
+                                       mdp_horizon=3, M=3, K=50, master_seed=7))
+        assert np.any(rec.regret_inc > 0.0) and np.any(rec.triggered)
+        assert metrics_csv_text(rec) == self.row_by_row(rec)
 
     def test_float_round_trip(self):
         rec = run_experiment(RunConfig(mdp_kind="hard", M=2, K=50,

@@ -380,3 +380,46 @@ class TestDiagonalInvariants:
             with pytest.raises(ValueError):
                 view[0, 0] = 5.0
         assert m.diag[0] == 1.0 and m.inv_diag[0] == 1.0
+
+
+def cached_state(m):
+    """Every cached quantity of a covariance, as exact-comparable values."""
+    return m.mat.tobytes(), m.inv.tobytes(), m.logdet, m.updates_since_refresh
+
+
+class TestAddBasis:
+    """add_basis(j), the run loop's update, is rank_one_update(e_j) exactly."""
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    @pytest.mark.parametrize("d,ridge", [(8, 1.0), (15, 0.3)])
+    def test_equals_rank_one_update_across_refreshes(self, cls, d, ridge):
+        rng = np.random.default_rng(d)
+        by_index, by_vector = cls(d, ridge), cls(d, ridge)
+        refreshes = 0
+        for j in rng.integers(0, d, size=2 * REFRESH_PERIOD + 37).tolist():
+            by_index.add_basis(j)
+            by_vector.rank_one_update(e(j, d))
+            assert by_index.logdet == by_vector.logdet
+            assert by_index.updates_since_refresh == by_vector.updates_since_refresh
+            if by_vector.updates_since_refresh == 0:
+                refreshes += 1
+                assert cached_state(by_index) == cached_state(by_vector)
+        assert refreshes == 2
+        assert cached_state(by_index) == cached_state(by_vector)
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_numpy_integer_index(self, cls):
+        by_index, by_vector = cls(4, 1.0), cls(4, 1.0)
+        by_index.add_basis(np.int64(3))
+        by_vector.rank_one_update(e(3, 4))
+        assert cached_state(by_index) == cached_state(by_vector)
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    @pytest.mark.parametrize("j", [-1, 4, 1.0, 0.5, "1", None])
+    def test_invalid_index_rejected_without_mutation(self, cls, j):
+        m = cls(4, 1.0)
+        m.add_basis(2)
+        before = cached_state(m)
+        with pytest.raises(ValueError, match="basis index"):
+            m.add_basis(j)
+        assert cached_state(m) == before
