@@ -167,16 +167,22 @@ class LsviAgent:
 
     # -- read-only evaluation ------------------------------------------------
 
-    def _clipped_q(self, feats: np.ndarray, hh: int) -> np.ndarray:
-        """Truncated optimistic Q estimates for a stack of feature rows at
-        0-based step hh; the one place the Q-function is evaluated."""
+    def _clipped_q(self, hh: int) -> np.ndarray:
+        """(d,) truncated optimistic Q estimates of every cell j at 0-based
+        step hh; the one place the Q-function is evaluated.
+
+        For phi(s, a) = e_j (mdp.LinearMdp.cell) the formula above is
+        w_h[j] + beta * sqrt((cov_h^-1)_jj) for any SPD cov_h. The feature
+        products eye(d) @ w_h and eye(d)'s row-wise quadratic form only add
+        exact zeros to those two, for dense covariances too: same bits.
+        """
         qp = self.qparams
-        raw = feats @ qp.w[hh] + qp.beta * np.sqrt(qp.cov[hh].quad_form_many(feats))
+        raw = qp.w[hh] + qp.beta * np.sqrt(qp.cov[hh].inv_diag)
         return np.clip(raw, 0.0, self.H - hh)
 
     def action_values(self, mdp: LinearMdp, s: int, h: int) -> np.ndarray:
         """Vector of truncated Q estimates over all actions at state s."""
-        return self._clipped_q(mdp.features[s], h - 1)
+        return self._clipped_q(h - 1).reshape(mdp.n_states, mdp.n_actions)[s]
 
     def q_table(self, mdp: LinearMdp) -> np.ndarray:
         """(H, S, A) truncated Q estimates of the current parameters.
@@ -186,8 +192,7 @@ class LsviAgent:
         made read-only so that other agents may share it.
         """
         if self._q is None:
-            feats_flat = mdp.features.reshape(-1, self.d)
-            self._q = np.stack([self._clipped_q(feats_flat, hh) for hh in range(self.H)]
+            self._q = np.stack([self._clipped_q(hh) for hh in range(self.H)]
                                ).reshape(self.H, mdp.n_states, mdp.n_actions)
             self._q.setflags(write=False)
         return self._q
@@ -299,7 +304,7 @@ class LsviAgent:
                 qp.w[hh] = cov.solve(phis.T @ y)
             qp.cov[hh] = cov
             # Value table V_h(s) = max_a Q_h(s, a) for the step below.
-            q[hh] = self._clipped_q(feats_flat, hh).reshape(S, A)
+            q[hh] = self._clipped_q(hh).reshape(S, A)
             next_value = q[hh].max(axis=1)
         self._q = q
         return qp

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .harness import ConfigError, RunConfig
-from .mdp import InvalidMdpError, g17, read_mdp, require_valid
+from .mdp import InvalidMdpError, LinearMdp, g17, read_mdp, require_valid
 from .schedules import SEEDED_SCHEDULE_KINDS
 
 # (section, key) -> (RunConfig field, type) for every key that sets one field.
@@ -174,11 +174,11 @@ def _parse_axis(text: str, lineno: int, kind) -> list:
 
 
 def _check(cfg: RunConfig, lines: dict[tuple[str, str], int],
-           file_states: Optional[int] = None) -> None:
+           instance: Optional[LinearMdp] = None) -> None:
     """Resolve cfg, so that defaults are checked too; a ConfigError names the
     line of the key at fault when that key is in ``lines``."""
     try:
-        cfg.resolved().validate(file_states)
+        cfg.resolved().validate(instance)
     except ConfigError as e:
         lineno = lines.get(e.key)
         if lineno is None:
@@ -186,12 +186,12 @@ def _check(cfg: RunConfig, lines: dict[tuple[str, str], int],
         raise ConfigError(f"line {lineno}: {e}") from None
 
 
-def _file_states(cfg: RunConfig, lines: dict[tuple[str, str], int]) -> int:
-    """Read and check a file instance once, for the number of states its fixed
-    initial state is checked against; a file that cannot be read or fails a
-    table check names the path line."""
+def _file_instance(cfg: RunConfig, lines: dict[tuple[str, str], int]) -> LinearMdp:
+    """Read and check a file instance once, for the sizes the run is checked
+    against; a file that cannot be read or fails a table check names the path
+    line."""
     try:
-        return require_valid(read_mdp(cfg.mdp_path)).n_states
+        return require_valid(read_mdp(cfg.mdp_path))
     except (OSError, InvalidMdpError) as e:
         raise ConfigError(f"line {lines[('mdp', 'path')]}: {cfg.mdp_path}: {e}") from None
 
@@ -217,11 +217,11 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
             *raw[("run", "beta")], ("practical", "theoretical", "fixed"))
     lines = {k: lineno for k, (_, lineno) in raw.items()}
     _check(cfg, lines)
-    file_states = None
+    instance = None
     if cfg.mdp_kind == "file":
         # No sweep axis changes the instance, so its file is read once, here.
-        file_states = _file_states(cfg, lines)
-        _check(cfg, lines, file_states)
+        instance = _file_instance(cfg, lines)
+        _check(cfg, lines, instance)
     if "sweep" not in sections:
         return cfg
 
@@ -238,7 +238,7 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     if spec.size() > spec.cap:
         raise ConfigError(f"sweep would launch {spec.size()} runs, over the cap {spec.cap}")
     for run in expand_sweep(spec):
-        _check(run, lines, file_states)
+        _check(run, lines, instance)
     return spec
 
 

@@ -39,6 +39,16 @@ TAG_INIT = 0xA4
 # metrics_csv_text formats this many rows per block, for the same reasons.
 TRAJECTORY_BLOCK = 1024
 
+# Caps on what a run allocates, checked by RunConfig.validate. tracemalloc
+# measures about 250 bytes per episode step (records allocated up front, the
+# server's store of every transition) and, per agent and step h, 2 KB of
+# objects plus 29 bytes per feature cell: 32-byte units with the objects as
+# AGENT_CELL_OVERHEAD cells. Each cap is about 2 GiB. The largest shipped,
+# acceptance or benchmark run has K * H = 96,000, M * H * (d + 64) = 5,280.
+MAX_RUN_STEPS = 2 ** 23       # on K * H
+AGENT_CELL_OVERHEAD = 64
+MAX_AGENT_UNITS = 2 ** 26     # on M * H * (d + AGENT_CELL_OVERHEAD)
+
 
 class ConfigError(ValueError):
     """A run configuration violates its constraints."""
@@ -87,7 +97,10 @@ class RunConfig:
     init_state: Optional[str] = None       # fixed | uniform_random | epoch
     init_state_fixed: int = 0
 
-    def validate(self, file_states: Optional[int] = None) -> None:
+    def validate(self, instance: Optional[LinearMdp] = None) -> None:
+        """Raise ConfigError, keyed to the config key at fault, on the first
+        violated constraint. A file instance's sizes are known only once it
+        is read, so the caller that reads it passes it in as ``instance``."""
         def bad(msg, key):
             raise ConfigError(msg, key)
 
@@ -97,22 +110,31 @@ class RunConfig:
             bad("mdp kind 'file' requires a path", ("mdp", "path"))
         if self.mdp_seed < 0:
             bad(f"mdp seed must be >= 0, got {self.mdp_seed}", ("mdp", "seed"))
-        # The number of states of a file instance is known only once it is
-        # read, so the caller that reads it passes it in as file_states.
-        n_states = file_states
+        # (H, n_states, d) of the instance, where known.
+        sizes = None if instance is None else (instance.H, instance.n_states, instance.d)
         try:
             if self.mdp_kind == "hard":
-                n_states = mdp_mod.check_hard_params(self.mdp_d, self.mdp_horizon,
-                                                     self.mdp_gap)
+                S = mdp_mod.check_hard_params(self.mdp_d, self.mdp_horizon, self.mdp_gap)
+                sizes = (self.mdp_horizon, S, self.mdp_d)
             elif self.mdp_kind == "random":
-                n_states = mdp_mod.check_random_sizes(self.mdp_n_states,
-                                                      self.mdp_n_actions, self.mdp_horizon)
+                S = mdp_mod.check_random_sizes(self.mdp_n_states, self.mdp_n_actions,
+                                               self.mdp_horizon)
+                sizes = (self.mdp_horizon, S, S * self.mdp_n_actions)
         except mdp_mod.InvalidMdpError as e:
             bad(str(e), ("mdp", e.param))
         if self.K < 1:
             bad(f"K must be >= 1, got {self.K}", ("run", "K"))
         if self.M < 1:
             bad(f"M must be >= 1, got {self.M}", ("run", "M"))
+        if sizes is not None:
+            H, _, d = sizes
+            if self.K * H > MAX_RUN_STEPS:
+                bad(f"K * H = {self.K * H} episode steps exceeds {MAX_RUN_STEPS}",
+                    ("run", "K"))
+            units = self.M * H * (d + AGENT_CELL_OVERHEAD)
+            if units > MAX_AGENT_UNITS:
+                bad(f"M * H * (d + {AGENT_CELL_OVERHEAD}) = {units} exceeds {MAX_AGENT_UNITS}",
+                    ("run", "M"))
         if self.alpha is not None and not self.alpha > 0:
             bad(f"alpha must be > 0, got {self.alpha}", ("run", "alpha"))
         if not 0 < self.ridge < math.inf:
@@ -144,9 +166,9 @@ class RunConfig:
         if self.init_state == "epoch" and self.mdp_kind != "hard":
             bad("epoch initial-state schedule requires the hard instance",
                 ("init_state", "kind"))
-        if (self.init_state == "fixed" and n_states is not None
-                and not 0 <= self.init_state_fixed < n_states):
-            bad(f"fixed initial state {self.init_state_fixed} out of [0, {n_states})",
+        if (self.init_state == "fixed" and sizes is not None
+                and not 0 <= self.init_state_fixed < sizes[1]):
+            bad(f"fixed initial state {self.init_state_fixed} out of [0, {sizes[1]})",
                 ("init_state", "state"))
 
     def resolved(self) -> "RunConfig":
@@ -367,7 +389,7 @@ def build_mdp(cfg: RunConfig) -> LinearMdp:
 def build_run_state(cfg: RunConfig) -> RunState:
     cfg = cfg.resolved()
     mdp = build_mdp(cfg)
-    cfg.validate(mdp.n_states)  # a file instance's state count is known only now
+    cfg.validate(mdp)  # a file instance's sizes are known only now
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     planner = mdp_mod.value_iteration(mdp) if needs_planner else None
     beta = resolve_beta(cfg, mdp.d, mdp.H)

@@ -46,27 +46,34 @@ class InvalidMdpError(ValueError):
 
 @dataclass
 class LinearMdp:
-    """A finite linear MDP with one-hot embedding and exact tabular backing.
+    """A finite MDP given by exact (P, r) tables, embedded with one-hot features.
 
-    Attributes:
-        d: feature dimension (= n_states * n_actions for one-hot instances)
-        H: horizon length
-        features: (n_states, n_actions, d) feature map
-        transitions: (H, S, A, S) exact transition tables
-        rewards: (H, S, A) exact reward tables
+    The inputs are transitions (H, S, A, S) and rewards (H, S, A), copied as
+    read-only float64. H, n_states, n_actions, d = S * A and the read-only
+    (S, A, d) feature map features[s, a] = e_{cell(s, a)}, a view of eye(d),
+    are derived from them; the run loop relies on that map when it indexes
+    covariances by cell and keeps them diagonal.
     """
 
-    d: int
-    H: int
-    n_states: int
-    n_actions: int
-    features: np.ndarray
     transitions: np.ndarray
     rewards: np.ndarray
+    H: int = field(init=False)
+    n_states: int = field(init=False)
+    n_actions: int = field(init=False)
+    d: int = field(init=False)
+    features: np.ndarray = field(init=False, repr=False)
     _cum_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._cum_rows = np.cumsum(self.transitions, axis=-1)
+        P = np.array(self.transitions, dtype=np.float64)
+        r = np.array(self.rewards, dtype=np.float64)
+        if P.ndim != 4 or P.shape[3] != P.shape[1] or r.shape != P.shape[:3]:
+            raise InvalidMdpError(f"inconsistent table shapes P{P.shape} r{r.shape}")
+        self.H, self.n_states, self.n_actions = P.shape[:3]
+        self.d = self.n_states * self.n_actions
+        self.transitions, self.rewards = P, r
+        self.features = np.eye(self.d).reshape(self.n_states, self.n_actions, self.d)
+        self._cum_rows = np.cumsum(P, axis=-1)
         for arr in (self.features, self.transitions, self.rewards, self._cum_rows):
             arr.setflags(write=False)
 
@@ -113,19 +120,6 @@ class PlannerOutput:
     optimal_policy: np.ndarray
 
 
-def _tabular_to_linear(P: np.ndarray, r: np.ndarray) -> LinearMdp:
-    """One-hot embedding without validation (used by the file loader too)."""
-    P = np.asarray(P, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    H, S, A, S2 = P.shape
-    if S2 != S or r.shape != (H, S, A):
-        raise InvalidMdpError(f"inconsistent table shapes P{P.shape} r{r.shape}")
-    d = S * A
-    return LinearMdp(d=d, H=H, n_states=S, n_actions=A,
-                     features=np.eye(d).reshape(S, A, d),
-                     transitions=P.copy(), rewards=r.copy())
-
-
 def build_tabular_as_linear(P: np.ndarray, r: np.ndarray) -> LinearMdp:
     """Embed exact (P, r) tables as a linear MDP with one-hot features.
 
@@ -133,7 +127,7 @@ def build_tabular_as_linear(P: np.ndarray, r: np.ndarray) -> LinearMdp:
     (H, S, A) with entries in [0, 1]; otherwise InvalidMdpError carries the
     detail of the first failing check of validate_linear_mdp.
     """
-    return require_valid(_tabular_to_linear(P, r))
+    return require_valid(LinearMdp(P, r))
 
 
 def check_table_sizes(H: int, S: int, A: int, dim_param: Optional[str] = None,
@@ -426,4 +420,4 @@ def read_mdp(path: str) -> LinearMdp:
             raise InvalidMdpError(
                 f"line {lineno}: reward section {idx[0]} must have {S} rows of {A} entries")
         r[idx[0]] = rows
-    return _tabular_to_linear(P, r)
+    return LinearMdp(P, r)

@@ -116,11 +116,13 @@ class PsdMatrix:
         """Row-wise v^T inv v for an (n, d) stack of vectors.
 
         One matrix product and a row sum, so the O(n d^2) work runs in BLAS.
-        Every instance is one-hot (mdp._tabular_to_linear), so a row e_j gives
-        inv[j, j] plus exact zeros, whatever the summation order; on dense
-        rows the result agrees with quad_form to rounding.
+        A row e_j gives inv[j, j] plus exact zeros, whatever the summation
+        order, which is why the agent reads ``inv_diag`` for one-hot features;
+        on dense rows the result agrees with quad_form to rounding.
         """
         return np.maximum(((vs @ self.inv) * vs).sum(axis=1), 0.0)
+
+    inv_diag = property(lambda self: self.inv.diagonal())  # read-only view
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve mat x = b via the cached inverse plus one refinement step."""
@@ -219,14 +221,6 @@ class DiagonalPsdMatrix:
         self.inv_diag = r * r
         self.logdet = 2.0 * float(np.sum(np.log(c)))
         self.updates_since_refresh = 0
-
-    def quad_form_many(self, vs: np.ndarray) -> np.ndarray:
-        """Row-wise v^T inv v for an (n, d) stack of vectors, in O(n d).
-
-        A one-hot row e_j gives inv[j] exactly, as in ``PsdMatrix``; the
-        inverse diagonal is positive, so no clamp at 0 is needed.
-        """
-        return (vs * vs) @ self.inv_diag
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve mat x = b with PsdMatrix.solve's refinement, elementwise."""

@@ -48,7 +48,7 @@ def make_schedule(cfg: RunConfig, d: int) -> np.ndarray:
         return rng.integers(1, M + 1, size=K, dtype=np.int64)
     block = cfg.schedule_block  # bursty
     blocks = rng.integers(1, M + 1, size=-(-K // block), dtype=np.int64)
-    return np.repeat(blocks, block)[:K]
+    return blocks[np.arange(K) // block]  # O(K), however long a block is
 
 
 def make_initial_states(cfg: RunConfig, mdp: LinearMdp, seed: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from coop_lsvi.agent import (LsviAgent, Transition, TransitionBatch,
                              TransitionStore, practical_beta, theoretical_beta)
 from coop_lsvi.mdp import hard_instance, random_tabular
-from coop_lsvi.psdmat import PsdMatrix
+from coop_lsvi.psdmat import DiagonalPsdMatrix, PsdMatrix
 
 
 def fresh_agent(mdp, alpha=0.5, ridge=1.0, beta=1.0):
@@ -385,6 +385,72 @@ class TestBackwardUpdate:
         ag.lsvi_backward_update(m, batches, covs)
         bound = 2 * m.H * math.sqrt(m.d * k / 1.0)
         assert np.all(np.linalg.norm(ag.qparams.w, axis=1) <= bound)
+
+
+def feature_product_q(mdp, w, cov, beta, hh):
+    """The Q-function from its feature products, on dense ``cov``:
+    clip(F @ w + beta * sqrt(diag(F cov^-1 F^T)), 0, H - h + 1)."""
+    F = mdp.features.reshape(-1, mdp.d)
+    return np.clip(F @ w + beta * np.sqrt(cov.quad_form_many(F)), 0.0, mdp.H - hh)
+
+
+class TestPerCellQ:
+    """q_table and action_values read w[j] and the inverse diagonal per cell;
+    the feature-product form must give the same bits, not merely close ones."""
+
+    @staticmethod
+    def covariances(m, kind, rng):
+        """(agent's, reference) covariance per step: one dense non-diagonal
+        matrix for both, or a diagonal one beside its dense twin."""
+        pairs = []
+        for _ in range(m.H):
+            if kind == "dense":
+                c = PsdMatrix(m.d, 0.8)
+                for v in rng.standard_normal((3 * m.d, m.d)):
+                    c.rank_one_update(v / np.linalg.norm(v))
+                pairs.append((c, c))
+            else:
+                diag, dense = DiagonalPsdMatrix(m.d, 0.8), PsdMatrix(m.d, 0.8)
+                for j in rng.integers(0, m.d, size=3 * m.d):
+                    diag.add_basis(int(j))
+                    dense.add_basis(int(j))
+                pairs.append((diag, dense))
+        return pairs
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_matches_feature_products(self, kind, beta):
+        m = random_tabular(2, 4, 3, 3)  # d = 12
+        rng = np.random.default_rng(11)
+        cov_cls = PsdMatrix if kind == "dense" else DiagonalPsdMatrix
+        ag = LsviAgent(1, m.d, m.H, 0.5, 0.8, beta, cov_cls)
+        pairs = self.covariances(m, kind, rng)
+        for hh, (cov, _) in enumerate(pairs):
+            w = rng.uniform(-1.0, m.H - hh + 1.0, m.d)
+            w[0], w[1] = -2.0, m.H - hh + 2.0  # below the floor, above the ceiling
+            ag.qparams.w[hh] = w
+            ag.qparams.cov[hh] = cov
+        want = np.stack([feature_product_q(m, ag.qparams.w[hh], ref, beta, hh)
+                         for hh, (_, ref) in enumerate(pairs)]
+                        ).reshape(m.H, m.n_states, m.n_actions)
+        assert np.any(want == 0.0)
+        assert all(np.any(want[hh] == m.H - hh) for hh in range(m.H))
+        assert np.array_equal(ag.q_table(m), want)
+        for h in range(1, m.H + 1):
+            for s in range(m.n_states):
+                assert np.array_equal(ag.action_values(m, s, h), want[h - 1, s])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_backward_update_table_matches_feature_products(self, beta):
+        m = random_tabular(4, 3, 2, 3)
+        batches = batches_from_rollout(m, 25, 5)
+        rng = np.random.default_rng(6)
+        covs = [c for c, _ in self.covariances(m, "dense", rng)]
+        ag = LsviAgent(1, m.d, m.H, 0.5, 0.8, beta)
+        ag.lsvi_backward_update(m, batches, covs)
+        want = np.stack([feature_product_q(m, ag.qparams.w[hh], covs[hh], beta, hh)
+                         for hh in range(m.H)]).reshape(m.H, m.n_states, m.n_actions)
+        assert np.array_equal(ag.q_table(m), want)
 
 
 class TestBetaFormulas:

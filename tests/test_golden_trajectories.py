@@ -121,3 +121,29 @@ def test_schedule_kind_digest(case):
     digest.update(state.schedule.tobytes())
     digest.update(state.init_states.tobytes())
     assert digest.hexdigest() == SCHEDULE_DIGESTS[case]
+
+
+# Zero bonus (beta = fixed:0) on hard d = 12, H = 4, diagnostics on. Every Q
+# is then the clipped regression estimate alone, and unvisited cells sit at the
+# clip floor 0, a corner the beta = 0.05 cases never reach. The digest covers
+# the optimism slack and the agents' log-determinants too. Recorded before the
+# Q-function was evaluated per cell.
+ZERO_BONUS = dict(mdp_kind="hard", mdp_d=12, mdp_horizon=4, mdp_gap=0.05, M=2, K=400,
+                  beta_mode="fixed", beta_value=0.0, diagnostics=True)
+
+ZERO_BONUS_DIGESTS = {
+    "async_trigger": "787d11e0a2b4631004db87a6c30c8156cce4eb045bdf15350b3da609543d1779",
+    "full_sync": "4e7c82aaea31a821978d2026d6104cf41a45f084716b54f7ae39d02beb74ce0c",
+    "no_comm": "5a6f5e198cf63510951484928b95b4f9155575085952d407563aa9fe8f35b2c7",
+    "sync_round_robin": "9421a2637f569e746aa3b6a2c1689a85dd0477cd2389ea3d583eaefb7e48ed29",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(ZERO_BONUS_DIGESTS))
+def test_zero_bonus_digest_with_diagnostics(protocol):
+    record = run_experiment(RunConfig(protocol=protocol, schedule="uniform_random",
+                                      master_seed=11, **ZERO_BONUS))
+    digest = hashlib.sha256(metrics_csv_text(record).encode())
+    digest.update(record.optimism_slack.tobytes())
+    digest.update(record.agent_logdet.tobytes())
+    assert digest.hexdigest() == ZERO_BONUS_DIGESTS[protocol]

@@ -1,6 +1,7 @@
 """Tests for schedules, the episode loop, metrics, and diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ class TestSchedules:
         for i in range(0, 20, 5):
             assert len(set(s[i:i + 5])) == 1
 
+    def test_bursty_memory_is_o_of_k_whatever_the_block(self):
+        # A block far longer than the run must not be allocated whole.
+        cfg = RunConfig(schedule="bursty", M=3, K=10, schedule_seed=1,
+                        schedule_block=10 ** 7)
+        tracemalloc.start()
+        try:
+            s = make_schedule(cfg, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 10 and len(set(s)) == 1
+        assert peak < 2 ** 20
+
     def test_lower_bound_pattern(self):
         # d=8, M=2, K=32: epochs of 8 episodes, agent blocks of 4.
         s = make_schedule(RunConfig(schedule="lower_bound", M=2, K=32), 8)
@@ -92,9 +106,9 @@ class TestConfigValidation:
         cfg = RunConfig(mdp_kind="file", mdp_path="inst.mdp", init_state="fixed",
                         init_state_fixed=4)
         cfg.validate()
-        cfg.validate(file_states=5)
+        cfg.validate(mdp_mod.random_tabular(0, 5, 2, 1))
         with pytest.raises(ConfigError) as e:
-            cfg.validate(file_states=4)
+            cfg.validate(mdp_mod.random_tabular(0, 4, 2, 1))
         assert e.value.key == ("init_state", "state")
 
     @pytest.mark.parametrize("state", [-1, 3])

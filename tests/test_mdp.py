@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coop_lsvi import mdp as mdp_mod
-from coop_lsvi.mdp import (InvalidMdpError, build_tabular_as_linear, eval_policy,
+from coop_lsvi.mdp import (InvalidMdpError, LinearMdp, build_tabular_as_linear, eval_policy,
                            hard_instance, random_tabular, read_mdp,
                            validate_linear_mdp, value_iteration, write_mdp)
 
@@ -62,12 +62,42 @@ class TestBuildTabular:
         P = np.full((2, 2, 2, 2), 0.5)
         r = np.full((2, 2, 2), 0.5)
         {"P": P, "r": r}[field][index] = value
-        results = validate_linear_mdp(mdp_mod._tabular_to_linear(P, r))
+        results = validate_linear_mdp(LinearMdp(P, r))
         assert [c.name for c in results if not c.passed] == [check]
         detail = next(c.detail for c in results if c.name == check)
         with pytest.raises(InvalidMdpError, match=re.escape(f"{check}: {detail}")):
             build_tabular_as_linear(P, r)
 
+
+
+class TestLinearMdp:
+    """LinearMdp is built from its (P, r) tables alone."""
+
+    def test_derives_sizes_and_one_hot_features(self):
+        P = np.full((3, 4, 2, 4), 0.25)
+        m = LinearMdp(P, np.zeros((3, 4, 2)))
+        assert (m.H, m.n_states, m.n_actions, m.d) == (3, 4, 2, 8)
+        assert np.array_equal(m.features, np.eye(8).reshape(4, 2, 8))
+        assert np.array_equal(m.features.reshape(8, 8)[m.cell(3, 1)], np.eye(8)[7])
+
+    def test_copies_the_tables_as_read_only_float64(self):
+        P = np.ones((1, 2, 1, 2), dtype=np.int64)
+        r = np.zeros((1, 2, 1), dtype=np.int64)
+        m = LinearMdp(P, r)
+        P[0, 0, 0, 0] = 5
+        assert m.transitions[0, 0, 0, 0] == 1.0
+        for arr in (m.transitions, m.rewards, m.features, m._cum_rows):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+
+    @pytest.mark.parametrize("P_shape,r_shape", [
+        ((2, 3, 2, 4), (2, 3, 2)),   # next-state axis differs from the state axis
+        ((2, 3, 2, 3), (2, 3, 3)),   # reward table of another action count
+        ((2, 3, 2, 3), (3, 3, 2)),   # reward table of another horizon
+        ((3, 2, 3), (3, 2)),         # transition table without an action axis
+    ])
+    def test_rejects_inconsistent_shapes(self, P_shape, r_shape):
+        with pytest.raises(InvalidMdpError, match="inconsistent table shapes"):
+            LinearMdp(np.zeros(P_shape), np.zeros(r_shape))
 
 class TestRandomTabular:
     def test_deterministic_in_seed(self):

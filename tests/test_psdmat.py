@@ -146,6 +146,15 @@ class TestQuadForm:
             m.rank_one_update(e(j, d))
         assert np.array_equal(m.quad_form_many(np.eye(d)), np.maximum(np.diag(m.inv), 0.0))
 
+    def test_inv_diag_is_the_read_only_inverse_diagonal(self):
+        rng = np.random.default_rng(6)
+        m = PsdMatrix(7, 1.0)
+        for v in random_unit_vectors(rng, 20, 7):
+            m.rank_one_update(v)
+        assert np.array_equal(m.inv_diag, np.diag(m.inv))
+        assert np.array_equal(m.inv_diag, m.quad_form_many(np.eye(7)))
+        assert not m.inv_diag.flags.writeable
+
     def test_quad_form_many_matches_scalar_on_dense_rows_d200(self):
         rng = np.random.default_rng(5)
         d = 200
@@ -272,9 +281,9 @@ def assert_same_bits(diag, dense, rng):
     assert diag.logdet == dense.logdet
     assert diag.updates_since_refresh == dense.updates_since_refresh
     assert np.array_equal(diag.mat, dense.mat)
-    assert np.array_equal(diag.inv_diag, np.diag(dense.inv))
+    assert np.array_equal(diag.inv_diag, dense.inv_diag)
     assert np.array_equal(diag.inv, dense.inv)
-    assert np.array_equal(diag.quad_form_many(np.eye(d)), dense.quad_form_many(np.eye(d)))
+    assert np.array_equal(diag.inv_diag, dense.quad_form_many(np.eye(d)))
     for _ in range(3):
         b = rng.standard_normal(d)
         assert np.array_equal(diag.solve(b), dense.solve(b))

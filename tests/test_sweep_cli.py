@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import coop_lsvi
+from coop_lsvi import harness
 from coop_lsvi.cli import main
 from coop_lsvi.configio import parse_config
 from coop_lsvi.harness import ConfigError, RunConfig, run_experiment
@@ -306,6 +307,51 @@ def test_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, comma
             else ["lower-bound", "--d", "8", "--M", "2", "--K", "64", "--seeds", "1"])
     assert main(args + ["--out", str(tmp_path / "out")] + flag) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# RUN_CFG is hard d = 8, H = 3; M is on line 9 and K on line 10.
+@pytest.mark.parametrize("command,text,bad_line", [
+    ("run", RUN_CFG.replace("K = 10", "K = 10000000000"), 10),
+    ("run", RUN_CFG.replace("M = 2", "M = 1000000000"), 9),
+    ("run", RUN_CFG.replace("K = 10", f"K = {harness.MAX_RUN_STEPS // 3 + 1}"), 10),
+    ("run", RUN_CFG.replace("M = 2", f"M = {harness.MAX_AGENT_UNITS // (3 * 72) + 1}"), 9),
+    ("sweep", RUN_CFG + "\n[sweep]\nK = 10, 10000000000\n", 15),
+    ("sweep", RUN_CFG + "\n[sweep]\nM = 2, 1000000000\n", 15),
+], ids=["K", "M", "K_one_over", "M_one_over", "swept_K", "swept_M"])
+def test_run_size_caps_name_their_line(tmp_path, capsys, command, text, bad_line):
+    """K * H and M * H * (d + overhead) are capped before anything is built."""
+    with pytest.raises(ConfigError, match=f"^line {bad_line}: .* exceeds "):
+        parse_config(text)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"line {bad_line}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_size_caps_admit_runs_at_the_cap():
+    parse_config(RUN_CFG.replace("K = 10", f"K = {harness.MAX_RUN_STEPS // 3}"))
+    parse_config(RUN_CFG.replace("M = 2", f"M = {harness.MAX_AGENT_UNITS // (3 * 72)}"))
+
+
+def test_run_size_caps_apply_to_file_instances(tmp_path, capsys):
+    """A file instance's horizon and dimension are known once it is read."""
+    mdp_path = tmp_path / "inst.mdp"
+    write_mdp(hard_instance(8, 3, 0.2), str(mdp_path))
+    text = f"[mdp]\nkind = file\npath = {mdp_path}\n\n[run]\nK = 10000000000\n"
+    with pytest.raises(ConfigError, match="^line 6: K \\* H = 30000000000 "):
+        parse_config(text)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "line 6:" in capsys.readouterr().err
+
+
+def test_run_size_caps_apply_to_lower_bound(tmp_path, capsys):
+    args = ["lower-bound", "--d", "8", "--M", "2", "--K", "10000000000", "--seeds", "1"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert "K * H" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
