@@ -158,9 +158,10 @@ class LsviAgent:
         self.loc_cells: list[list[int]] = [[] for _ in range(H)]
         self.loc_transitions: list[list[Transition]] = [[] for _ in range(H)]
         self._scratch: list[Optional[Covariance]] = [None] * H
-        # Own-trajectory history per h, filled by own_history (read only by
-        # the no-communication refit); _own_moved counts rows already moved.
-        self._own = [TransitionStore() for _ in range(H)]
+        # Own-trajectory history per h, built and filled by own_history (read
+        # only by the no-communication refit), so it stays an empty list under
+        # the other protocols; _own_moved counts rows already moved.
+        self._own: list[TransitionStore] = []
         self._own_moved = [0] * H
         # (H, S, A) table of the current parameters; None until first built.
         self._q: Optional[np.ndarray] = None
@@ -178,7 +179,9 @@ class LsviAgent:
         """
         qp = self.qparams
         raw = qp.w[hh] + qp.beta * np.sqrt(qp.cov[hh].inv_diag)
-        return np.clip(raw, 0.0, self.H - hh)
+        # The method calls np.clip's ufunc without its dispatch wrapper; unlike
+        # np.maximum/np.minimum, that ufunc keeps a -0.0 inside the bounds.
+        return raw.clip(0.0, self.H - hh, out=raw)
 
     def action_values(self, mdp: LinearMdp, s: int, h: int) -> np.ndarray:
         """Vector of truncated Q estimates over all actions at state s."""
@@ -262,6 +265,8 @@ class LsviAgent:
         has taken, provided each local delta was read here before
         reset_local() cleared it (as the no-communication refit does); valid
         until the next call."""
+        if not self._own:
+            self._own = [TransitionStore() for _ in range(self.H)]
         for hh, (store, ts) in enumerate(zip(self._own, self.loc_transitions)):
             for t in ts[self._own_moved[hh]:]:
                 store.add(t)
@@ -286,9 +291,9 @@ class LsviAgent:
         """
         qp = self.qparams
         S, A = mdp.n_states, mdp.n_actions
-        # Row j of the flat table is phi of cell j; a 1-D take of the rows
-        # gives the same C-contiguous (n, d) design matrix as
-        # features[state, action], so phis.T @ y has the same bits.
+        # Row j of the flat table is phi of cell j; taking the rows gives the
+        # same C-contiguous (n, d) design matrix as features[state, action],
+        # so phis.T @ y has the same bits, without fancy indexing's overhead.
         feats_flat = mdp.features.reshape(S * A, self.d)
         q = np.empty((self.H, S, A))
         next_value = None  # value table for step h+1, None means zero
@@ -300,7 +305,7 @@ class LsviAgent:
                 y = batch.reward.copy()
                 if next_value is not None:
                     y += next_value[batch.next_state]
-                phis = feats_flat[mdp.cell(batch.state, batch.action)]
+                phis = feats_flat.take(mdp.cell(batch.state, batch.action), axis=0)
                 qp.w[hh] = cov.solve(phis.T @ y)
             qp.cov[hh] = cov
             # Value table V_h(s) = max_a Q_h(s, a) for the step below.

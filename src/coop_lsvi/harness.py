@@ -12,7 +12,7 @@ streams.default_rng_uniforms, which returns those same numbers bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -38,6 +38,16 @@ TAG_INIT = 0xA4
 # bound (TRAJECTORY_BLOCK * H) on the uniforms held at once, whatever K is.
 # metrics_csv_text formats this many rows per block, for the same reasons.
 TRAJECTORY_BLOCK = 1024
+
+# Byte budget of a run's policy-value cache (RunState.policy_value), counted as
+# the key and value bytes of its entries, 16 * H * S each; past it the oldest
+# entry goes first. A run's greedy policies repeat: at seed 0 the benchmark's
+# hard_full_sync run evaluates 12 distinct policies over 997 refits. 1 MiB
+# holds 5,461 entries at H = 3, S = 4 and 327 at H = 5, S = 40, beyond any
+# distinct count seen, and with the ~200 bytes of Python objects tracemalloc
+# measures per entry keeps the cache within 2.1 MiB, under 1% of a benchmark
+# run's peak RSS. An instance whose one entry exceeds it is never cached.
+POLICY_VALUE_CACHE_BYTES = 2 ** 20
 
 # Caps on what a run allocates, checked by RunConfig.validate. tracemalloc
 # measures about 250 bytes per episode step (records allocated up front, the
@@ -341,14 +351,31 @@ class RunState:
     all_cov: Optional[list[Covariance]] = None
     cum_comm: int = 0
     cum_switch: int = 0
+    # policy.tobytes() -> read-only eval_policy value, oldest entry first.
+    policy_values: dict[bytes, np.ndarray] = field(default_factory=dict)
+
+    def policy_value(self, policy: np.ndarray) -> np.ndarray:
+        """The exact value of a greedy (H, S) policy table, evaluated once
+        per distinct table and kept within POLICY_VALUE_CACHE_BYTES."""
+        key = policy.tobytes()
+        value = self.policy_values.get(key)
+        if value is None:
+            # A compact copy: eval_policy returns a view of an (H + 1, S) table.
+            value = mdp_mod.eval_policy(self.mdp, policy).copy()
+            value.setflags(write=False)
+            capacity = POLICY_VALUE_CACHE_BYTES // (len(key) + value.nbytes)
+            if capacity:
+                if len(self.policy_values) >= capacity:
+                    del self.policy_values[next(iter(self.policy_values))]
+                self.policy_values[key] = value
+        return value
 
     def agent_tables(self, m: int) -> _AgentTables:
         idx = m - 1
         if self.tables[idx] is None:
             q = self.agents[idx].q_table(self.mdp)
             policy = q.argmax(axis=2)
-            value = (mdp_mod.eval_policy(self.mdp, policy)
-                     if self.config.eval_mode == "exact" else None)
+            value = self.policy_value(policy) if self.config.eval_mode == "exact" else None
             self.tables[idx] = _AgentTables(q, policy, value)
         return self.tables[idx]
 

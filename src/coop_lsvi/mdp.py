@@ -44,7 +44,7 @@ class InvalidMdpError(ValueError):
         self.param = param
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearMdp:
     """A finite MDP given by exact (P, r) tables, embedded with one-hot features.
 
@@ -52,7 +52,8 @@ class LinearMdp:
     read-only float64. H, n_states, n_actions, d = S * A and the read-only
     (S, A, d) feature map features[s, a] = e_{cell(s, a)}, a view of eye(d),
     are derived from them; the run loop relies on that map when it indexes
-    covariances by cell and keeps them diagonal.
+    covariances by cell and keeps them diagonal. Instances compare (and hash)
+    by identity: comparing their tables elementwise has no single truth value.
     """
 
     transitions: np.ndarray

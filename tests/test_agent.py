@@ -453,6 +453,42 @@ class TestPerCellQ:
         assert np.array_equal(ag.q_table(m), want)
 
 
+class TestBackwardUpdateBits:
+    """The backward update's row take and in-place clip give the bits of
+    fancy indexing and np.clip. Compared by tobytes, since -0.0 == 0.0."""
+
+    @pytest.mark.parametrize("S,A", [(4, 2), (40, 5)])  # d = 8 and d = 200
+    @pytest.mark.parametrize("picks", [[-1], [0, -1, 5, 5, 2, 0, 5, -1]],
+                             ids=["one-row", "repeated"])
+    def test_take_matches_fancy_indexing(self, S, A, picks):
+        m = random_tabular(0, S, A, 2)
+        flat = m.features.reshape(S * A, m.d)
+        cells = np.array(picks) % m.d
+        got, want = flat.take(cells, axis=0), flat[cells]
+        assert got.shape == want.shape == (len(cells), m.d)
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        y = np.random.default_rng(1).standard_normal(len(cells))
+        assert (got.T @ y).tobytes() == (want.T @ y).tobytes()
+
+    # A fixed beta of -0.0 passes config validation, and is the one width at
+    # which a -0.0 in w reaches the clip as -0.0.
+    @pytest.mark.parametrize("beta", [0.0, -0.0, 0.3])
+    @pytest.mark.parametrize("cov_cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_clipped_q_matches_np_clip(self, beta, cov_cls):
+        m = random_tabular(1, 4, 2, 3)  # d = 8
+        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, beta, cov_cls)
+        qp = ag.qparams
+        for hh in range(m.H):
+            top = m.H - hh
+            qp.w[hh] = [-0.0, 0.0, -1.5, top, top + 2.0, 0.25, top - 0.3, -1e-300]
+            want = np.clip(qp.w[hh] + qp.beta * np.sqrt(qp.cov[hh].inv_diag), 0.0, top)
+            got = ag._clipped_q(hh)
+            assert got.tobytes() == want.tobytes()
+            assert got[3] == top and got[2] == 0.0
+            assert np.signbit(got[0]) == (math.copysign(1.0, beta) < 0)
+
+
 class TestBetaFormulas:
     def test_worked_example_high_precision(self):
         got = theoretical_beta(1, 1, 1, 100, 1.0, 1.0, 0.1, 1.0)

@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from coop_lsvi import harness
 from coop_lsvi.harness import RunConfig, build_run_state, metrics_csv_text, run_experiment
 
 INSTANCES = {
@@ -56,6 +57,26 @@ def golden_text(instance: str, protocol: str) -> str:
 def test_metrics_csv_digest(instance, protocol):
     text = golden_text(instance, protocol)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(instance, protocol)]
+
+
+# The same runs with a policy-value cache that holds one entry: a new greedy
+# policy evicts the last one, and a returning one is evaluated again.
+@pytest.mark.parametrize("instance,protocol", sorted(DIGESTS))
+def test_metrics_csv_digest_with_one_entry_cache(monkeypatch, instance, protocol):
+    mdp = harness.build_mdp(RunConfig(**INSTANCES[instance]).resolved())
+    entry = 16 * mdp.H * mdp.n_states  # the policy key and its value, 8 bytes a cell
+    monkeypatch.setattr(harness, "POLICY_VALUE_CACHE_BYTES", entry)
+    policy_value, sizes = harness.RunState.policy_value, []
+
+    def bounded(state, policy):
+        value = policy_value(state, policy)
+        sizes.append(sum(len(key) + v.nbytes for key, v in state.policy_values.items()))
+        return value
+
+    monkeypatch.setattr(harness.RunState, "policy_value", bounded)
+    text = golden_text(instance, protocol)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(instance, protocol)]
+    assert max(sizes) == entry
 
 
 # Random 40 x 5 (d = 200), diagnostics on; recorded before the row-wise

@@ -328,6 +328,15 @@ class TestAccounting:
         for agent in views[-1].agents:
             assert all(len(store.batch()) == 0 for store in agent._own)
 
+    @pytest.mark.parametrize("protocol", ["async_trigger", "full_sync", "no_comm"])
+    def test_own_history_stores_built_on_first_read(self, protocol):
+        views = []
+        run_experiment(RunConfig(mdp_kind="hard", M=3, K=300, protocol=protocol,
+                                 schedule="uniform_random", master_seed=1),
+                       episode_hook=views.append)
+        for agent in views[-1].agents:
+            assert len(agent._own) == (agent.H if protocol == "no_comm" else 0)
+
 
 class TestOneQTable:
     """The agent's stored table is the Q-function; the policy is its argmax."""
@@ -404,6 +413,79 @@ class TestOneQTable:
         assert state.agent_tables(1).q is agents[0].q_table(mdp) is not q0
         assert all(state.agent_tables(m).q is q0 for m in range(2, cfg.M + 1))
         assert np.array_equal(q0, before)
+
+
+CACHE_INSTANCES = {
+    "hard": dict(mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.05),
+    "random": dict(mdp_kind="random", mdp_n_states=5, mdp_n_actions=3, mdp_horizon=3,
+                   mdp_seed=3, beta_mode="fixed", beta_value=0.05),
+}
+
+
+class TestPolicyValueCache:
+    """RunState.policy_value evaluates each distinct greedy policy once per
+    run, through mdp_mod.eval_policy, and hands out its read-only value."""
+
+    @staticmethod
+    def run(monkeypatch, **kw):
+        """(final RunState, key of every policy eval_policy saw, RunRecord)."""
+        states, evaluated = [], []
+        evaluate, build = mdp_mod.eval_policy, harness.build_run_state
+        monkeypatch.setattr(mdp_mod, "eval_policy", lambda mdp, policy: (
+            evaluated.append(policy.tobytes()) or evaluate(mdp, policy)))
+        monkeypatch.setattr(harness, "build_run_state",
+                            lambda cfg: states.append(build(cfg)) or states[-1])
+        record = run_experiment(RunConfig(M=3, schedule="uniform_random", master_seed=5, **kw))
+        return states[0], evaluated, record
+
+    @pytest.mark.parametrize("instance", sorted(CACHE_INSTANCES))
+    @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+    def test_every_refit_gets_the_fresh_value(self, monkeypatch, instance, protocol):
+        evaluate, refit, seen = mdp_mod.eval_policy, harness._refit, []
+
+        def checked_refit(state, agent, covs, data):
+            refit(state, agent, covs, data)
+            tables = state.agent_tables(agent.agent_id)
+            assert tables.value.tobytes() == evaluate(state.mdp, tables.policy).tobytes()
+            seen.append(tables.policy.tobytes())
+
+        monkeypatch.setattr(harness, "_refit", checked_refit)
+        state, _, _ = self.run(monkeypatch, protocol=protocol, K=200,
+                               **CACHE_INSTANCES[instance])
+        assert len(seen) == state.cum_switch > len(set(seen))
+
+    def test_evaluates_each_distinct_policy_once(self, monkeypatch):
+        state, evaluated, _ = self.run(monkeypatch, protocol="full_sync", K=300,
+                                       **CACHE_INSTANCES["hard"])
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == set(state.policy_values)
+        assert state.cum_switch > 10 * len(evaluated)
+
+    def test_cached_values_are_read_only(self, monkeypatch):
+        state, _, _ = self.run(monkeypatch, protocol="async_trigger", K=300,
+                               **CACHE_INSTANCES["random"])
+        assert len(state.policy_values) > 1
+        assert not any(value.flags.writeable for value in state.policy_values.values())
+        for tables in filter(None, state.tables):
+            assert tables.value is state.policy_values[tables.policy.tobytes()]
+            with pytest.raises(ValueError):
+                tables.value[0, 0] = 0.0
+
+    def test_one_entry_budget_evicts_the_oldest(self, monkeypatch):
+        kw = dict(protocol="full_sync", K=300, **CACHE_INSTANCES["hard"])
+        want = metrics_csv_text(run_experiment(RunConfig(M=3, schedule="uniform_random",
+                                                         master_seed=5, **kw)))
+        monkeypatch.setattr(harness, "POLICY_VALUE_CACHE_BYTES", 16 * 3 * 4)  # H = 3, S = 4
+        state, evaluated, record = self.run(monkeypatch, **kw)
+        assert list(state.policy_values) == [evaluated[-1]]
+        assert len(evaluated) > len(set(evaluated))
+        assert metrics_csv_text(record) == want
+
+    def test_eval_off_evaluates_nothing(self, monkeypatch):
+        state, evaluated, record = self.run(monkeypatch, protocol="full_sync", K=100,
+                                            eval_mode="off", **CACHE_INSTANCES["hard"])
+        assert evaluated == [] and state.policy_values == {}
+        assert state.cum_switch > 0 and np.isnan(record.regret_inc).all()
 
 
 class TestInactiveFreeze:

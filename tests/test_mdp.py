@@ -89,6 +89,12 @@ class TestLinearMdp:
         for arr in (m.transitions, m.rewards, m.features, m._cum_rows):
             assert arr.dtype == np.float64 and not arr.flags.writeable
 
+    def test_compares_and_hashes_by_identity(self):
+        a, b = hard_instance(8, 3, 0.1), hard_instance(8, 3, 0.1)
+        assert (a == b) is False
+        assert (a == a) is True
+        assert len({a, b, a}) == 2
+
     @pytest.mark.parametrize("P_shape,r_shape", [
         ((2, 3, 2, 4), (2, 3, 2)),   # next-state axis differs from the state axis
         ((2, 3, 2, 3), (2, 3, 3)),   # reward table of another action count
