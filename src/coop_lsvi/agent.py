@@ -331,9 +331,13 @@ def theoretical_beta(d: int, H: int, M: int, K: int, alpha: float,
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if c_beta < 0:
         raise ValueError("c_beta must be nonnegative")
+    floor = delta * min(1.0, ridge, alpha * ridge)
+    ratio = (2.0 + K) / floor if floor > 0.0 else math.inf
+    if ratio == math.inf:
+        raise ValueError(f"(2 + K) / (delta * min(1, ridge, alpha * ridge)) overflows "
+                         f"float64 (alpha={alpha!r}, ridge={ridge!r}, delta={delta!r})")
     c_tilde = M * math.sqrt(alpha) + math.sqrt(1.0 + M * alpha)
-    log_term = math.log((2.0 + K) / (delta * min(1.0, ridge, alpha * ridge)))
-    return c_beta * d * H * c_tilde * (log_term + math.log(H * d * c_tilde))
+    return c_beta * d * H * c_tilde * (math.log(ratio) + math.log(H * d * c_tilde))
 
 
 def practical_beta(d: int, H: int, K: int, delta: float, c: float = 0.1) -> float:

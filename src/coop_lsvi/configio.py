@@ -152,8 +152,9 @@ def _parse_mode_value(text: str, lineno: int,
         raise ConfigError(f"line {lineno}: bad value in {text!r}") from None
 
 
-def _parse_axis(text: str, lineno: int, kind) -> list:
-    """Comma list of values; an integer axis also takes inclusive 'a..b' ranges."""
+def _parse_axis(text: str, lineno: int, kind, cap: int) -> list:
+    """Comma list of values; an integer axis also takes inclusive 'a..b' ranges.
+    An axis of more than ``cap`` values is refused before it is built."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -167,7 +168,10 @@ def _parse_axis(text: str, lineno: int, kind) -> list:
             raise ConfigError(f"line {lineno}: bad value {part!r}") from None
         if not values:
             raise ConfigError(f"line {lineno}: empty range {part!r}")
-        out.extend(values)
+        out.extend(values[:cap + 1 - len(out)])  # at most one value past the cap
+        if len(out) > cap:
+            raise ConfigError(f"line {lineno}: axis has more than {cap} values, "
+                              f"over the sweep's cap of {cap} runs")
     if not out:
         raise ConfigError(f"line {lineno}: empty list")
     return out
@@ -225,15 +229,15 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     if "sweep" not in sections:
         return cfg
 
+    cap = SWEEP_CAP_DEFAULT
+    if ("sweep", "max_runs") in raw:
+        cap = _convert(*raw[("sweep", "max_runs")], "max_runs", int)
     axes: dict[str, list] = {}
     for axis, key in _AXES.items():
         if ("sweep", axis) in raw:
             value, lineno = raw[("sweep", axis)]
-            axes[axis] = _parse_axis(value, lineno, _FIELDS[key][1])
+            axes[axis] = _parse_axis(value, lineno, _FIELDS[key][1], cap)
             lines[key] = lineno
-    cap = SWEEP_CAP_DEFAULT
-    if ("sweep", "max_runs") in raw:
-        cap = _convert(*raw[("sweep", "max_runs")], "max_runs", int)
     spec = SweepSpec(base=cfg, axes=axes, cap=cap)
     if spec.size() > spec.cap:
         raise ConfigError(f"sweep would launch {spec.size()} runs, over the cap {spec.cap}")

@@ -21,7 +21,7 @@ from . import mdp as mdp_mod
 from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
                     theoretical_beta)
 from .mdp import LinearMdp, PlannerOutput
-from .psdmat import Covariance, DiagonalPsdMatrix
+from .psdmat import MIN_RIDGE, Covariance, DiagonalPsdMatrix
 from .schedules import (INIT_STATE_KINDS, SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS,
                         make_initial_states, make_schedule)
 from .server import CentralServer, Decision, ProtocolKind, protocol_decide
@@ -147,8 +147,9 @@ class RunConfig:
                     ("run", "M"))
         if self.alpha is not None and not self.alpha > 0:
             bad(f"alpha must be > 0, got {self.alpha}", ("run", "alpha"))
-        if not 0 < self.ridge < math.inf:
-            bad(f"ridge must be finite and > 0, got {self.ridge}", ("run", "ridge"))
+        if not MIN_RIDGE <= self.ridge < math.inf:
+            bad(f"ridge must be finite and >= MIN_RIDGE = {MIN_RIDGE:g}, got {self.ridge}",
+                ("run", "ridge"))
         if not 0 < self.delta < 1:
             bad(f"delta must lie in (0,1), got {self.delta}", ("run", "delta"))
         if self.beta_mode not in ("practical", "theoretical", "fixed"):
@@ -157,6 +158,12 @@ class RunConfig:
             bad("beta mode 'fixed' requires a value", ("run", "beta"))
         if self.beta_value is not None and not 0 <= self.beta_value < math.inf:
             bad(f"beta value must be finite and >= 0, got {self.beta_value}", ("run", "beta"))
+        if self.beta_mode == "theoretical" and self.alpha is not None:
+            # d, H and the constant scale beta; only alpha, ridge, delta can fail it.
+            try:
+                theoretical_beta(1, 1, self.M, self.K, self.alpha, self.ridge, self.delta, 0.0)
+            except ValueError as e:
+                bad(f"beta = theoretical: {e}", ("run", "beta"))
         if self.protocol not in [p.value for p in ProtocolKind]:
             bad(f"unknown protocol {self.protocol!r}", ("run", "protocol"))
         if self.eval_mode not in ("exact", "off"):
@@ -297,23 +304,20 @@ def epoch_boundaries(all_logdet: np.ndarray, ridge: float, d: int) -> list[int]:
     return out
 
 
+def _epochs(boundaries: list[int], K: int):
+    """Each epoch's episodes [start, end); the last epoch ends at K + 1."""
+    return zip(boundaries, [*boundaries[1:], K + 1])
+
+
 def count_nonempty_epochs(boundaries: list[int], K: int) -> int:
     """Number of epochs [K_i, K_{i+1}) that contain at least one episode."""
-    n = 0
-    for i, start in enumerate(boundaries):
-        end = boundaries[i + 1] if i + 1 < len(boundaries) else K + 1
-        if end > start:
-            n += 1
-    return n
+    return sum(end > start for start, end in _epochs(boundaries, K))
 
 
 def per_epoch_counts(boundaries: list[int], event_episodes: np.ndarray, K: int) -> list[int]:
     """How many of the given 1-based episodes fall in each epoch."""
-    out = []
-    for i, start in enumerate(boundaries):
-        end = boundaries[i + 1] if i + 1 < len(boundaries) else K + 1
-        out.append(int(np.sum((event_episodes >= start) & (event_episodes < end))))
-    return out
+    return [int(np.sum((event_episodes >= start) & (event_episodes < end)))
+            for start, end in _epochs(boundaries, K)]
 
 
 def comm_complexity_scale(d: int, H: int, M: int, alpha: float, K: int, ridge: float) -> float:

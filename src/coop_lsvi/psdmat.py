@@ -37,6 +37,13 @@ FEATURE_NORM_SLACK = 1e-9
 # misconfigured one-hot embedding.
 MAX_DIM = 4096
 
+# Smallest ridge whose updates stay finite. The first rank-one update of a
+# fresh matrix squares q = 1/ridge (q*q in the diagonal class, outer(u, u) in
+# the dense one), and float64 overflows past 1.8e308, so 1/ridge must stay
+# below sqrt(1.8e308) = 1.3e154: ridge 1e-155 turns the inverse into -inf,
+# 1e-154 still runs.
+MIN_RIDGE = 1e-154
+
 
 class PsdMatrix:
     """A d x d symmetric positive-definite matrix with cached inverse/logdet.
@@ -51,14 +58,7 @@ class PsdMatrix:
     __slots__ = ("dim", "ridge", "mat", "inv", "logdet", "updates_since_refresh")
 
     def __init__(self, dim: int, ridge: float):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        if dim > MAX_DIM:
-            raise ValueError(f"dim {dim} exceeds MAX_DIM={MAX_DIM}")
-        if not ridge > 0.0:
-            raise ValueError(f"ridge must be positive, got {ridge!r}")
-        self.dim = int(dim)
-        self.ridge = float(ridge)
+        self.dim, self.ridge = _checked_shape(dim, ridge)
         self.mat = np.eye(self.dim) * self.ridge
         self.inv = np.eye(self.dim) / self.ridge
         self.logdet = self.dim * math.log(self.ridge)
@@ -134,6 +134,19 @@ class PsdMatrix:
         return x
 
 
+def _checked_shape(dim: int, ridge: float) -> tuple[int, float]:
+    """(dim, ridge) as int and float, or ValueError if either is out of range."""
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim {dim} exceeds MAX_DIM={MAX_DIM}")
+    if not ridge > 0.0:
+        raise ValueError(f"ridge must be positive, got {ridge!r}")
+    if not ridge >= MIN_RIDGE:
+        raise ValueError(f"ridge {ridge!r} is below MIN_RIDGE={MIN_RIDGE:g}")
+    return int(dim), float(ridge)
+
+
 def _check_basis_index(j: int, dim: int) -> None:
     """Raise ValueError unless j is an integer in [0, dim): a negative index
     must not wrap around to another basis vector."""
@@ -163,14 +176,7 @@ class DiagonalPsdMatrix:
     __slots__ = ("dim", "ridge", "diag", "inv_diag", "logdet", "updates_since_refresh")
 
     def __init__(self, dim: int, ridge: float):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        if dim > MAX_DIM:
-            raise ValueError(f"dim {dim} exceeds MAX_DIM={MAX_DIM}")
-        if not ridge > 0.0:
-            raise ValueError(f"ridge must be positive, got {ridge!r}")
-        self.dim = int(dim)
-        self.ridge = float(ridge)
+        self.dim, self.ridge = _checked_shape(dim, ridge)
         self.diag = np.full(self.dim, self.ridge)
         self.inv_diag = 1.0 / self.diag
         self.logdet = self.dim * math.log(self.ridge)

@@ -52,33 +52,24 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _run_one(args: tuple[int, RunConfig, str]) -> dict:
+    """One run's aggregate row: unresolved values and NaN, -1 or "" if it fails."""
     index, cfg, out_dir = args
+    row = {"run": index, "K": cfg.K, "M": cfg.M, "ridge": cfg.ridge,
+           "alpha": cfg.alpha if cfg.alpha is not None else math.nan, "gap": math.nan,
+           "protocol": cfg.protocol, "seed": cfg.master_seed, "total_regret": math.nan,
+           "total_comm": -1, "total_switch": -1, "config_hash": ""}
     try:
         resolved = cfg.resolved()
         record = run_experiment(resolved)
         atomic_write(os.path.join(out_dir, f"run_{index:04d}.metrics.csv"),
                      metrics_csv_text(record))
-        return {
-            "run": index, "K": resolved.K, "M": resolved.M,
-            "alpha": resolved.alpha, "ridge": resolved.ridge,
-            "gap": resolved.mdp_gap if resolved.mdp_kind == "hard" else float("nan"),
-            "protocol": resolved.protocol, "seed": resolved.master_seed,
-            "status": "ok",
-            "total_regret": record.total_regret,
-            "total_comm": record.total_comm,
-            "total_switch": record.total_switches,
-            "config_hash": config_hash(resolved),
-        }
+        row.update(alpha=resolved.alpha, status="ok", config_hash=config_hash(resolved),
+                   gap=resolved.mdp_gap if resolved.mdp_kind == "hard" else math.nan,
+                   total_regret=record.total_regret, total_comm=record.total_comm,
+                   total_switch=record.total_switches)
     except Exception as e:  # a failed run is recorded, the sweep continues
-        return {
-            "run": index, "K": cfg.K, "M": cfg.M,
-            "alpha": cfg.alpha if cfg.alpha is not None else float("nan"),
-            "ridge": cfg.ridge, "gap": float("nan"),
-            "protocol": cfg.protocol, "seed": cfg.master_seed,
-            "status": f"error: {type(e).__name__}: {e}",
-            "total_regret": float("nan"), "total_comm": -1, "total_switch": -1,
-            "config_hash": "",
-        }
+        row["status"] = f"error: {type(e).__name__}: {e}"
+    return row
 
 
 def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> list[dict]:
@@ -87,6 +78,8 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> list[dict]:
     atomic_write(os.path.join(out_dir, "base.resolved.cfg"), emit_config(spec.base))
     configs = expand_sweep(spec)
     jobs = [(i, cfg, out_dir) for i, cfg in enumerate(configs)]
+    # A fork-started pool starts all max_workers processes at the first submit.
+    workers = min(workers, len(jobs))
     if workers <= 1:
         rows = [_run_one(job) for job in jobs]
     else:

@@ -511,6 +511,9 @@ class TestBetaFormulas:
     @pytest.mark.parametrize("kwargs", [
         dict(d=0), dict(delta=0.0), dict(delta=1.0), dict(alpha=0.0),
         dict(ridge=0.0), dict(K=0), dict(c_beta=-1.0),
+        # delta * min(1, ridge, alpha * ridge) rounds to 0, or (2 + K) over it to inf
+        dict(alpha=5e-324, ridge=0.5), dict(alpha=1e-200, ridge=1e-150),
+        dict(alpha=1e-300, ridge=1e-10),
     ])
     def test_domain_violations(self, kwargs):
         base = dict(d=2, H=2, M=2, K=10, alpha=0.5, ridge=1.0, delta=0.1, c_beta=1.0)

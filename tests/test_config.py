@@ -2,15 +2,17 @@
 
 import dataclasses
 import pathlib
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coop_lsvi.configio import (_AXES, _FIELDS, SweepSpec, config_hash,
                                 emit_config, expand_sweep, parse_config,
                                 parse_config_file)
 from coop_lsvi.harness import ConfigError, RunConfig
+from coop_lsvi.psdmat import MIN_RIDGE
 from coop_lsvi.schedules import SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS
 from coop_lsvi.server import ProtocolKind
 
@@ -128,15 +130,22 @@ def _run_configs(draw):
     kw["beta_mode"] = draw(st.sampled_from(["practical", "theoretical", "fixed"]))
     beta = st.floats(0, 1e6)
     kw["beta_value"] = draw(beta if kw["beta_mode"] == "fixed" else st.none() | beta)
-    return RunConfig(
+    cfg = RunConfig(
         **kw, M=M, K=draw(st.integers(1, 10**6)),
         alpha=draw(st.none() | st.floats(0, exclude_min=True)),  # inf: never communicates
-        ridge=draw(st.floats(0, exclude_min=True, allow_infinity=False)),
+        ridge=draw(st.floats(MIN_RIDGE, allow_infinity=False)),
         delta=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
         protocol=draw(st.sampled_from([p.value for p in ProtocolKind])),
         master_seed=draw(st.integers(0, 2**63)),
         eval_mode=draw(st.sampled_from(["exact", "off"])),
         diagnostics=draw(st.booleans()))
+    try:
+        cfg.resolved()
+    except ConfigError as e:
+        # A tiny delta * min(1, ridge, alpha * ridge) leaves no float64 theoretical beta.
+        assume(e.key != ("run", "beta"))
+        raise
+    return cfg
 
 
 class TestEcho:
@@ -214,6 +223,20 @@ protocol = async_trigger, no_comm
         text = MINIMAL + "\n[sweep]\nseeds = 0..99\nmax_runs = 50\n"
         with pytest.raises(ConfigError, match="cap"):
             parse_config(text)
+
+    def test_long_axis_refused_before_it_is_built(self):
+        """An axis longer than the cap names its line without being expanded:
+        a million seeds built as a list would peak at about 40 MB."""
+        text = MINIMAL + "\n[sweep]\nseeds = 0, 0..1000000\n"
+        lineno = text.splitlines().index("seeds = 0, 0..1000000") + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^line {lineno}: .* cap of 10000 runs"):
+                parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_bad_range(self):
         with pytest.raises(ConfigError, match="range"):

@@ -91,7 +91,8 @@ class TestConfigValidation:
         dict(delta=1.0), dict(protocol="nope"), dict(eval_mode="nope"),
         dict(schedule="nope"), dict(beta_mode="fixed", beta_value=None),
         dict(mdp_kind="random", init_state="epoch"), dict(mdp_seed=-1),
-        dict(schedule="uniform_random", schedule_seed=-5),
+        dict(schedule="uniform_random", schedule_seed=-5), dict(ridge=1e-155),
+        dict(beta_mode="theoretical", alpha=5e-324, ridge=0.5),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):

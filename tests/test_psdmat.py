@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coop_lsvi.psdmat import (MAX_DIM, REFRESH_PERIOD, DiagonalPsdMatrix, PsdMatrix,
-                             det_ratio, log_det_ratio)
+from coop_lsvi.psdmat import (MAX_DIM, MIN_RIDGE, REFRESH_PERIOD, DiagonalPsdMatrix,
+                              PsdMatrix, det_ratio, log_det_ratio)
 
 
 def e(i, d):
@@ -37,7 +37,8 @@ class TestInit:
         m = PsdMatrix(16, 0.5)
         assert np.allclose(m.inv, 2.0 * np.eye(16))
 
-    @pytest.mark.parametrize("dim,ridge", [(0, 1.0), (-1, 1.0), (3, 0.0), (3, -2.0)])
+    @pytest.mark.parametrize("dim,ridge", [(0, 1.0), (-1, 1.0), (3, 0.0), (3, -2.0),
+                                           (3, MIN_RIDGE / 10)])
     def test_invalid_arguments(self, dim, ridge):
         with pytest.raises(ValueError):
             PsdMatrix(dim, ridge)
@@ -45,6 +46,16 @@ class TestInit:
     def test_dim_cap(self):
         with pytest.raises(ValueError):
             PsdMatrix(MAX_DIM + 1, 1.0)
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_updates_at_the_ridge_floor_stay_finite(self, cls):
+        """The first update squares 1/ridge; at MIN_RIDGE that is still finite."""
+        m = cls(3, MIN_RIDGE)
+        with np.errstate(all="raise"):
+            for j in (0, 0, 2):
+                m.add_basis(j)
+        assert np.isfinite(m.inv).all() and (m.inv.diagonal() >= 0).all()
+        assert math.isfinite(m.logdet)
 
 
 class TestRankOneUpdate:
@@ -374,7 +385,8 @@ class TestDiagonalInvariants:
             DiagonalPsdMatrix(2, 1.0).rank_one_update(v)
 
     @pytest.mark.parametrize("dim,ridge", [(0, 1.0), (-1, 1.0), (2.0, 1.0), (3, 0.0),
-                                           (3, -2.0), (MAX_DIM + 1, 1.0)])
+                                           (3, -2.0), (MAX_DIM + 1, 1.0),
+                                           (3, MIN_RIDGE / 10)])
     def test_invalid_arguments(self, dim, ridge):
         with pytest.raises(ValueError):
             DiagonalPsdMatrix(dim, ridge)

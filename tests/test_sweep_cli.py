@@ -10,6 +10,7 @@ import pytest
 
 import coop_lsvi
 from coop_lsvi import harness
+from coop_lsvi import sweep as sweep_mod
 from coop_lsvi.cli import main
 from coop_lsvi.configio import parse_config
 from coop_lsvi.harness import ConfigError, RunConfig, run_experiment
@@ -328,6 +329,57 @@ def test_run_size_caps_name_their_line(tmp_path, capsys, command, text, bad_line
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"line {bad_line}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Line 11 holds the added ridge and line 13 the added beta; a [sweep] axis is
+# on line 15.
+@pytest.mark.parametrize("command,text,bad_line,message", [
+    ("run", RUN_CFG.replace("K = 10", "K = 10\nridge = 1e-155"), 11, "MIN_RIDGE"),
+    ("sweep", RUN_CFG + "\n[sweep]\nridge = 1, 1e-155\n", 15, "MIN_RIDGE"),
+    ("run", RUN_CFG.replace("K = 10", "K = 10\nalpha = 5e-324\nridge = 0.5\n"
+                            "beta = theoretical:1"), 13, "beta = theoretical"),
+    ("run", RUN_CFG.replace("K = 10", "K = 10\nalpha = 1e-200\nridge = 1e-150\n"
+                            "beta = theoretical:1"), 13, "beta = theoretical"),
+    ("sweep", RUN_CFG + "\n[sweep]\nseeds = 0..1000000\n", 15, "cap of 10000 runs"),
+], ids=["ridge_floor", "swept_ridge_floor", "beta_underflow_alpha",
+        "beta_underflow_ridge", "axis_over_cap"])
+def test_numeric_limits_name_their_line(tmp_path, capsys, command, text, bad_line,
+                                        message):
+    """A ridge below the floor, a theoretical beta whose log term leaves
+    float64, and an axis longer than the cap exit 2 naming their line."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {bad_line}: " in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds,pool_sizes", [("0, 1", [2]), ("0", [])])
+def test_no_more_workers_than_runs(tmp_path, monkeypatch, seeds, pool_sizes):
+    """A fork-started pool starts all its workers at the first submit, so a
+    2-run sweep gets a pool of 2 and a 1-run sweep runs serially. The pool is
+    a stand-in that records its size and runs the jobs inline."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
+    spec = parse_config(RUN_CFG + f"\n[sweep]\nseeds = {seeds}\n")
+    rows = run_sweep(spec, str(tmp_path), workers=64)
+    assert sizes == pool_sizes
+    assert [r["status"] for r in rows] == ["ok"] * len(rows)
 
 
 def test_run_size_caps_admit_runs_at_the_cap():
