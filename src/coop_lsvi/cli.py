@@ -65,7 +65,13 @@ def cmd_run(args) -> int:
             raise ConfigError("config defines a sweep; use the 'sweep' subcommand")
         if args.seed is not None:
             cfg.master_seed = args.seed
-        resolved = cfg.resolved()
+        try:
+            resolved = cfg.resolved()
+        except ConfigError as e:
+            # The file's own master_seed line was checked as it was parsed.
+            if e.key != ("run", "master_seed"):
+                raise
+            raise ConfigError(f"--seed: {e}") from None
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -120,6 +120,10 @@ class RunConfig:
             bad("mdp kind 'file' requires a path", ("mdp", "path"))
         if self.mdp_seed < 0:
             bad(f"mdp seed must be >= 0, got {self.mdp_seed}", ("mdp", "seed"))
+        if not 0 <= self.master_seed < 2 ** 64:
+            # mix_seed reads it mod 2**64, so any other seed aliases one inside.
+            bad(f"master_seed must lie in [0, 2**64), got {self.master_seed}",
+                ("run", "master_seed"))
         # (H, n_states, d) of the instance, where known.
         sizes = None if instance is None else (instance.H, instance.n_states, instance.d)
         try:
@@ -164,6 +168,12 @@ class RunConfig:
                 theoretical_beta(1, 1, self.M, self.K, self.alpha, self.ridge, self.delta, 0.0)
             except ValueError as e:
                 bad(f"beta = theoretical: {e}", ("run", "beta"))
+        if (sizes is not None and self.beta_value is not None
+                and (self.alpha is not None or self.beta_mode != "theoretical")):
+            beta = resolve_beta(self, sizes[2], sizes[0])
+            if not math.isfinite(beta):
+                bad(f"beta = {self.beta_mode}:{self.beta_value:g} resolves to {beta} "
+                    f"at d = {sizes[2]}, H = {sizes[0]}", ("run", "beta"))
         if self.protocol not in [p.value for p in ProtocolKind]:
             bad(f"unknown protocol {self.protocol!r}", ("run", "protocol"))
         if self.eval_mode not in ("exact", "off"):

@@ -21,7 +21,6 @@ import math
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # Full refactorization cadence: the Sherman-Morrison / logdet recurrences
 # drift at roughly machine-eps per update, so a periodic Cholesky rebuild
@@ -37,12 +36,21 @@ FEATURE_NORM_SLACK = 1e-9
 # misconfigured one-hot embedding.
 MAX_DIM = 4096
 
-# Smallest ridge whose updates stay finite. The first rank-one update of a
-# fresh matrix squares q = 1/ridge (q*q in the diagonal class, outer(u, u) in
-# the dense one), and float64 overflows past 1.8e308, so 1/ridge must stay
-# below sqrt(1.8e308) = 1.3e154: ridge 1e-155 turns the inverse into -inf,
-# 1e-154 still runs.
-MIN_RIDGE = 1e-154
+# Relative error allowed in a cached inverse entry just after an update. The
+# first update of a fresh matrix is the worst: with q = 1/ridge it computes
+# q - q*q/(1+q), a value near 1/(1 + ridge) left by cancelling two values near
+# q, so it carries a few ulps of q, about 2**-52 / ridge relative. A later
+# visit to the cell, with q = inv_jj <= 1 by then, scales that error by
+# 1/(1 + q) < 1 and loses at most one bit to cancellation itself. 1e-5 keeps
+# a bonus beta * sqrt(inv_jj) within 5e-6 of itself, and admits ridges ten
+# decades below the customary 1.
+INV_REL_TOL = 1e-5
+
+# Smallest power of ten whose first update meets INV_REL_TOL: scanned, the
+# worst relative error is 9.5e-7 for ridge in [1e-10, 1e-9] and 1.5e-5 in
+# [1e-11, 1e-10]. Lower still, the update loses the inverse outright: it is
+# 0.0 at ridge 1e-16, a zero bonus at every visited cell until the refresh.
+MIN_RIDGE = 1e-10
 
 
 class PsdMatrix:
@@ -101,6 +109,10 @@ class PsdMatrix:
 
     def refresh(self) -> None:
         """Recompute inverse and logdet from scratch via Cholesky."""
+        # Imported here: only the dense class refreshes through scipy, and no
+        # run builds one, so a run never pays scipy's import.
+        from scipy.linalg import cho_factor, cho_solve
+
         c, low = cho_factor(self.mat, lower=True)
         inv = cho_solve((c, low), np.eye(self.dim))
         self.inv = 0.5 * (inv + inv.T)

@@ -93,15 +93,30 @@ class TestConfigValidation:
         dict(mdp_kind="random", init_state="epoch"), dict(mdp_seed=-1),
         dict(schedule="uniform_random", schedule_seed=-5), dict(ridge=1e-155),
         dict(beta_mode="theoretical", alpha=5e-324, ridge=0.5),
+        dict(beta_mode="practical", beta_value=1e308),
+        dict(beta_mode="theoretical", beta_value=1.0, alpha=math.inf),
+        dict(master_seed=-1), dict(master_seed=2 ** 64),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs).validate()
 
-    def test_negative_master_seed_is_legal(self):
-        # mix_seed masks the master seed to 64 bits.
-        cfg = RunConfig(master_seed=-5, schedule="uniform_random").resolved()
-        assert cfg.schedule_seed == mix_seed(-5, TAG_SCHEDULE) >= 0
+    def test_master_seed_must_fit_64_bits(self):
+        # mix_seed reads the master seed mod 2**64: one outside would alias one inside.
+        cfg = RunConfig(master_seed=2 ** 64 - 1, schedule="uniform_random").resolved()
+        assert cfg.schedule_seed == mix_seed(2 ** 64 - 1, TAG_SCHEDULE)
+        for seed in (-5, 2 ** 64 + 5):
+            with pytest.raises(ConfigError) as e:
+                RunConfig(master_seed=seed).validate()
+            assert e.value.key == ("run", "master_seed")
+
+    def test_resolved_beta_must_be_finite(self):
+        """The constant is checked alone, and beta again once d and H scale
+        it; a fixed beta is the constant itself, so 1e308 stays legal."""
+        build_run_state(RunConfig(beta_mode="fixed", beta_value=1e308, K=5))
+        with pytest.raises(ConfigError) as e:
+            build_run_state(RunConfig(beta_mode="practical", beta_value=1e308, K=5))
+        assert e.value.key == ("run", "beta")
 
     def test_file_instance_fixed_state_checked_against_its_states(self):
         cfg = RunConfig(mdp_kind="file", mdp_path="inst.mdp", init_state="fixed",

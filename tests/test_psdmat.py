@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coop_lsvi.psdmat import (MAX_DIM, MIN_RIDGE, REFRESH_PERIOD, DiagonalPsdMatrix,
-                              PsdMatrix, det_ratio, log_det_ratio)
+from coop_lsvi import psdmat
+from coop_lsvi.psdmat import (INV_REL_TOL, MAX_DIM, MIN_RIDGE, REFRESH_PERIOD,
+                              DiagonalPsdMatrix, PsdMatrix, det_ratio, log_det_ratio)
 
 
 def e(i, d):
@@ -38,7 +39,7 @@ class TestInit:
         assert np.allclose(m.inv, 2.0 * np.eye(16))
 
     @pytest.mark.parametrize("dim,ridge", [(0, 1.0), (-1, 1.0), (3, 0.0), (3, -2.0),
-                                           (3, MIN_RIDGE / 10)])
+                                           (3, MIN_RIDGE / 10), (3, 1e-155)])
     def test_invalid_arguments(self, dim, ridge):
         with pytest.raises(ValueError):
             PsdMatrix(dim, ridge)
@@ -46,6 +47,22 @@ class TestInit:
     def test_dim_cap(self):
         with pytest.raises(ValueError):
             PsdMatrix(MAX_DIM + 1, 1.0)
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_first_update_meets_the_tolerance_from_the_ridge_floor(self, cls, monkeypatch):
+        """MIN_RIDGE is the smallest power of ten from which the first update,
+        the one that cancels most, stays within INV_REL_TOL of 1/(1 + ridge)."""
+        def worst(ridges):
+            errs = []
+            for r in ridges:
+                m = cls(1, float(r))
+                m.add_basis(0)
+                errs.append(abs(m.inv[0, 0] * (1.0 + r) - 1.0))
+            return max(errs)
+
+        assert worst(np.geomspace(MIN_RIDGE, 1.0, 2001)) <= INV_REL_TOL
+        monkeypatch.setattr(psdmat, "MIN_RIDGE", 0.0)
+        assert worst(np.geomspace(MIN_RIDGE / 10, MIN_RIDGE, 1001)) > INV_REL_TOL
 
     @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
     def test_updates_at_the_ridge_floor_stay_finite(self, cls):
@@ -386,7 +403,7 @@ class TestDiagonalInvariants:
 
     @pytest.mark.parametrize("dim,ridge", [(0, 1.0), (-1, 1.0), (2.0, 1.0), (3, 0.0),
                                            (3, -2.0), (MAX_DIM + 1, 1.0),
-                                           (3, MIN_RIDGE / 10)])
+                                           (3, MIN_RIDGE / 10), (3, 1e-155)])
     def test_invalid_arguments(self, dim, ridge):
         with pytest.raises(ValueError):
             DiagonalPsdMatrix(dim, ridge)

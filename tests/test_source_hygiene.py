@@ -2,13 +2,19 @@
 
 import ast
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 import coop_lsvi
 
-SRC = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "coop_lsvi").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "coop_lsvi").glob("*.py"))
 
 
 def test_sources_found():
@@ -35,7 +41,7 @@ def test_traced_names_exist():
     The tracer reads each original from ``vars(owner)``, so a renamed or
     deleted method would otherwise break only traced benchmark runs.
     """
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -96,3 +102,43 @@ def test_server_writes_no_agent_state():
             if not (isinstance(root, ast.Name) and root.id == "self"):
                 bad.append(target.lineno)
     assert bad == [], f"server.py: writes outside self at lines {bad}"
+
+
+# Runs in a fresh interpreter: every run path of the package, then the one
+# scipy user, reporting whether scipy was loaded before it.
+_RUN_PATH_PROBE = textwrap.dedent("""
+    import json, sys
+    import coop_lsvi
+    from coop_lsvi import cli
+    from coop_lsvi.harness import RunConfig, run_experiment
+    from coop_lsvi.psdmat import PsdMatrix
+    from coop_lsvi.server import ProtocolKind
+
+    out, run_cfg, sweep_cfg = sys.argv[1:]
+    for p in ProtocolKind:
+        run_experiment(RunConfig(mdp_d=8, mdp_horizon=3, M=2, K=30, protocol=p.value,
+                                 diagnostics=True))
+    codes = [cli.main(["run", "--config", run_cfg, "--out", out + "/run", "--svg"]),
+             cli.main(["sweep", "--config", sweep_cfg, "--out", out + "/sweep"])]
+    on_run_path = "scipy" in sys.modules
+    m = PsdMatrix(3, 1.0)
+    m.refresh()
+    print(json.dumps({"codes": codes, "scipy": on_run_path,
+                      "refreshed": "scipy" in sys.modules and m.logdet == 0.0}))
+""")
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    """A run, the CLI's run and sweep and every protocol load numpy and the
+    standard library only: scipy, the dense PsdMatrix.refresh's Cholesky,
+    costs most of a process's set-up and no run builds a PsdMatrix."""
+    body = "[mdp]\nkind = hard\nd = 8\nH = 3\n\n[run]\nM = 2\nK = 20\ndiagnostics = on\n"
+    (tmp_path / "run.cfg").write_text(body)
+    (tmp_path / "sweep.cfg").write_text(body + "\n[sweep]\nseeds = 0..1\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PATH_PROBE, str(tmp_path),
+         str(tmp_path / "run.cfg"), str(tmp_path / "sweep.cfg")],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0], "scipy": False, "refreshed": True}

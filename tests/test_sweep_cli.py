@@ -208,10 +208,15 @@ class TestCliRun:
         (RUN_CFG + "ridge = inf\n", 13),
         ("[mdp]\nkind = random\nn_states = 3\nn_actions = 2\nH = 2\nseed = -1\n", 6),
         (RUN_CFG + "\n[schedule]\nkind = uniform_random\nseed = -5\n", 16),
+        (RUN_CFG + "beta = practical:1e308\n", 13),
+        (RUN_CFG + "alpha = inf\nbeta = theoretical\n", 14),
+        (RUN_CFG.replace("master_seed = 3", "master_seed = -1"), 12),
+        (RUN_CFG.replace("master_seed = 3", f"master_seed = {2 ** 64 + 5}"), 12),
     ], ids=["hard_d", "hard_H", "hard_gap", "random_n_states", "random_H",
             "fixed_state", "bursty_block_len", "beta_nan", "beta_negative",
             "beta_inf", "theoretical_beta_negative", "ridge_inf", "mdp_seed_negative",
-            "schedule_seed_negative"])
+            "schedule_seed_negative", "practical_beta_resolves_inf",
+            "theoretical_beta_resolves_inf", "master_seed_negative", "master_seed_over_64_bits"])
     def test_instance_and_schedule_errors_name_their_line(self, tmp_path, capsys,
                                                           text, bad_line):
         cfg = self._write(tmp_path, text)
@@ -338,21 +343,33 @@ def test_run_size_caps_name_their_line(tmp_path, capsys, command, text, bad_line
     ("sweep", RUN_CFG + "\n[sweep]\nridge = 1, 1e-155\n", 15, "MIN_RIDGE"),
     ("run", RUN_CFG.replace("K = 10", "K = 10\nalpha = 5e-324\nridge = 0.5\n"
                             "beta = theoretical:1"), 13, "beta = theoretical"),
-    ("run", RUN_CFG.replace("K = 10", "K = 10\nalpha = 1e-200\nridge = 1e-150\n"
+    ("run", RUN_CFG.replace("K = 10", "K = 10\nalpha = 1e-300\nridge = 1e-10\n"
                             "beta = theoretical:1"), 13, "beta = theoretical"),
     ("sweep", RUN_CFG + "\n[sweep]\nseeds = 0..1000000\n", 15, "cap of 10000 runs"),
+    ("sweep", RUN_CFG + "\n[sweep]\nseeds = -1..1\n", 15, "master_seed"),
 ], ids=["ridge_floor", "swept_ridge_floor", "beta_underflow_alpha",
-        "beta_underflow_ridge", "axis_over_cap"])
+        "beta_underflow_ridge", "axis_over_cap", "swept_seed_negative"])
 def test_numeric_limits_name_their_line(tmp_path, capsys, command, text, bad_line,
                                         message):
     """A ridge below the floor, a theoretical beta whose log term leaves
-    float64, and an axis longer than the cap exit 2 naming their line."""
+    float64, an axis longer than the cap and a swept seed outside [0, 2**64)
+    exit 2 naming their line."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"line {bad_line}: " in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_run_seed_flag_outside_64_bits_names_the_flag(tmp_path, capsys, seed):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(RUN_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+    assert "config error: --seed: master_seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds,pool_sizes", [("0, 1", [2]), ("0", [])])
