@@ -346,6 +346,7 @@ class _AgentTables(NamedTuple):
     q: np.ndarray                  # (H, S, A), read-only while shared
     policy: np.ndarray             # (H, S)
     value: Optional[np.ndarray]    # (H, S)
+    actions: list[list[int]]       # policy.tolist(): the run loop's per-step read
 
 
 @dataclass
@@ -390,7 +391,7 @@ class RunState:
             q = self.agents[idx].q_table(self.mdp)
             policy = q.argmax(axis=2)
             value = self.policy_value(policy) if self.config.eval_mode == "exact" else None
-            self.tables[idx] = _AgentTables(q, policy, value)
+            self.tables[idx] = _AgentTables(q, policy, value, policy.tolist())
         return self.tables[idx]
 
 
@@ -490,10 +491,10 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
 
     s = s1
     for h in range(1, mdp.H + 1):
-        a = int(tables.policy[h - 1, s])
+        a = tables.actions[h - 1][s]
         r, s_next = mdp.step(s, a, h, rng)
-        agent.record_transition(mdp, Transition(episode=k, step=h, state=s, action=a,
-                                                reward=r, next_state=s_next))
+        # Positional, in field order: keywords double the cost of building it.
+        agent.record_transition(mdp, Transition(k, h, s, a, r, s_next))
         if diag:
             state.all_cov[h - 1].add_basis(mdp.cell(s, a))
             slack = min(slack, tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a])

@@ -14,6 +14,7 @@ formulation, and converted to 0-based only at array access.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,6 +65,9 @@ class LinearMdp:
     d: int = field(init=False)
     features: np.ndarray = field(init=False, repr=False)
     _cum_rows: np.ndarray = field(init=False, repr=False)
+    # Flat memoryviews of _cum_rows and rewards, read by step.
+    _cum_flat: memoryview = field(init=False, repr=False)
+    _reward_flat: memoryview = field(init=False, repr=False)
 
     def __post_init__(self):
         P = np.array(self.transitions, dtype=np.float64)
@@ -77,6 +81,12 @@ class LinearMdp:
         self._cum_rows = np.cumsum(P, axis=-1)
         for arr in (self.features, self.transitions, self.rewards, self._cum_rows):
             arr.setflags(write=False)
+        self._cum_flat = memoryview(self._cum_rows.reshape(-1))
+        self._reward_flat = memoryview(self.rewards.reshape(-1))
+
+    def __reduce__(self):
+        # The memoryviews do not pickle; the tables rebuild everything.
+        return LinearMdp, (self.transitions, self.rewards)
 
     def cell(self, s: int | np.ndarray, a: int | np.ndarray) -> int | np.ndarray:
         """The index j of the one-hot feature phi(s, a) = e_j, j = s * A + a.
@@ -92,7 +102,15 @@ class LinearMdp:
 
         The next state is drawn by inverse CDF on the transition row, so the
         outcome is a pure function of (mdp, s, a, h, rng state). An index out
-        of range raises ValueError rather than wrapping to another row.
+        of range raises ValueError, before anything is drawn, rather than
+        wrapping to another row.
+
+        The draw is searchsorted(row, u, side="right") clamped to S - 1, with
+        no array view or numpy call per step: bisect_right over the row's span
+        of the flat cumulative table probes the same midpoints, (lo + hi) // 2,
+        and moves the same way, x < row[mid] being not row[mid] <= x for
+        non-NaN values. So it picks the same state on any row, even one that
+        a negative entry within PROB_NEG_TOL makes non-monotone.
         """
         if not 0 <= s < self.n_states:
             raise ValueError(f"s={s}: state out of [0, {self.n_states})")
@@ -100,12 +118,13 @@ class LinearMdp:
             raise ValueError(f"a={a}: action out of [0, {self.n_actions})")
         if not 1 <= h <= self.H:
             raise ValueError(f"h={h}: step out of [1, {self.H}]")
-        cum_row = self._cum_rows[h - 1, s, a]
-        u = rng.random()
-        nxt = int(cum_row.searchsorted(u, side="right"))
-        if nxt >= self.n_states:
-            nxt = self.n_states - 1
-        return float(self.rewards[h - 1, s, a]), nxt
+        S = self.n_states
+        i = ((h - 1) * S + s) * self.n_actions + a
+        lo = i * S
+        nxt = bisect_right(self._cum_flat, rng.random(), lo, lo + S) - lo
+        if nxt >= S:
+            nxt = S - 1
+        return self._reward_flat[i], nxt
 
 
 @dataclass

@@ -7,8 +7,9 @@ dense reference, O(d^2) per update, and the default of an agent or server
 built directly. ``DiagonalPsdMatrix`` is what every run uses: every built
 instance has one-hot features, so each update is some e_j and the matrix
 stays ridge * I plus a diagonal of visit counts, at O(1) per update.
-The run loop adds e_j by its index, ``add_basis(j)`` with j the cell index
-of mdp.LinearMdp.cell, so no d-vector is built or searched for its 1.
+The run loop adds e_j by its index, ``add_bases(cells)`` with each j the
+cell index of mdp.LinearMdp.cell, so no d-vector is built or searched for its
+1, and a batch of updates pays one Python call.
 On a diagonal matrix every off-diagonal product of the dense path is an
 exact zero, so repeating its arithmetic entry by entry, Cholesky refresh
 every REFRESH_PERIOD updates included, gives the same bits: a run's
@@ -106,6 +107,11 @@ class PsdMatrix:
         e_j = np.zeros(self.dim)
         e_j[j] = 1.0
         self.rank_one_update(e_j)
+
+    def add_bases(self, cells: Iterable[int]) -> None:
+        """add_basis(j) for each j of cells, in order."""
+        for j in cells:
+            self.add_basis(j)
 
     def refresh(self) -> None:
         """Recompute inverse and logdet from scratch via Cholesky."""
@@ -222,15 +228,31 @@ class DiagonalPsdMatrix:
         self.add_basis(nonzero[0])
 
     def add_basis(self, j: int) -> None:
-        """Add e_j e_j^T in place, in O(1); the run loop's update."""
-        _check_basis_index(j, self.dim)
-        q = self.inv_diag.item(j)
-        self.diag[j] += 1.0
-        self.inv_diag[j] = q - q * q / (1.0 + q)
-        self.logdet += math.log1p(q)
-        self.updates_since_refresh += 1
-        if self.updates_since_refresh >= REFRESH_PERIOD:
-            self.refresh()
+        """Add e_j e_j^T in place, in O(1)."""
+        self.add_bases((j,))
+
+    def add_bases(self, cells: Iterable[int]) -> None:
+        """Add e_j e_j^T for each j of cells, in order, in O(1) each; the run
+        loop's update. The result, bits and refresh cadence included, is that
+        of adding the cells one call at a time; only the per-call costs are
+        paid once. A bad j raises before it is used, with the cells before it
+        applied."""
+        dim, diag, inv = self.dim, self.diag, self.inv_diag
+        logdet, n = self.logdet, self.updates_since_refresh
+        try:
+            for j in cells:
+                if type(j) is not int or not 0 <= j < dim:
+                    _check_basis_index(j, dim)  # numpy integers pass; the rest raise
+                q = inv.item(j)
+                diag[j] += 1.0
+                inv[j] = q - q * q / (1.0 + q)
+                logdet += math.log1p(q)
+                n += 1
+                if n >= REFRESH_PERIOD:
+                    self.refresh()
+                    inv, logdet, n = self.inv_diag, self.logdet, 0
+        finally:
+            self.logdet, self.updates_since_refresh = logdet, n
 
     def refresh(self) -> None:
         """Recompute inverse and logdet from the diagonal's Cholesky factor."""

@@ -62,20 +62,25 @@ class CentralServer:
         """Absorb the agent's buffered local delta (buffer is not cleared here).
 
         Each buffered transition adds e_j e_j^T for its cell index j to the
-        covariance and is inserted under its episode key. Every episode is
-        uploaded by exactly one agent exactly once, so a key collision is
-        fatal.
+        covariance, in buffer order, and is inserted under its episode key.
+        Every episode is uploaded by exactly one agent exactly once, so a key
+        collision, with the store or within the buffer, is fatal; it is found
+        before step h changes, and names the first colliding transition.
         """
         for hh in range(self.H):
+            ts = agent.loc_transitions[hh]
             episodes = self._episodes[hh]
-            store = self._store[hh]
-            for t, j in zip(agent.loc_transitions[hh], agent.loc_cells[hh]):
-                if t.episode in episodes:
-                    raise ProtocolViolation(
-                        f"duplicate upload for episode {t.episode}, step {t.step}")
-                episodes.add(t.episode)
-                store.add(t)
-                self.cov[hh].add_basis(j)
+            new = {t.episode for t in ts}
+            if len(new) < len(ts) or not episodes.isdisjoint(new):
+                seen = set()
+                for t in ts:
+                    if t.episode in episodes or t.episode in seen:
+                        raise ProtocolViolation(
+                            f"duplicate upload for episode {t.episode}, step {t.step}")
+                    seen.add(t.episode)
+            episodes |= new
+            self._store[hh].extend(ts)
+            self.cov[hh].add_bases(agent.loc_cells[hh])
 
     def download(self) -> tuple[list[Covariance], list[TransitionBatch]]:
         """Per-h covariance snapshots and the full global store.

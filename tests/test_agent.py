@@ -149,8 +149,7 @@ class TestTransitionStore:
         ts = random_transitions(rng.permutation(np.arange(1, 61)), seed=4)
         store, added = TransitionStore(), []
         for lo, hi in [(0, 5), (5, 6), (6, 20), (20, 21), (21, 45), (45, 60)]:
-            for t in ts[lo:hi]:
-                store.add(t)
+            store.extend(ts[lo:hi])
             added += ts[lo:hi]
             want = TransitionBatch.from_transitions(sorted(added, key=lambda t: t.episode))
             assert_batches_equal(store.batch(), want)
@@ -159,15 +158,14 @@ class TestTransitionStore:
         ts = random_transitions(range(1, 70), seed=1)
         store = TransitionStore()
         for i, t in enumerate(ts):
-            store.add(t)
+            store.extend([t])
             if i % 3 == 0:  # batch at irregular sizes around each doubling
                 assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts[:i + 1]))
         assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts))
 
     def test_repeat_batch_without_adds_is_equal(self):
         store = TransitionStore()
-        for t in random_transitions([3, 1, 2], seed=2):
-            store.add(t)
+        store.extend(random_transitions([3, 1, 2], seed=2))
         first = store.batch()
         snapshot = TransitionBatch(*(c.copy() for c in (
             first.episode, first.state, first.action, first.reward, first.next_state)))

@@ -1,5 +1,6 @@
 """Tests for schedules, the episode loop, metrics, and diagnostics."""
 
+import collections
 import math
 import tracemalloc
 
@@ -13,10 +14,10 @@ from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_s
                                count_nonempty_epochs, epoch_boundaries,
                                metrics_csv_text, mix_seed, per_epoch_counts,
                                run_experiment)
-from coop_lsvi.mdp import g17, value_iteration
+from coop_lsvi.mdp import LinearMdp, g17, value_iteration
 from coop_lsvi.psdmat import DiagonalPsdMatrix, PsdMatrix, det_ratio
 from coop_lsvi.schedules import make_initial_states, make_schedule
-from coop_lsvi.server import ProtocolKind
+from coop_lsvi.server import CentralServer, ProtocolKind
 
 
 class TestMixSeed:
@@ -305,6 +306,41 @@ class TestCellIndexPath:
         for s in range(m.n_states):
             for a in range(m.n_actions):
                 assert np.array_equal(m.features[s, a], eye[m.cell(s, a)])
+
+
+class TestTracedBoundaries:
+    """The run loop crosses each boundary that perfbench/tracer.py wraps as
+    often as the protocol implies, so that inlining one out of the tracer's
+    sight fails here."""
+
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+    def test_call_counts(self, monkeypatch, protocol, diagnostics):
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = vars(owner)[name]
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [(LinearMdp, "step"), (LsviAgent, "record_transition"),
+                            (LsviAgent, "should_communicate"),
+                            (LsviAgent, "lsvi_backward_update"), (CentralServer, "upload"),
+                            (CentralServer, "download"), (harness, "run_episode")]:
+            count(owner, name)
+        K, H = 300, 3
+        rec = run_experiment(RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=H, M=3, K=K,
+                                       protocol=protocol, schedule="uniform_random",
+                                       master_seed=2, diagnostics=diagnostics))
+        assert calls["step"] == calls["record_transition"] == K * H
+        assert calls["should_communicate"] == calls["run_episode"] == K
+        assert calls["lsvi_backward_update"] == rec.total_switches > 0
+        assert calls["upload"] == calls["download"] == rec.total_comm
+        assert (rec.total_comm > 0) == (protocol != "no_comm")
 
 
 class TestAccounting:

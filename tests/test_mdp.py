@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import re
 import tempfile
 
@@ -261,6 +262,84 @@ class TestStep:
             m.step(s, a, h, rng)
         # Nothing was drawn before the check.
         assert rng.random() == np.random.default_rng(0).random()
+
+
+class _Uniforms:
+    """Stands in for a generator: random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def _rough_rows(rng, H, S, A):
+    """(H, S, A, S) rows of positive, zero and -PROB_NEG_TOL entries summing to
+    1 within PROB_ROW_TOL, so that their cumulative rows are non-monotone and
+    have plateaus, yet pass validation."""
+    P = rng.random((H, S, A, S))
+    kind = rng.integers(0, 3, size=P.shape)
+    P[kind == 1] = 0.0
+    P[kind == 2] = -mdp_mod.PROB_NEG_TOL
+    P[..., 0] = np.abs(P[..., 0]) + 1e-3  # every row has some positive mass
+    pos = P > 0
+    neg = np.where(pos, 0.0, P).sum(axis=-1, keepdims=True)
+    P = np.where(pos, P / np.where(pos, P, 0.0).sum(axis=-1, keepdims=True) * (1.0 - neg), P)
+    return P
+
+
+class TestStepSampler:
+    """step draws searchsorted(row, u, side="right") clamped to S - 1, exactly,
+    without calling numpy."""
+
+    def expected(self, m, s, a, h, u):
+        row = m._cum_rows[h - 1, s, a]
+        return min(int(np.searchsorted(row, u, side="right")), m.n_states - 1)
+
+    @pytest.mark.parametrize("S", [1, 2, 4, 40])
+    def test_matches_searchsorted(self, S):
+        rng = np.random.default_rng(S)
+        H, A = 2, 3
+        m = build_tabular_as_linear(_rough_rows(rng, H, S, A), rng.random((H, S, A)))
+        if S > 2:
+            assert (np.diff(m._cum_rows, axis=-1) < 0).any()  # some row is non-monotone
+        for h in range(1, H + 1):
+            for s in range(S):
+                for a in range(A):
+                    row = m._cum_rows[h - 1, s, a]
+                    # Every entry, its neighbours, and values past the last entry.
+                    us = {0.0, 1.0, 1.5, float(np.nextafter(row[-1], 2.0)), *rng.random(8)}
+                    for c in row.tolist():
+                        us |= {c, float(np.nextafter(c, -1.0)), float(np.nextafter(c, 2.0))}
+                    for u in sorted(us):
+                        reward, nxt = m.step(s, a, h, _Uniforms(u))
+                        assert nxt == self.expected(m, s, a, h, u)
+                        assert type(nxt) is int and type(reward) is float
+                        assert reward == m.rewards[h - 1, s, a]
+
+    def test_follows_the_binary_search_on_a_non_monotone_row(self):
+        """On the cumulative row (0.5, 0.5 - 1e-12, 1) the first entry above
+        u = 0.5 - 5e-13 is entry 0, but the binary search probes entry 1 first
+        and ends at 2, and so must step."""
+        P = np.array([[[[0.5, -1e-12, 0.5 + 1e-12]]] * 3])
+        m = LinearMdp(P, np.zeros((1, 3, 1)))
+        u = 0.5 - 5e-13
+        assert self.expected(m, 0, 0, 1, u) == 2
+        assert m.step(0, 0, 1, _Uniforms(u))[1] == 2
+
+    def test_last_entry_below_one_clamps(self):
+        P = np.array([[[[0.25, 0.75 - 1e-11]]] * 2])
+        m = LinearMdp(P, np.zeros((1, 2, 1)))
+        assert m.step(1, 0, 1, _Uniforms(1.0 - 1e-12))[1] == 1
+
+    def test_pickles_and_steps_alike(self):
+        m = random_tabular(4, 5, 3, 2)
+        twin = pickle.loads(pickle.dumps(m))
+        assert twin.transitions.tobytes() == m.transitions.tobytes()
+        assert twin.rewards.tobytes() == m.rewards.tobytes()
+        assert ([twin.step(2, 1, 2, np.random.default_rng(k)) for k in range(20)]
+                == [m.step(2, 1, 2, np.random.default_rng(k)) for k in range(20)])
 
 
 class TestSerialization:

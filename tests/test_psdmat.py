@@ -461,3 +461,46 @@ class TestAddBasis:
         with pytest.raises(ValueError, match="basis index"):
             m.add_basis(j)
         assert cached_state(m) == before
+
+
+class TestAddBases:
+    """add_bases(cells), the run loop's bulk update, is a loop of add_basis."""
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_equals_a_loop_of_add_basis_across_refreshes(self, cls):
+        d = 6
+        rng = np.random.default_rng(11)
+        cells = rng.integers(0, d, size=2 * REFRESH_PERIOD + 41)
+        # Python ints and numpy integers alike, in chunks of uneven sizes, one
+        # of them crossing a REFRESH_PERIOD boundary and one empty.
+        mixed = [int(j) if i % 3 else j for i, j in enumerate(cells)]
+        cuts = [0, 1, 1, 7, REFRESH_PERIOD + 5, 2 * REFRESH_PERIOD - 2, len(mixed)]
+        bulk, loop = cls(d, 0.7), cls(d, 0.7)
+        for lo, hi in zip(cuts, cuts[1:]):
+            bulk.add_bases(mixed[lo:hi])
+            for j in mixed[lo:hi]:
+                loop.add_basis(j)
+            assert cached_state(bulk) == cached_state(loop)
+        assert bulk.updates_since_refresh == len(mixed) % REFRESH_PERIOD
+        if cls is DiagonalPsdMatrix:
+            assert bulk.diag.tobytes() == loop.diag.tobytes()
+            assert bulk.inv_diag.tobytes() == loop.inv_diag.tobytes()
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_takes_any_iterable_of_cells(self, cls):
+        want = cls(4, 1.0)
+        want.add_bases([3, 0, 3])
+        for cells in (np.array([3, 0, 3]), (j for j in (3, 0, 3)), (3, 0, 3)):
+            m = cls(4, 1.0)
+            m.add_bases(cells)
+            assert cached_state(m) == cached_state(want)
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    @pytest.mark.parametrize("bad", [-1, 4, np.int64(-1), np.int64(4), -5, 2.0, None])
+    def test_bad_cell_raises_after_applying_the_cells_before_it(self, cls, bad):
+        """A negative cell must not wrap around to another basis vector."""
+        m, want = cls(4, 1.0), cls(4, 1.0)
+        want.add_bases([0, 3])
+        with pytest.raises(ValueError, match="basis index"):
+            m.add_bases([0, 3, bad, 1])
+        assert cached_state(m) == cached_state(want)

@@ -74,6 +74,30 @@ class TestUpload:
         with pytest.raises(ProtocolViolation):
             srv.upload(ag)  # same buffered episode again
 
+    def test_duplicate_within_one_buffer_fatal(self):
+        """The same episode twice at one step of one buffer collides with
+        itself: the message names it, and that step is left as it was."""
+        m = random_tabular(0, 2, 2, 2)
+        srv = CentralServer(m.d, m.H, 1.0)
+        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 1.0)
+        for k in (4, 7, 4):
+            ag.record_transition(m, Transition(k, 2, 1, 0, 0.5, 1))
+        before = srv.cov[1].logdet
+        with pytest.raises(ProtocolViolation, match=r"episode 4, step 2$"):
+            srv.upload(ag)
+        assert srv.cov[1].logdet == before
+        assert len(srv.download()[1][1]) == 0
+
+    def test_duplicate_names_the_first_collision_in_buffer_order(self):
+        m = random_tabular(0, 2, 2, 2)
+        srv = CentralServer(m.d, m.H, 1.0)
+        srv.upload(agent_with_rollout(m, 1, [3], seed=0))
+        ag = LsviAgent(2, m.d, m.H, 0.5, 1.0, 1.0)
+        for k in (5, 6, 5, 3):
+            ag.record_transition(m, Transition(k, 1, 0, 1, 0.0, 0))
+        with pytest.raises(ProtocolViolation, match=r"episode 5, step 1$"):
+            srv.upload(ag)
+
     def test_logdet_monotone_across_uploads(self):
         m = random_tabular(1, 3, 2, 2)
         srv = CentralServer(m.d, m.H, 1.0)
