@@ -19,6 +19,7 @@ import pytest
 
 from coop_lsvi import harness
 from coop_lsvi.harness import RunConfig, build_run_state, metrics_csv_text, run_experiment
+from coop_lsvi.psdmat import MIN_RIDGE
 
 INSTANCES = {
     "hard": dict(mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.05, M=3, K=240),
@@ -168,3 +169,83 @@ def test_zero_bonus_digest_with_diagnostics(protocol):
     digest.update(record.optimism_slack.tobytes())
     digest.update(record.agent_logdet.tobytes())
     assert digest.hexdigest() == ZERO_BONUS_DIGESTS[protocol]
+
+
+# Trigger-boundary cases, diagnostics on: hard d = 8 and random 6 x 3 with
+# H = 4, every protocol, at three (alpha, ridge) corners. At (1, 1) one-hot
+# determinant ratios land exactly on 1 + alpha, as (3/2)(4/3) = 2 does. At
+# (1e-4, MIN_RIDGE) nearly every episode fires. At (50, 1e3) almost none does,
+# 600 episodes per agent carry a local delta past REFRESH_PERIOD updates, and
+# downloaded covariances arrive with every refresh counter. The digest covers
+# the metrics CSV and the bytes of the agents' and the universal
+# log-determinants. Recorded before the trigger skipped steps on the
+# elliptical-potential bound.
+TRIGGER_INSTANCES = {
+    "hard": dict(mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.05),
+    "random": dict(mdp_kind="random", mdp_n_states=6, mdp_n_actions=3, mdp_horizon=4,
+                   mdp_seed=5, beta_mode="fixed", beta_value=0.05),
+}
+TRIGGER_CORNERS = {"tie": (1.0, 1.0), "eager": (1e-4, MIN_RIDGE), "lazy": (50.0, 1e3)}
+
+TRIGGER_DIGESTS = {
+    ("hard", "eager", "async_trigger"):
+        "1e5a2ab9580702db3908e9de32cdabd180ce12529e5b5b2656fb1d5c4af52624",
+    ("hard", "eager", "full_sync"):
+        "1e5a2ab9580702db3908e9de32cdabd180ce12529e5b5b2656fb1d5c4af52624",
+    ("hard", "eager", "no_comm"):
+        "ff4907ce8c6a82b542e7b2c07025b3bbe7af58fec1a117ba18f898d63877d0a5",
+    ("hard", "eager", "sync_round_robin"):
+        "74f4754bafcd3cc1a8271095bf4b3aefefee3037c2aeb18b80ea5ba488d853e0",
+    ("hard", "lazy", "async_trigger"):
+        "c96a6abe8d82d8e2feb82546aebfa7df541c1a6d3e25ab7938c75e9b2964d9d6",
+    ("hard", "lazy", "full_sync"):
+        "e0f110db50602e1715acad3a67eb1734a64261f3cfa4b3634f3406afa2252704",
+    ("hard", "lazy", "no_comm"):
+        "c96a6abe8d82d8e2feb82546aebfa7df541c1a6d3e25ab7938c75e9b2964d9d6",
+    ("hard", "lazy", "sync_round_robin"):
+        "c96a6abe8d82d8e2feb82546aebfa7df541c1a6d3e25ab7938c75e9b2964d9d6",
+    ("hard", "tie", "async_trigger"):
+        "18e53312ed4561edda169a6e5e7bffc48e682794cd45ea43ec8be0765c26a770",
+    ("hard", "tie", "full_sync"):
+        "d84676050551a3c2d2345a81972cb71e3f6670ab5229c1046567a0a1751009e2",
+    ("hard", "tie", "no_comm"):
+        "f89e9dc8b4f8f5818e05d3c00f9c2f9001d1cf40bd6d6c6f6d6bac2c998a7590",
+    ("hard", "tie", "sync_round_robin"):
+        "2482b6135bdd13394393d2660fc71394eb08ecc3b87fbe9726622d0ade798e9e",
+    ("random", "eager", "async_trigger"):
+        "8d589976e56cb2f2ba86d0d8b9d69c309d65e57fdcce620527ad509a5c41b1f2",
+    ("random", "eager", "full_sync"):
+        "8d589976e56cb2f2ba86d0d8b9d69c309d65e57fdcce620527ad509a5c41b1f2",
+    ("random", "eager", "no_comm"):
+        "4a5a2f6d6427905364c42eb3cd73ee155d79e58b73f8d3aa5d68049337f38c28",
+    ("random", "eager", "sync_round_robin"):
+        "f4c10584d35ef4d98164db3d309c1d56de9b97ba859633bfc483ac88d3aadc61",
+    ("random", "lazy", "async_trigger"):
+        "2e0dcc604d1d04ca5534b6878b3f49bf18be1a8a181519c3006661f2014d3910",
+    ("random", "lazy", "full_sync"):
+        "464c4008115d0467f8f555fbbcfb61efd67b06e52fee1e529d27fca3c3ba309f",
+    ("random", "lazy", "no_comm"):
+        "2e0dcc604d1d04ca5534b6878b3f49bf18be1a8a181519c3006661f2014d3910",
+    ("random", "lazy", "sync_round_robin"):
+        "2e0dcc604d1d04ca5534b6878b3f49bf18be1a8a181519c3006661f2014d3910",
+    ("random", "tie", "async_trigger"):
+        "b1385d16ba82f4cf01c232ab6d23fa945c7bf4b8bb45831c3eae3bcc6f0ee06e",
+    ("random", "tie", "full_sync"):
+        "f00a9ad680f75f41c9a487ab1eb7c51bc7fc9cafdbbd7765b3ecb333f59c488f",
+    ("random", "tie", "no_comm"):
+        "dffb6a0a0d148b4b887f217732ee452d317a4d7201b041648a26f5ae78f10c5f",
+    ("random", "tie", "sync_round_robin"):
+        "0adaef473559c1ff09e6d55d7656d8e9adeb36cdc6de6d529a177cc47e89df73",
+}
+
+
+@pytest.mark.parametrize("instance,corner,protocol", sorted(TRIGGER_DIGESTS))
+def test_trigger_boundary_digest_with_diagnostics(instance, corner, protocol):
+    alpha, ridge = TRIGGER_CORNERS[corner]
+    record = run_experiment(RunConfig(protocol=protocol, schedule="uniform_random",
+                                      master_seed=5, M=2, K=1200, alpha=alpha, ridge=ridge,
+                                      diagnostics=True, **TRIGGER_INSTANCES[instance]))
+    digest = hashlib.sha256(metrics_csv_text(record).encode())
+    digest.update(record.agent_logdet.tobytes())
+    digest.update(record.all_logdet.tobytes())
+    assert digest.hexdigest() == TRIGGER_DIGESTS[(instance, corner, protocol)]
