@@ -347,6 +347,7 @@ class _AgentTables(NamedTuple):
     policy: np.ndarray             # (H, S)
     value: Optional[np.ndarray]    # (H, S)
     actions: list[list[int]]       # policy.tolist(): the run loop's per-step read
+    first_value: Optional[list[float]]  # value[0].tolist(): the regret's read
 
 
 @dataclass
@@ -368,6 +369,17 @@ class RunState:
     cum_switch: int = 0
     # policy.tobytes() -> read-only eval_policy value, oldest entry first.
     policy_values: dict[bytes, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # What run_episode reads per episode, as Python objects: the schedule
+        # and initial states, protocol_decide's outcome without and with a
+        # trigger, and, under exact evaluation, the optimal first-step values.
+        self._schedule: list[int] = self.schedule.tolist()
+        self._init_states: list[int] = self.init_states.tolist()
+        self._decisions = (protocol_decide(self.protocol, False),
+                           protocol_decide(self.protocol, True))
+        self._v_star_first: Optional[list[float]] = (
+            self.planner.v_star[0].tolist() if self.config.eval_mode == "exact" else None)
 
     def policy_value(self, policy: np.ndarray) -> np.ndarray:
         """The exact value of a greedy (H, S) policy table, evaluated once
@@ -391,7 +403,8 @@ class RunState:
             q = self.agents[idx].q_table(self.mdp)
             policy = q.argmax(axis=2)
             value = self.policy_value(policy) if self.config.eval_mode == "exact" else None
-            self.tables[idx] = _AgentTables(q, policy, value, policy.tolist())
+            self.tables[idx] = _AgentTables(q, policy, value, policy.tolist(),
+                                            None if value is None else value[0].tolist())
         return self.tables[idx]
 
 
@@ -473,18 +486,18 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
     increment compares the optimal value at the initial state against the
     exact value of the pre-episode greedy policy (NaN under eval = off).
     """
-    cfg = state.config
     mdp = state.mdp
     rec, i = state.record, k - 1
-    m = int(state.schedule[i])
+    m = state._schedule[i]
     agent = state.agents[m - 1]
-    s1 = int(state.init_states[i])
+    s1 = state._init_states[i]
     tables = state.agent_tables(m)
 
     rec.m[i] = m
-    rec.regret_inc[i] = (state.planner.v_star[0, s1] - tables.value[0, s1]
-                         if cfg.eval_mode == "exact" else math.nan)
-    diag = cfg.diagnostics
+    v_star = state._v_star_first
+    # The float64 subtraction numpy would do, on the same two values.
+    rec.regret_inc[i] = math.nan if v_star is None else v_star[s1] - tables.first_value[s1]
+    diag = state.config.diagnostics
     if diag:
         rec.all_logdet[i] = [c.logdet for c in state.all_cov]
     slack = math.inf
@@ -501,7 +514,7 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
         s = s_next
 
     trig, trig_h = agent.should_communicate()
-    decision = protocol_decide(state.protocol, trig)
+    decision = state._decisions[trig]
     if decision is Decision.LOCAL_UPDATE:
         _refit(state, agent, agent.local_cov_snapshot(), agent.own_history())
     elif decision is not Decision.NONE:
@@ -519,9 +532,8 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
     if diag:
         rec.agent_logdet[i] = [c.logdet for c in agent.qparams.cov]
         rec.optimism_slack[i] = slack
-    return EpisodeView(k=k, m=m, mdp=mdp, agent=agent, agents=state.agents,
-                       server=state.server, triggered=trig, trigger_h=trig_h,
-                       decision=decision)
+    # Positional, in field order, as the Transition above.
+    return EpisodeView(k, m, mdp, agent, state.agents, state.server, trig, trig_h, decision)
 
 
 class _EpisodeUniforms:

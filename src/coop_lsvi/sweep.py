@@ -94,13 +94,21 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> list[dict]:
     return rows
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field (RFC 4180): quoted, with its quotes doubled, if
+    it holds a comma, a quote, a CR or an LF; as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def aggregate_csv_text(rows: list[dict]) -> str:
     lines = [AGGREGATE_HEADER]
     for r in sorted(rows, key=lambda r: r["run"]):
         lines.append(",".join((
             str(r["run"]), str(r["K"]), str(r["M"]), g17(r["alpha"]),
             g17(r["ridge"]), g17(r["gap"]), r["protocol"], str(r["seed"]),
-            '"%s"' % r["status"] if "," in r["status"] else r["status"],
+            _csv_field(r["status"]),
             g17(r["total_regret"]), str(r["total_comm"]), str(r["total_switch"]),
             r["config_hash"],
         )))

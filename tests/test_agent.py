@@ -1,15 +1,18 @@
 """Tests for the per-agent learner: acting, trigger, and the backward update."""
 
+import collections
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coop_lsvi.agent import (LsviAgent, Transition, TransitionBatch,
+from coop_lsvi.agent import (TRIGGER_LOG_TOLERANCE, LsviAgent, Transition, TransitionBatch,
                              TransitionStore, practical_beta, theoretical_beta)
 from coop_lsvi.mdp import hard_instance, random_tabular
-from coop_lsvi.psdmat import DiagonalPsdMatrix, PsdMatrix
+from coop_lsvi.psdmat import MIN_RIDGE, REFRESH_PERIOD, DiagonalPsdMatrix, PsdMatrix
 
 
 def fresh_agent(mdp, alpha=0.5, ridge=1.0, beta=1.0):
@@ -280,6 +283,130 @@ class TestShouldCommunicate:
             rhs = np.einsum("nd,de,ne->n", xs, ag.qparams.cov[hh].mat, xs)
             assert np.all(lhs <= ag.alpha * rhs + 1e-9)
 
+
+
+def exact_trigger(agent, covs):
+    """The determinant trigger from scratch: each step's cells added to a copy
+    of its frozen covariance one add_basis at a time, every step compared."""
+    for hh, cells in enumerate(agent.loc_cells):
+        if cells:
+            ref = covs[hh].copy()
+            for j in cells:
+                ref.add_basis(j)
+            if ref.logdet - covs[hh].logdet > math.log1p(agent.alpha) + TRIGGER_LOG_TOLERANCE:
+                return True, hh + 1
+    return False, None
+
+
+def cov_bytes(cov):
+    return cov.mat.tobytes(), cov.inv.tobytes(), cov.logdet, cov.updates_since_refresh
+
+
+def count_scratch_reads(monkeypatch):
+    """A counter of the exact log-det reads should_communicate makes."""
+    reads = collections.Counter()
+    ensure = LsviAgent._ensure_scratch
+
+    def counted(self, hh):
+        reads[hh + 1] += 1
+        return ensure(self, hh)
+
+    monkeypatch.setattr(LsviAgent, "_ensure_scratch", counted)
+    return reads
+
+
+class TestTriggerBound:
+    """should_communicate reads a step's exact log-det only where the
+    elliptical-potential bound cannot prove the trigger quiet, and decides as
+    the exact trigger would."""
+
+    M = random_tabular(0, 2, 3, 2)  # d = 6, H = 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(cov_cls=st.sampled_from([DiagonalPsdMatrix, PsdMatrix]),
+           ridge=st.sampled_from([MIN_RIDGE, 1e-3, 0.5, 1.0, 2.0, 1e3])
+           | st.floats(MIN_RIDGE, 1e3),
+           alpha=st.sampled_from([1.0, 0.5, 2.0, 1 / 3, 1 / 16, 1e-4, 50.0])
+           | st.floats(1e-4, 50.0),
+           counter=st.integers(REFRESH_PERIOD - 48, REFRESH_PERIOD - 1)
+           | st.integers(0, REFRESH_PERIOD - 1),
+           prior=st.lists(st.integers(0, 5), max_size=12),
+           episodes=st.lists(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)),
+                                      min_size=2, max_size=2), min_size=1, max_size=40))
+    def test_decides_as_the_exact_trigger(self, cov_cls, ridge, alpha, counter, prior,
+                                          episodes):
+        # A frozen covariance with visits and a refresh counter near the
+        # refresh, as a download brings; at (alpha, ridge) = (1, 1) a cell
+        # visited once before and twice now ties: (3/2)(4/3) = 2.
+        m = self.M
+        ag = LsviAgent(1, m.d, m.H, alpha, ridge, 0.0, cov_cls)
+        for cov in ag.qparams.cov:
+            cov.add_bases(prior)
+            cov.updates_since_refresh = counter
+        for k, steps in enumerate(episodes, 1):
+            for h, (s, a) in enumerate(steps, 1):
+                ag.record_transition(m, Transition(k, h, s, a, 0.0, 0))
+            covs, cells = list(ag.qparams.cov), [list(c) for c in ag.loc_cells]
+            fired = ag.should_communicate()
+            assert fired == exact_trigger(ag, covs)
+            if fired[0] or k == len(episodes):
+                # The lazily caught-up scratch holds the bytes of adding the
+                # cells one add_basis at a time.
+                snapshot = ag.local_cov_snapshot()
+                for cov, hh_cells, got in zip(covs, cells, snapshot):
+                    ref = cov.copy()
+                    for j in hh_cells:
+                        ref.add_basis(j)
+                    assert cov_bytes(got) == cov_bytes(ref)
+                ag.qparams.cov = snapshot
+                ag.reset_local()
+
+    def _agent_after_one_visit(self, alpha, counter=0):
+        m = random_tabular(0, 1, 2, 1)  # d = 2, H = 1
+        ag = fresh_agent(m, alpha=alpha)
+        ag.qparams.cov[0].updates_since_refresh = counter
+        ag.record_transition(m, Transition(1, 1, 0, 0, 0.5, 0))
+        return ag
+
+    def test_far_below_threshold_skips_the_exact_read(self, monkeypatch):
+        reads = count_scratch_reads(monkeypatch)
+        ag = self._agent_after_one_visit(50.0, counter=REFRESH_PERIOD - 2)
+        assert ag.should_communicate() == (False, None)
+        assert reads == {}
+
+    def test_a_catch_up_through_a_refresh_reads_the_exact_log_det(self, monkeypatch):
+        reads = count_scratch_reads(monkeypatch)
+        ag = self._agent_after_one_visit(50.0, counter=REFRESH_PERIOD - 1)
+        assert ag.should_communicate() == (False, None)
+        assert reads == {1: 1}
+
+    def test_a_bound_within_the_margin_reads_the_exact_log_det(self, monkeypatch):
+        # One first visit at ridge 1: the bound is log 2 = log(1 + alpha).
+        reads = count_scratch_reads(monkeypatch)
+        ag = self._agent_after_one_visit(1.0)
+        assert ag.should_communicate() == (False, None)
+        assert reads == {1: 1}
+
+    def test_the_margin_covers_the_exact_statistics_rounding(self):
+        # 30 first visits on a MAX_DIM covariance at MIN_RIDGE: each of the 30
+        # additions to the logdet, about -9.4e4, rounds to 1.5e-11, and the
+        # exact statistic lands 2.1e-10 above the bound. With log(1 + alpha)
+        # between the two, the exact trigger fires and the bound alone would
+        # not: only the margin keeps the step from being skipped.
+        m = random_tabular(0, 64, 64, 1)  # d = 4096 = MAX_DIM
+        cov = DiagonalPsdMatrix(m.d, MIN_RIDGE)
+        bound = 0.0
+        for j in range(30):
+            bound += math.log1p(cov.inv_diag[j])
+        ref = cov.copy()
+        ref.add_bases(range(30))
+        exact = ref.logdet - cov.logdet
+        alpha = math.expm1(bound + 1e-10)
+        assert bound <= math.log1p(alpha) + TRIGGER_LOG_TOLERANCE < exact
+        ag = LsviAgent(1, m.d, m.H, alpha, MIN_RIDGE, 0.0, DiagonalPsdMatrix)
+        for j in range(30):
+            ag.record_transition(m, Transition(1, 1, 0, j, 0.0, 0))
+        assert ag.should_communicate() == exact_trigger(ag, [cov]) == (True, 1)
 
 def naive_normal_equations(mdp, batches, ridge, beta):
     """From-scratch LSVI oracle: dense normal equations, no shared code paths."""

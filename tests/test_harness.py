@@ -1,7 +1,9 @@
 """Tests for schedules, the episode loop, metrics, and diagnostics."""
 
 import collections
+import importlib.util
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from coop_lsvi import harness
 from coop_lsvi import mdp as mdp_mod
 from coop_lsvi.agent import LsviAgent
+from coop_lsvi.configio import parse_config
 from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_state,
                                count_nonempty_epochs, epoch_boundaries,
                                metrics_csv_text, mix_seed, per_epoch_counts,
@@ -581,6 +584,28 @@ class TestTriggerSoundness:
 
         run_experiment(cfg, episode_hook=hook)
         assert violations == []
+
+
+    def test_benchmark_async_run_reads_few_exact_log_dets(self, monkeypatch):
+        """The benchmark's hard_async run at seed 0 decides most trigger steps
+        from the elliptical-potential bound: 869 exact log-det reads where
+        reading every step with local cells takes 11,363. A wall-time gain
+        of this size is hard to see on a shared host; this count is not."""
+        path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        reads = [0]
+        ensure = LsviAgent._ensure_scratch
+
+        def counted(agent, hh):
+            reads[0] += 1
+            return ensure(agent, hh)
+
+        monkeypatch.setattr(LsviAgent, "_ensure_scratch", counted)
+        record = run_experiment(parse_config(workloads.WORKLOADS["hard_async"].config(0)))
+        assert record.total_comm == 394
+        assert reads[0] <= 1200
 
 
 class TestUniversalTracking:

@@ -1,5 +1,7 @@
 """Tests for sweep execution, aggregation, scaling fits, and the CLI."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -150,6 +152,24 @@ class TestRunSweep:
         statuses = {r["K"]: r["status"] for r in rows}
         assert statuses[40] == "ok"
         assert statuses[-5].startswith("error")
+
+    @pytest.mark.parametrize("status", [
+        "ok", "error: ValueError: K must be >= 1, got -5", 'error: ValueError: say "hi", x',
+        'error: ValueError: say "hi"', "error: OSError: line one\nline two", "a\r\nb,c"])
+    def test_aggregate_status_round_trips_through_csv_reader(self, status):
+        row = {"run": 0, "K": 40, "M": 2, "alpha": 0.25, "ridge": 1.0, "gap": math.nan,
+               "protocol": "async_trigger", "seed": 3, "status": status,
+               "total_regret": math.nan, "total_comm": -1, "total_switch": -1,
+               "config_hash": ""}
+        text = sweep_mod.aggregate_csv_text([row])
+        header, parsed = list(csv.reader(io.StringIO(text, newline="")))
+        assert header == sweep_mod.AGGREGATE_HEADER.split(",")
+        assert len(parsed) == len(header)
+        assert parsed[header.index("status")] == status
+        if not any(c in status for c in '"\r\n'):
+            # The bytes every status without a quote or line break had before.
+            plain = '"%s"' % status if "," in status else status
+            assert f",3,{plain},nan,-1,-1,\n" in text
 
 
 class TestCliRun:
