@@ -21,7 +21,7 @@ from .chart import run_chart_svg
 from .configio import SweepSpec, config_hash, emit_config, parse_config_file
 from .harness import (ConfigError, RunConfig, comm_complexity_scale,
                       metrics_csv_text, run_experiment)
-from .sweep import atomic_write, run_sweep
+from .sweep import atomic_write, regret_ratio, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,8 +177,7 @@ def cmd_lower_bound(args) -> int:
         }
     mean_async = report["async_trigger"]["mean_total_regret"]
     mean_nc = report["no_comm"]["mean_total_regret"]
-    report["regret_ratio_no_comm_over_async"] = (
-        mean_nc / mean_async if mean_async != 0 else float("inf"))
+    report["regret_ratio_no_comm_over_async"] = regret_ratio(mean_nc, mean_async)
     scale = d * H * M * M * math.log(1.0 + K / d)
     report["comm_bound_scale_dHM2logK"] = scale
     report["async_comm_fitted_constant"] = (

@@ -153,8 +153,8 @@ def _parse_mode_value(text: str, lineno: int,
 
 
 def _parse_axis(text: str, lineno: int, kind, cap: int) -> list:
-    """Comma list of values; an integer axis also takes inclusive 'a..b' ranges.
-    An axis of more than ``cap`` values is refused before it is built."""
+    """Comma list of distinct values; an integer axis also takes inclusive 'a..b'
+    ranges. An axis of more than ``cap`` values is refused before it is built."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -174,6 +174,12 @@ def _parse_axis(text: str, lineno: int, kind, cap: int) -> list:
                               f"over the sweep's cap of {cap} runs")
     if not out:
         raise ConfigError(f"line {lineno}: empty list")
+    # A repeated run would count twice in comparison.csv and once in scaling.csv.
+    seen = set()
+    for value in out:
+        if value in seen:
+            raise ConfigError(f"line {lineno}: value {value!r} repeated")
+        seen.add(value)
     return out
 
 
@@ -231,7 +237,10 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
 
     cap = SWEEP_CAP_DEFAULT
     if ("sweep", "max_runs") in raw:
-        cap = _convert(*raw[("sweep", "max_runs")], "max_runs", int)
+        value, lineno = raw[("sweep", "max_runs")]
+        cap = _convert(value, lineno, "max_runs", int)
+        if cap < 1:
+            raise ConfigError(f"line {lineno}: max_runs must be >= 1, got {cap}")
     axes: dict[str, list] = {}
     for axis, key in _AXES.items():
         if ("sweep", axis) in raw:

@@ -114,15 +114,13 @@ class PsdMatrix:
             self.add_basis(j)
 
     def refresh(self) -> None:
-        """Recompute inverse and logdet from scratch via Cholesky."""
-        # Imported here: only the dense class refreshes through scipy, and no
-        # run builds one, so a run never pays scipy's import.
-        from scipy.linalg import cho_factor, cho_solve
-
-        c, low = cho_factor(self.mat, lower=True)
-        inv = cho_solve((c, low), np.eye(self.dim))
+        """Recompute inverse and logdet from scratch via Cholesky: mat = L L^T,
+        so with R = L^-1, inv = R^T R and logdet = 2 sum log diag L."""
+        low = np.linalg.cholesky(self.mat)
+        r = np.linalg.inv(low)
+        inv = r.T @ r
         self.inv = 0.5 * (inv + inv.T)
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
         self.updates_since_refresh = 0
 
     def quad_form(self, v: np.ndarray) -> float:
@@ -184,11 +182,10 @@ class DiagonalPsdMatrix:
     Stores the diagonals of the matrix and of its inverse. For e_j it computes
     what PsdMatrix computes (q = inv[j]; diag[j] += 1; inv[j] -= q*q/(1+q);
     logdet += log1p(q)). Its refresh is the dense Cholesky refresh done
-    elementwise: the factor is c = sqrt(diag), and OpenBLAS's triangular
-    solves give inv = (1/c)*(1/c), which 1/diag and (1/c)/c are not, bit for
-    bit. tests/test_psdmat.py checks the equality exactly, so a BLAS that
-    rounds the refresh differently fails there. ``mat`` and ``inv`` are
-    read-only dense copies.
+    elementwise: on a diagonal every off-diagonal term is an exact zero, so
+    L = sqrt(diag), R = 1/L and R^T R = R*R term for term, which 1/diag and
+    (1/L)/L are not, bit for bit. ``mat`` and ``inv`` are read-only dense
+    copies.
     """
 
     __slots__ = ("dim", "ridge", "diag", "inv_diag", "logdet", "updates_since_refresh")

@@ -203,6 +203,14 @@ def scaling_csv_text(fits: list[ScalingFit]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def regret_ratio(no_comm: float, async_trigger: float) -> float:
+    """no_comm / async_trigger mean regret: inf only for a positive no_comm
+    over a zero async_trigger, NaN for 0 / 0."""
+    if async_trigger != 0:
+        return no_comm / async_trigger
+    return math.inf if no_comm > 0 else math.nan
+
+
 def collaboration_comparison(rows: list[dict]) -> Optional[str]:
     """Regret ratio no_comm / async_trigger per COMPARISON_GROUP where both ran."""
     ok = [r for r in rows if r["status"] == "ok"]
@@ -216,7 +224,7 @@ def collaboration_comparison(rows: list[dict]) -> Optional[str]:
         if not a or not n:
             continue
         ma, mn = float(np.mean(a)), float(np.mean(n))
-        ratio = mn / ma if ma != 0 else float("inf")
+        ratio = regret_ratio(mn, ma)
         r = group[0]
         lines.append(f"{r['K']},{g17(ma)},{g17(mn)},{g17(ratio)},{r['M']},"
                      f"{g17(r['alpha'])},{g17(r['ridge'])},{g17(r['gap'])}")

@@ -242,6 +242,28 @@ protocol = async_trigger, no_comm
         with pytest.raises(ConfigError, match="range"):
             parse_config(MINIMAL + "\n[sweep]\nseeds = 5..1\n")
 
+    @pytest.mark.parametrize("axis,value", [
+        ("seeds = 0, 0, 1", "0"),
+        ("seeds = 0..2, 1", "1"),
+        ("alpha = 0.1, 0.10", "0.1"),  # equal once converted
+        ("protocol = no_comm, async_trigger, no_comm", "'no_comm'"),
+    ])
+    def test_repeated_axis_value_names_its_line(self, axis, value):
+        """A repeated value would run twice, and comparison.csv would weigh
+        it twice where scaling.csv counts it once."""
+        text = MINIMAL + f"\n[sweep]\n{axis}\nM = 2\n"
+        lineno = text.splitlines().index(axis) + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: value {value} repeated$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("axes", ["", "seeds = 0..1\n"], ids=["no_axis", "seeds_axis"])
+    def test_cap_below_one_names_its_line(self, cap, axes):
+        text = MINIMAL + f"\n[sweep]\n{axes}max_runs = {cap}\n"
+        lineno = text.splitlines().index(f"max_runs = {cap}") + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: max_runs must be >= 1"):
+            parse_config(text)
+
 
 def test_shipped_configs_found():
     assert any(p.name == "run_hard.cfg" for p in CONFIGS)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -104,8 +105,43 @@ def test_server_writes_no_agent_state():
     assert bad == [], f"server.py: writes outside self at lines {bad}"
 
 
-# Runs in a fresh interpreter: every run path of the package, then the one
-# scipy user, reporting whether scipy was loaded before it.
+def _imported_roots(tree: ast.Module):
+    """(line, top-level package) of every absolute import in the module,
+    function-local ones included; a relative import is the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_imports_only_numpy_and_stdlib(path):
+    """numpy is the package's one runtime dependency: any other import fails
+    here rather than on a clean install."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "coop_lsvi"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [(line, root) for line, root in _imported_roots(tree) if root not in allowed]
+    assert bad == [], f"{path.name}: imports outside numpy and the standard library: {bad}"
+
+
+def test_test_imports_are_declared():
+    """Every third-party module the tests and perfbench import is named in
+    pyproject's dependencies or its test extra, so an environment built from
+    pyproject alone collects every test file."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower()
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    files = [p for d in ("tests", "perfbench", "perfbench/tests") for p in (ROOT / d).glob("*.py")]
+    local = {p.stem for p in files} | {"coop_lsvi"}
+    imported = {root for p in files for _, root in _imported_roots(ast.parse(p.read_text()))}
+    assert imported - set(sys.stdlib_module_names) - local - declared == set()
+
+
+# Runs in a fresh interpreter: every run path of the package, then the dense
+# PsdMatrix's Cholesky refresh, reporting whether scipy was ever loaded.
 _RUN_PATH_PROBE = textwrap.dedent("""
     import json, sys
     import coop_lsvi
@@ -120,18 +156,16 @@ _RUN_PATH_PROBE = textwrap.dedent("""
                                  diagnostics=True))
     codes = [cli.main(["run", "--config", run_cfg, "--out", out + "/run", "--svg"]),
              cli.main(["sweep", "--config", sweep_cfg, "--out", out + "/sweep"])]
-    on_run_path = "scipy" in sys.modules
     m = PsdMatrix(3, 1.0)
     m.refresh()
-    print(json.dumps({"codes": codes, "scipy": on_run_path,
-                      "refreshed": "scipy" in sys.modules and m.logdet == 0.0}))
+    print(json.dumps({"codes": codes, "logdet": m.logdet, "scipy": "scipy" in sys.modules}))
 """)
 
 
 def test_run_path_imports_no_scipy(tmp_path):
-    """A run, the CLI's run and sweep and every protocol load numpy and the
-    standard library only: scipy, the dense PsdMatrix.refresh's Cholesky,
-    costs most of a process's set-up and no run builds a PsdMatrix."""
+    """The package never loads scipy: a run, the CLI's run and sweep, every
+    protocol and the dense PsdMatrix.refresh use numpy and the standard
+    library only."""
     body = "[mdp]\nkind = hard\nd = 8\nH = 3\n\n[run]\nM = 2\nK = 20\ndiagnostics = on\n"
     (tmp_path / "run.cfg").write_text(body)
     (tmp_path / "sweep.cfg").write_text(body + "\n[sweep]\nseeds = 0..1\n")
@@ -141,4 +175,4 @@ def test_run_path_imports_no_scipy(tmp_path):
          str(tmp_path / "run.cfg"), str(tmp_path / "sweep.cfg")],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0], "scipy": False, "refreshed": True}
+    assert report == {"codes": [0, 0], "logdet": 0.0, "scipy": False}

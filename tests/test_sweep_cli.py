@@ -562,8 +562,22 @@ class TestComparisonOutput:
         comp = (tmp_path / "comparison.csv").read_text().strip().split("\n")
         assert comp[0].startswith("K,mean_regret_async_trigger")
         assert len(comp) == 2
-        ratio = float(comp[1].split(",")[3])
-        assert math.isfinite(ratio) or ratio == float("inf")
+        mean_async, mean_nc, ratio = (float(v) for v in comp[1].split(",")[1:4])
+        assert mean_async > 0 and ratio == mean_nc / mean_async
+
+    def test_zero_over_zero_regret_is_nan(self, tmp_path):
+        # With no regret under either protocol there is no ratio to report.
+        spec = parse_config(RUN_CFG.replace("gap = 0.2\n", "").replace("K = 10", "K = 40")
+                            + "\n[sweep]\nseeds = 0..1\nprotocol = async_trigger, no_comm\n")
+        run_sweep(spec, str(tmp_path), workers=1)
+        comp = (tmp_path / "comparison.csv").read_text().strip().split("\n")
+        assert comp[1].split(",")[1:4] == ["0", "0", "nan"]
+
+    @pytest.mark.parametrize("no_comm,async_trigger,want", [
+        (3.0, 2.0, 1.5), (0.0, 2.0, 0.0), (1.0, 0.0, math.inf), (0.0, 0.0, math.nan)])
+    def test_regret_ratio(self, no_comm, async_trigger, want):
+        got = sweep_mod.regret_ratio(no_comm, async_trigger)
+        assert got == want or math.isnan(got) and math.isnan(want)
 
 
 class TestSummaryGroups:
