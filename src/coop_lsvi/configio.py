@@ -8,7 +8,6 @@ run configuration.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -94,11 +93,11 @@ def expand_sweep(spec: SweepSpec) -> list[RunConfig]:
     return out
 
 
-def _parse_lines(text: str) -> tuple[dict[tuple[str, str], tuple[str, int]], set[str]]:
-    """Map each (section, key) to its (value text, line number); also return
-    the names of the sections present."""
+def _parse_lines(text: str) -> tuple[dict[tuple[str, str], tuple[str, int]], dict[str, int]]:
+    """Map each (section, key) to its (value text, line number); also map the
+    name of each section present to the line of its first header."""
     raw = {}
-    sections = set()
+    sections: dict[str, int] = {}
     section = None
     for lineno, full in enumerate(text.splitlines(), start=1):
         line = full.split("#", 1)[0].strip()
@@ -108,7 +107,7 @@ def _parse_lines(text: str) -> tuple[dict[tuple[str, str], tuple[str, int]], set
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            sections.add(section)
+            sections.setdefault(section, lineno)
             continue
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
@@ -235,12 +234,12 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     if "sweep" not in sections:
         return cfg
 
-    cap = SWEEP_CAP_DEFAULT
+    cap, cap_line = SWEEP_CAP_DEFAULT, sections["sweep"]
     if ("sweep", "max_runs") in raw:
-        value, lineno = raw[("sweep", "max_runs")]
-        cap = _convert(value, lineno, "max_runs", int)
+        value, cap_line = raw[("sweep", "max_runs")]
+        cap = _convert(value, cap_line, "max_runs", int)
         if cap < 1:
-            raise ConfigError(f"line {lineno}: max_runs must be >= 1, got {cap}")
+            raise ConfigError(f"line {cap_line}: max_runs must be >= 1, got {cap}")
     axes: dict[str, list] = {}
     for axis, key in _AXES.items():
         if ("sweep", axis) in raw:
@@ -249,7 +248,8 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
             lines[key] = lineno
     spec = SweepSpec(base=cfg, axes=axes, cap=cap)
     if spec.size() > spec.cap:
-        raise ConfigError(f"sweep would launch {spec.size()} runs, over the cap {spec.cap}")
+        raise ConfigError(f"line {cap_line}: sweep would launch {spec.size()} runs, "
+                          f"over the cap {spec.cap}")
     for run in expand_sweep(spec):
         _check(run, lines, instance)
     return spec
@@ -309,4 +309,6 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    # Imported here: hashlib loads OpenSSL (about 3.5 MB), which no run needs.
+    import hashlib
     return hashlib.sha256(emit_config(cfg).encode()).hexdigest()[:16]

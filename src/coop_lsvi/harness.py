@@ -54,10 +54,13 @@ POLICY_VALUE_CACHE_BYTES = 2 ** 20
 # server's store of every transition) and, per agent and step h, 2 KB of
 # objects plus 29 bytes per feature cell: 32-byte units with the objects as
 # AGENT_CELL_OVERHEAD cells. Each cap is about 2 GiB. The largest shipped,
-# acceptance or benchmark run has K * H = 96,000, M * H * (d + 64) = 5,280.
+# acceptance or benchmark run has K * H = 96,000, M * H * (d + 64) = 5,280
+# and K * d = 256,000. A refit builds each step's (n, d) float64 design matrix
+# from its n <= K transitions, so MAX_DESIGN_ENTRIES bounds that matrix.
 MAX_RUN_STEPS = 2 ** 23       # on K * H
 AGENT_CELL_OVERHEAD = 64
 MAX_AGENT_UNITS = 2 ** 26     # on M * H * (d + AGENT_CELL_OVERHEAD)
+MAX_DESIGN_ENTRIES = 2 ** 28  # on K * d
 
 
 class ConfigError(ValueError):
@@ -145,6 +148,9 @@ class RunConfig:
             if self.K * H > MAX_RUN_STEPS:
                 bad(f"K * H = {self.K * H} episode steps exceeds {MAX_RUN_STEPS}",
                     ("run", "K"))
+            if self.K * d > MAX_DESIGN_ENTRIES:
+                bad(f"K * d = {self.K * d} design-matrix entries exceeds {MAX_DESIGN_ENTRIES}",
+                    ("run", "K"))
             units = self.M * H * (d + AGENT_CELL_OVERHEAD)
             if units > MAX_AGENT_UNITS:
                 bad(f"M * H * (d + {AGENT_CELL_OVERHEAD}) = {units} exceeds {MAX_AGENT_UNITS}",
@@ -183,8 +189,10 @@ class RunConfig:
         if self.schedule == "single_agent" and not 1 <= self.schedule_agent <= self.M:
             bad(f"schedule agent {self.schedule_agent} out of [1, {self.M}]",
                 ("schedule", "agent"))
-        if self.schedule_seed is not None and self.schedule_seed < 0:
-            bad(f"schedule seed must be >= 0, got {self.schedule_seed}", ("schedule", "seed"))
+        if self.schedule_seed is not None and not 0 <= self.schedule_seed < 2 ** 64:
+            # The seeded schedules draw through streams.default_rng_integers.
+            bad(f"schedule seed must lie in [0, 2**64), got {self.schedule_seed}",
+                ("schedule", "seed"))
         if self.schedule == "bursty" and self.schedule_block < 1:
             bad(f"block_len must be >= 1, got {self.schedule_block}",
                 ("schedule", "block_len"))

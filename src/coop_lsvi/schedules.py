@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .mdp import LinearMdp, hard_num_initial_states
+from .streams import default_rng_integers
 
 if TYPE_CHECKING:
     from .harness import RunConfig
@@ -43,11 +44,10 @@ def make_schedule(cfg: RunConfig, d: int) -> np.ndarray:
     if cfg.schedule == "lower_bound":
         epoch_len = _epoch_len(K, d)
         return np.minimum(np.arange(K) % epoch_len // -(-epoch_len // M), M - 1) + 1
-    rng = np.random.default_rng(cfg.schedule_seed)
     if cfg.schedule == "uniform_random":
-        return rng.integers(1, M + 1, size=K, dtype=np.int64)
+        return default_rng_integers(cfg.schedule_seed, 1, M + 1, K)
     block = cfg.schedule_block  # bursty
-    blocks = rng.integers(1, M + 1, size=-(-K // block), dtype=np.int64)
+    blocks = default_rng_integers(cfg.schedule_seed, 1, M + 1, -(-K // block))
     return blocks[np.arange(K) // block]  # O(K), however long a block is
 
 
@@ -62,6 +62,6 @@ def make_initial_states(cfg: RunConfig, mdp: LinearMdp, seed: int) -> np.ndarray
     if cfg.init_state == "fixed":
         return np.full(K, cfg.init_state_fixed, dtype=np.int64)
     if cfg.init_state == "uniform_random":
-        return np.random.default_rng(seed).integers(0, mdp.n_states, size=K, dtype=np.int64)
+        return default_rng_integers(seed, 0, mdp.n_states, K)
     epochs = np.arange(K) // _epoch_len(K, mdp.d)  # epoch
     return (epochs % hard_num_initial_states(mdp)).astype(np.int64)

@@ -1,5 +1,6 @@
-"""Seeded random streams: the splitmix64 seed mix, and a block kernel that
-computes ``np.random.default_rng(seed).random(n)`` for an array of seeds.
+"""Seeded random streams: the splitmix64 seed mix, a block kernel that
+computes ``np.random.default_rng(seed).random(n)`` for an array of seeds, and
+``default_rng(seed).integers`` for the schedules.
 
 Every random stream of a run is keyed by ``mix_seed(master, *streams)``, and
 the run loop needs one trajectory stream per episode. Building a
@@ -12,6 +13,11 @@ numpy's ``pcg64.h``) on pairs of uint64 words, and ``random()``'s 53-bit
 double. numpy keeps both streams stable across releases (NEP 19), and
 ``tests/test_streams.py`` pins the kernel to ``default_rng`` with exact
 equality, so a release that changed them would fail there first.
+
+``default_rng_integers`` draws a run's participation and initial-state
+schedules from the same generator, so that a run that draws nothing else
+(every hard-instance run) never imports ``numpy.random``, which loads OpenSSL
+through ``secrets``: about 6 MB of resident memory and 14 ms.
 """
 
 from __future__ import annotations
@@ -135,6 +141,12 @@ def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of each 128-bit state given as (high, low) words."""
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
 def default_rng_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
     """``np.random.default_rng(seed).random(n)`` for every uint64 seed: row i
     of the (len(seeds), n) result equals, bit for bit, the first n doubles of
@@ -154,7 +166,39 @@ def default_rng_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
         powers.append(powers[-1] * _PCG_MULT & _MASK128)
     hi, lo = _add128(*_mul128(t_hi, t_lo, *_words(powers[1:])),
                      *_mul128(inc_hi, inc_lo, *_words(sums[1:])))
-    # XSL-RR output, then random()'s 53-bit double.
-    x, rot = hi ^ lo, hi >> np.uint64(58)
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return ((x >> np.uint64(11)) * (1.0 / 9007199254740992.0)).T
+    # random()'s 53-bit double.
+    return ((_xsl_rr(hi, lo) >> np.uint64(11)) * (1.0 / 9007199254740992.0)).T
+
+
+def default_rng_integers(seed: int, low: int, high: int, size: int) -> np.ndarray:
+    """``np.random.default_rng(seed).integers(low, high, size=size)`` as an
+    int64 array, bit for bit, for 0 <= seed < 2**64 and 1 <= high - low < 2**32.
+
+    numpy draws a span under 2**32 from PCG64's 32-bit stream (each 64-bit
+    output's low half, then its high half) by Lemire's multiply-shift with
+    rejection (arXiv:1805.10941).
+    """
+    span = high - low
+    if not (0 <= seed <= _MASK64 and 1 <= span <= _MASK32):
+        raise ValueError(f"need 0 <= seed < 2**64 and 1 <= high - low < 2**32, "
+                         f"got seed {seed}, span {span}")
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        int(w[0]) for w in _seed_sequence_state(np.array([seed], np.uint64)))
+    # pcg64_set_seed, as in default_rng_uniforms.
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    threshold = np.uint64((1 << 32) % span)
+    drawn, count = [np.empty(0, np.uint64)], 0
+    while count < size:
+        # Enough LCG steps (in Python ints) for the draws still missing if
+        # none is rejected; the 32-bit words, each output's low half then its
+        # high half, and Lemire's test run as arrays.
+        states = []
+        for _ in range(-(-(size - count) // 2)):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            states.append(state)
+        x = _xsl_rr(*_words(states))
+        m = np.concatenate([x & _LOW32, x >> _SHIFT32], axis=1).ravel() * np.uint64(span)
+        drawn.append(m[(m & _LOW32) >= threshold] >> _SHIFT32)
+        count += len(drawn[-1])
+    return np.concatenate(drawn)[:size].astype(np.int64) + low

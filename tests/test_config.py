@@ -224,6 +224,21 @@ protocol = async_trigger, no_comm
         with pytest.raises(ConfigError, match="cap"):
             parse_config(text)
 
+    def test_cap_names_the_max_runs_line(self):
+        """Each axis is under the cap but their product is over it."""
+        text = MINIMAL + "\n[sweep]\nK = 40, 80\nseeds = 0..99\nmax_runs = 150\n"
+        lineno = text.splitlines().index("max_runs = 150") + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: sweep would launch 200 runs, "
+                                              "over the cap 150$"):
+            parse_config(text)
+
+    def test_default_cap_names_the_sweep_header(self):
+        text = MINIMAL + "\n[sweep]\nK = 40, 80\nseeds = 0..9999\n"
+        lineno = text.splitlines().index("[sweep]") + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: sweep would launch 20000 runs, "
+                                              "over the cap 10000$"):
+            parse_config(text)
+
     def test_long_axis_refused_before_it_is_built(self):
         """An axis longer than the cap names its line without being expanded:
         a million seeds built as a list would peak at about 40 MB."""

@@ -10,9 +10,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import coop_lsvi
+from coop_lsvi.configio import config_hash, parse_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "coop_lsvi").glob("*.py"))
@@ -176,3 +178,42 @@ def test_run_path_imports_no_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=120, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"codes": [0, 0], "logdet": 0.0, "scipy": False}
+
+
+# Runs in a fresh interpreter: the hard instance through the benchmark's
+# pipeline under every protocol, schedule kind and initial-state kind, with
+# diagnostics on and off, then config_hash of the config text in argv[1] once
+# the modules are counted.
+_HARD_RUN_PROBE = textwrap.dedent("""
+    import itertools, json, sys
+    from coop_lsvi.configio import config_hash, parse_config
+    from coop_lsvi.harness import metrics_csv_text, run_experiment
+    from coop_lsvi.schedules import INIT_STATE_KINDS, SCHEDULE_KINDS
+    from coop_lsvi.server import ProtocolKind
+
+    complete = 0
+    for p, kind, init, diag in itertools.product(
+            ProtocolKind, SCHEDULE_KINDS, INIT_STATE_KINDS, ("on", "off")):
+        cfg = parse_config(f"[mdp]\\nkind = hard\\nd = 8\\nH = 3\\n[run]\\nM = 3\\nK = 12\\n"
+                           f"protocol = {p.value}\\ndiagnostics = {diag}\\n"
+                           f"[schedule]\\nkind = {kind}\\n[init_state]\\nkind = {init}\\n")
+        complete += metrics_csv_text(run_experiment(cfg)).count("\\n") == 1 + 12
+    loaded = sorted({"numpy.random", "_hashlib"} & set(sys.modules))
+    print(json.dumps({"complete": complete, "loaded": loaded,
+                      "hash": config_hash(parse_config(sys.argv[1]).resolved())}))
+""")
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1.x imports numpy.random with numpy itself")
+def test_hard_runs_import_neither_numpy_random_nor_openssl():
+    """A hard-instance run draws its schedules through
+    streams.default_rng_integers and hashes no config, so it loads neither
+    numpy.random nor hashlib's OpenSSL module (about 6 MB and 14 ms)."""
+    hashed = "[mdp]\nkind = hard\n[run]\nM = 4\n[schedule]\nkind = bursty\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _HARD_RUN_PROBE, hashed], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"complete": 4 * 5 * 3 * 2, "loaded": [],
+                      "hash": config_hash(parse_config(hashed).resolved())}

@@ -228,6 +228,7 @@ class TestCliRun:
         (RUN_CFG + "ridge = inf\n", 13),
         ("[mdp]\nkind = random\nn_states = 3\nn_actions = 2\nH = 2\nseed = -1\n", 6),
         (RUN_CFG + "\n[schedule]\nkind = uniform_random\nseed = -5\n", 16),
+        (RUN_CFG + f"\n[schedule]\nkind = bursty\nseed = {2 ** 64}\n", 16),
         (RUN_CFG + "beta = practical:1e308\n", 13),
         (RUN_CFG + "alpha = inf\nbeta = theoretical\n", 14),
         (RUN_CFG.replace("master_seed = 3", "master_seed = -1"), 12),
@@ -235,8 +236,8 @@ class TestCliRun:
     ], ids=["hard_d", "hard_H", "hard_gap", "random_n_states", "random_H",
             "fixed_state", "bursty_block_len", "beta_nan", "beta_negative",
             "beta_inf", "theoretical_beta_negative", "ridge_inf", "mdp_seed_negative",
-            "schedule_seed_negative", "practical_beta_resolves_inf",
-            "theoretical_beta_resolves_inf", "master_seed_negative", "master_seed_over_64_bits"])
+            "schedule_seed_negative", "schedule_seed_over_64_bits",
+            "practical_beta_resolves_inf", "theoretical_beta_resolves_inf", "master_seed_negative", "master_seed_over_64_bits"])
     def test_instance_and_schedule_errors_name_their_line(self, tmp_path, capsys,
                                                           text, bad_line):
         cfg = self._write(tmp_path, text)
@@ -422,6 +423,24 @@ def test_no_more_workers_than_runs(tmp_path, monkeypatch, seeds, pool_sizes):
 def test_run_size_caps_admit_runs_at_the_cap():
     parse_config(RUN_CFG.replace("K = 10", f"K = {harness.MAX_RUN_STEPS // 3}"))
     parse_config(RUN_CFG.replace("M = 2", f"M = {harness.MAX_AGENT_UNITS // (3 * 72)}"))
+
+
+# d = 1024 * 4 = 4096, the largest dimension; H = 1 keeps K * H under its cap.
+WIDE_CFG = "[mdp]\nkind = random\nn_states = 1024\nn_actions = 4\nH = 1\n\n[run]\nK = {}\n"
+
+
+def test_design_matrix_cap_admits_k_at_the_cap():
+    K = harness.MAX_DESIGN_ENTRIES // 4096
+    assert K == 65_536
+    assert parse_config(WIDE_CFG.format(K)).K == K  # parsed only: nothing is allocated
+
+
+def test_design_matrix_cap_names_the_k_line():
+    """Past the cap a refit's (K, d) float64 design matrix would pass 2 GiB;
+    at K = 2**20 it would take 32 GiB."""
+    with pytest.raises(ConfigError, match="^line 8: K \\* d = 268439552 design-matrix "
+                                          "entries exceeds 268435456$"):
+        parse_config(WIDE_CFG.format(65_537))
 
 
 def test_run_size_caps_apply_to_file_instances(tmp_path, capsys):
