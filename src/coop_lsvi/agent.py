@@ -21,26 +21,19 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .mdp import LinearMdp
-from .psdmat import REFRESH_PERIOD, Covariance, PsdMatrix
+from .psdmat import Covariance, PsdMatrix
 
 # Strictness guard for the determinant trigger. One-hot features make the
 # determinant ratio a product of small rationals, so it lands EXACTLY on the
 # 1 + alpha boundary in real arithmetic routinely (e.g. (3/2)*(4/3) = 2); the
-# strict inequality must then not fire. Float paths resolve such ties either
-# way within ~1e-12 in log space, so genuine exceedances are required to clear
-# the threshold by this margin (far below any true nonzero rational gap).
+# strict inequality must then not fire. The statistic sums n positive terms
+# fl(log1p(1 / (c + v))), each within a few ulps plus 2**-53 (the float
+# diagonal c = ridge + count is within count * ulp(c), and count <= c), in
+# n roundings of at most 2**-53 * S each: near the threshold S = log1p(alpha)
+# its error stays below this guard while (n + 3) * S + n < 9e4 (2.5e-12 for 30
+# first visits at MAX_DIM / MIN_RIDGE, S = 690), and a genuine exceedance, a
+# nonzero rational gap, clears it.
 TRIGGER_LOG_TOLERANCE = 1e-11
-
-# How far below the trigger threshold the elliptical-potential bound must lie
-# for should_communicate to skip a step's exact log-det. The exact statistic
-# is fl(fl(L + t_1 + ... + t_n) - L) for the frozen logdet L and terms
-# t_i = fl(log1p(q_i)), each q_i at most the frozen inverse entry its bound
-# term reads. With n < REFRESH_PERIOD each of its n + 1 roundings is at most
-# half an ulp of a logdet no larger than MAX_DIM * 710 (every diagonal entry is
-# a float in [MIN_RIDGE, 1.8e308]), so they total below 512 * ulp(2.9e6), about
-# 2.4e-7. The bound's own n additions of terms at most log1p(1 / MIN_RIDGE)
-# < 24, and log1p's last-bit error in each term, add under 1e-8.
-TRIGGER_BOUND_MARGIN = 1e-6
 
 
 class Transition(NamedTuple):
@@ -162,12 +155,11 @@ class LsviAgent:
 
     Between parameter updates the Q-function is frozen, so greedy acting is a
     pure function of (s, h). Local accumulation tracks, per step h, the cell
-    indices j (phi = e_j, mdp.LinearMdp.cell) of the transitions since the
-    last update, the elliptical-potential bound sum of log1p((cov_h^-1)_jj)
-    over them, and a scratch SPD matrix equal to cov_h + sum of their
-    e_j e_j^T. The scratch is built lazily and brought up to date, with one
-    add_bases over the cells recorded since, only when the trigger needs the
-    exact log-det, so recording is appends plus one term of the bound.
+    indices j (phi = e_j, mdp.LinearMdp.cell) recorded since the last update,
+    the visits per cell among them, and the trigger's statistic: cov_h is
+    ridge * I plus visit counts, so the v+1-th local visit to cell j multiplies
+    det(cov_h + delta_h) by (c_j + v + 1) / (c_j + v), c_j = (cov_h)_jj, and
+    recording adds the log of that factor.
     """
 
     def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float,
@@ -177,15 +169,13 @@ class LsviAgent:
         self.H = H
         self.alpha = float(alpha)
         self.qparams = QParams(d, H, ridge, beta, cov_cls)
-        self._log_threshold = math.log1p(self.alpha)
-        self._bound_ceiling = (self._log_threshold + TRIGGER_LOG_TOLERANCE
-                               - TRIGGER_BOUND_MARGIN)
+        self._log_ceiling = math.log1p(self.alpha) + TRIGGER_LOG_TOLERANCE
         # Per-h local delta since last update: cell indices + aligned transitions.
         self.loc_cells: list[list[int]] = [[] for _ in range(H)]
         self.loc_transitions: list[list[Transition]] = [[] for _ in range(H)]
-        self._scratch: list[Optional[Covariance]] = [None] * H
-        self._scratch_n = [0] * H  # per h, how many loc_cells the scratch holds
-        self._bound = [0.0] * H  # per h, sum of log1p((cov_h^-1)_jj) over loc_cells
+        # Per h, visits per cell in loc_cells, and log det(cov_h + delta_h) / det cov_h.
+        self._visits: list[dict[int, int]] = [{} for _ in range(H)]
+        self._log_ratio = [0.0] * H
         # Own-trajectory history per h, built and filled by own_history (read
         # only by the no-communication refit), so it stays an empty list under
         # the other protocols; _own_moved counts rows already moved.
@@ -248,19 +238,9 @@ class LsviAgent:
                              f"outside [0, {self.d})")
         self.loc_cells[hh].append(j)
         self.loc_transitions[hh].append(t)
-        self._bound[hh] += math.log1p(self.qparams.cov[hh].inv_diag.item(j))
-
-    def _ensure_scratch(self, hh: int) -> Covariance:
-        """cov_h plus the whole local delta of step hh: the cells recorded
-        since the last call join the scratch in one add_bases, in order."""
-        scratch = self._scratch[hh]
-        if scratch is None:
-            scratch = self._scratch[hh] = self.qparams.cov[hh].copy()
-        cells, n = self.loc_cells[hh], self._scratch_n[hh]
-        if n < len(cells):
-            scratch.add_bases(cells[n:])
-            self._scratch_n[hh] = len(cells)
-        return scratch
+        v = self._visits[hh].get(j, 0)
+        self._visits[hh][j] = v + 1
+        self._log_ratio[hh] += math.log1p(1.0 / (self.qparams.cov[hh].diag.item(j) + v))
 
     def should_communicate(self) -> tuple[bool, Optional[int]]:
         """Determinant trigger at episode end.
@@ -269,29 +249,9 @@ class LsviAgent:
         for some h; returns the smallest such 1-based h. The comparison runs
         in log space with the boundary guard so a ratio exactly equal to
         1 + alpha never fires, matching the strict inequality.
-
-        A step is skipped without the exact log-det when the
-        elliptical-potential bound log det(cov_h + delta_h) - log det cov_h
-        <= sum_j log1p((cov_h^-1)_jj), summed at record time over the frozen
-        cov_h, lies TRIGGER_BOUND_MARGIN or more below the threshold and
-        cov_h.updates_since_refresh + len(delta_h) < REFRESH_PERIOD. Each
-        exact term is log1p of an inverse entry the rank-one updates have only
-        lowered, and no Cholesky refresh, the one step that could raise one,
-        comes between, so the exact check would not fire: the skip decides as
-        it would, and the scratch it leaves behind catches up later with the
-        same updates in the same order.
         """
-        covs, bound = self.qparams.cov, self._bound
-        for hh in range(self.H):
-            cells = self.loc_cells[hh]
-            if not cells:
-                continue
-            cov = covs[hh]
-            if (bound[hh] <= self._bound_ceiling
-                    and cov.updates_since_refresh + len(cells) < REFRESH_PERIOD):
-                continue
-            delta = self._ensure_scratch(hh).logdet - cov.logdet
-            if delta > self._log_threshold + TRIGGER_LOG_TOLERANCE:
+        for hh, log_ratio in enumerate(self._log_ratio):
+            if log_ratio > self._log_ceiling:
                 return True, hh + 1
         return False, None
 
@@ -299,19 +259,18 @@ class LsviAgent:
         """Clear the local delta after an update (upload consumed it)."""
         self.loc_cells = [[] for _ in range(self.H)]
         self.loc_transitions = [[] for _ in range(self.H)]
-        self._scratch = [None] * self.H
-        self._scratch_n = [0] * self.H
-        self._bound = [0.0] * self.H
+        self._visits = [{} for _ in range(self.H)]
+        self._log_ratio = [0.0] * self.H
         self._own_moved = [0] * self.H
 
     def local_cov_snapshot(self) -> list[Covariance]:
-        """Per-h cov_h + local delta, handing off the scratch objects.
-
-        This is the covariance a no-communication learner adopts when its
-        trigger fires; callers must reset_local() afterwards so the handed-off
-        matrices are no longer aliased as scratch.
-        """
-        return [self._ensure_scratch(hh) for hh in range(self.H)]
+        """Per-h cov_h + local delta as new matrices, the local cells added in
+        recording order: what a no-communication learner adopts when its
+        trigger fires."""
+        snapshot = [cov.copy() for cov in self.qparams.cov]
+        for cov, cells in zip(snapshot, self.loc_cells):
+            cov.add_bases(cells)
+        return snapshot
 
     def own_history(self) -> list[TransitionBatch]:
         """Per-h batches, in episode order, of every transition this agent

@@ -95,7 +95,7 @@ def expand_sweep(spec: SweepSpec) -> list[RunConfig]:
 
 def _parse_lines(text: str) -> tuple[dict[tuple[str, str], tuple[str, int]], dict[str, int]]:
     """Map each (section, key) to its (value text, line number); also map the
-    name of each section present to the line of its first header."""
+    name of each section present to the line of its header."""
     raw = {}
     sections: dict[str, int] = {}
     section = None
@@ -107,7 +107,9 @@ def _parse_lines(text: str) -> tuple[dict[tuple[str, str], tuple[str, int]], dic
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            sections.setdefault(section, lineno)
+            if section in sections:
+                raise ConfigError(f"line {lineno}: repeated section [{section}]")
+            sections[section] = lineno
             continue
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")

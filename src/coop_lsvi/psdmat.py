@@ -138,6 +138,7 @@ class PsdMatrix:
         """
         return np.maximum(((vs @ self.inv) * vs).sum(axis=1), 0.0)
 
+    diag = property(lambda self: self.mat.diagonal())  # read-only view
     inv_diag = property(lambda self: self.inv.diagonal())  # read-only view
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -284,7 +285,7 @@ def det_ratio(base: Covariance, delta: Iterable[np.ndarray]) -> float:
 
 
 def log_det_ratio(base: Covariance, delta: Iterable[np.ndarray]) -> float:
-    """log of det_ratio; this is the form the communication trigger compares."""
+    """log of det_ratio (the trigger sums it from visit counts instead)."""
     scratch = base.copy()
     for v in delta:
         scratch.rank_one_update(v)

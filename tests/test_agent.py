@@ -1,7 +1,7 @@
 """Tests for the per-agent learner: acting, trigger, and the backward update."""
 
-import collections
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -302,23 +302,9 @@ def cov_bytes(cov):
     return cov.mat.tobytes(), cov.inv.tobytes(), cov.logdet, cov.updates_since_refresh
 
 
-def count_scratch_reads(monkeypatch):
-    """A counter of the exact log-det reads should_communicate makes."""
-    reads = collections.Counter()
-    ensure = LsviAgent._ensure_scratch
-
-    def counted(self, hh):
-        reads[hh + 1] += 1
-        return ensure(self, hh)
-
-    monkeypatch.setattr(LsviAgent, "_ensure_scratch", counted)
-    return reads
-
-
 class TestTriggerBound:
-    """should_communicate reads a step's exact log-det only where the
-    elliptical-potential bound cannot prove the trigger quiet, and decides as
-    the exact trigger would."""
+    """should_communicate decides from the visit-count statistic as the
+    determinant trigger replayed on a scratch covariance would."""
 
     M = random_tabular(0, 2, 3, 2)  # d = 6, H = 2
 
@@ -350,8 +336,8 @@ class TestTriggerBound:
             fired = ag.should_communicate()
             assert fired == exact_trigger(ag, covs)
             if fired[0] or k == len(episodes):
-                # The lazily caught-up scratch holds the bytes of adding the
-                # cells one add_basis at a time.
+                # The snapshot holds the bytes of adding the cells one
+                # add_basis at a time.
                 snapshot = ag.local_cov_snapshot()
                 for cov, hh_cells, got in zip(covs, cells, snapshot):
                     ref = cov.copy()
@@ -361,52 +347,29 @@ class TestTriggerBound:
                 ag.qparams.cov = snapshot
                 ag.reset_local()
 
-    def _agent_after_one_visit(self, alpha, counter=0):
-        m = random_tabular(0, 1, 2, 1)  # d = 2, H = 1
-        ag = fresh_agent(m, alpha=alpha)
-        ag.qparams.cov[0].updates_since_refresh = counter
-        ag.record_transition(m, Transition(1, 1, 0, 0, 0.5, 0))
-        return ag
-
-    def test_far_below_threshold_skips_the_exact_read(self, monkeypatch):
-        reads = count_scratch_reads(monkeypatch)
-        ag = self._agent_after_one_visit(50.0, counter=REFRESH_PERIOD - 2)
-        assert ag.should_communicate() == (False, None)
-        assert reads == {}
-
-    def test_a_catch_up_through_a_refresh_reads_the_exact_log_det(self, monkeypatch):
-        reads = count_scratch_reads(monkeypatch)
-        ag = self._agent_after_one_visit(50.0, counter=REFRESH_PERIOD - 1)
-        assert ag.should_communicate() == (False, None)
-        assert reads == {1: 1}
-
-    def test_a_bound_within_the_margin_reads_the_exact_log_det(self, monkeypatch):
-        # One first visit at ridge 1: the bound is log 2 = log(1 + alpha).
-        reads = count_scratch_reads(monkeypatch)
-        ag = self._agent_after_one_visit(1.0)
-        assert ag.should_communicate() == (False, None)
-        assert reads == {1: 1}
-
-    def test_the_margin_covers_the_exact_statistics_rounding(self):
-        # 30 first visits on a MAX_DIM covariance at MIN_RIDGE: each of the 30
-        # additions to the logdet, about -9.4e4, rounds to 1.5e-11, and the
-        # exact statistic lands 2.1e-10 above the bound. With log(1 + alpha)
-        # between the two, the exact trigger fires and the bound alone would
-        # not: only the margin keeps the step from being skipped.
+    def test_first_visits_at_the_rounding_corner_decide_as_exact_arithmetic(self):
+        # 30 first visits on a MAX_DIM covariance at MIN_RIDGE, with
+        # log(1 + alpha) 1e-10 above the float sum of their terms. In exact
+        # arithmetic ((c + 1) / c)**30 is below 1 + alpha, so the trigger must
+        # stay quiet. A scratch covariance's float logdet, whose 30 additions
+        # to about -9.4e4 round by 1.5e-11 each, lands above the threshold.
         m = random_tabular(0, 64, 64, 1)  # d = 4096 = MAX_DIM
         cov = DiagonalPsdMatrix(m.d, MIN_RIDGE)
-        bound = 0.0
-        for j in range(30):
-            bound += math.log1p(cov.inv_diag[j])
-        ref = cov.copy()
-        ref.add_bases(range(30))
-        exact = ref.logdet - cov.logdet
-        alpha = math.expm1(bound + 1e-10)
-        assert bound <= math.log1p(alpha) + TRIGGER_LOG_TOLERANCE < exact
+        c = cov.diag.item(0)
+        total = 0.0
+        for _ in range(30):
+            total += math.log1p(1.0 / c)
+        alpha = math.expm1(total + 1e-10)
+        assert ((Fraction(c) + 1) / Fraction(c)) ** 30 < 1 + Fraction(alpha)
+        with mpmath.workdps(50):
+            # Within the error TRIGGER_LOG_TOLERANCE's comment derives.
+            assert abs(total - 30 * mpmath.log1p(1 / mpmath.mpf(c))) < 2.5e-12
         ag = LsviAgent(1, m.d, m.H, alpha, MIN_RIDGE, 0.0, DiagonalPsdMatrix)
         for j in range(30):
             ag.record_transition(m, Transition(1, 1, 0, j, 0.0, 0))
-        assert ag.should_communicate() == exact_trigger(ag, [cov]) == (True, 1)
+        assert ag.should_communicate() == (False, None)
+        assert exact_trigger(ag, [cov]) == (True, 1)
+
 
 def naive_normal_equations(mdp, batches, ridge, beta):
     """From-scratch LSVI oracle: dense normal equations, no shared code paths."""

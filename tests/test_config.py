@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coop_lsvi.cli import main
 from coop_lsvi.configio import (_AXES, _FIELDS, SweepSpec, config_hash,
                                 emit_config, expand_sweep, parse_config,
                                 parse_config_file)
@@ -65,6 +66,15 @@ class TestParse:
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[run]\nK = 5\nK = 6\n")
+
+    def test_repeated_section_names_its_second_header(self, tmp_path, capsys):
+        text = "[run]\nM = 2\n[mdp]\nkind = hard\n[run]\nK = 10\n"
+        with pytest.raises(ConfigError, match=r"line 5: repeated section \[run\]"):
+            parse_config(text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "line 5" in capsys.readouterr().err
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match=r"line 2.*bad value"):

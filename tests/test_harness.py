@@ -586,26 +586,29 @@ class TestTriggerSoundness:
         assert violations == []
 
 
-    def test_benchmark_async_run_reads_few_exact_log_dets(self, monkeypatch):
-        """The benchmark's hard_async run at seed 0 decides most trigger steps
-        from the elliptical-potential bound: 869 exact log-det reads where
-        reading every step with local cells takes 11,363. A wall-time gain
-        of this size is hard to see on a shared host; this count is not."""
+    @pytest.mark.parametrize("workload, copies", [("hard_async", 1182),
+                                                   ("hard_no_comm", 2973)])
+    def test_the_trigger_copies_no_covariance(self, monkeypatch, workload, copies):
+        """The benchmark's hard runs at seed 0 copy a covariance only to refit,
+        H per switch (a download, or the no_comm local snapshot): deciding the
+        trigger copies none."""
         path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        reads = [0]
-        ensure = LsviAgent._ensure_scratch
+        made = [0]
+        copy = DiagonalPsdMatrix.copy
 
-        def counted(agent, hh):
-            reads[0] += 1
-            return ensure(agent, hh)
+        def counted(cov):
+            made[0] += 1
+            return copy(cov)
 
-        monkeypatch.setattr(LsviAgent, "_ensure_scratch", counted)
-        record = run_experiment(parse_config(workloads.WORKLOADS["hard_async"].config(0)))
-        assert record.total_comm == 394
-        assert reads[0] <= 1200
+        monkeypatch.setattr(DiagonalPsdMatrix, "copy", counted)
+        cfg = parse_config(workloads.WORKLOADS[workload].config(0))
+        record = run_experiment(cfg)
+        assert made[0] == cfg.resolved().mdp_horizon * record.total_switches == copies
+        if workload == "hard_async":
+            assert record.total_comm == 394
 
 
 class TestUniversalTracking:

@@ -107,6 +107,32 @@ def test_server_writes_no_agent_state():
     assert bad == [], f"server.py: writes outside self at lines {bad}"
 
 
+def test_private_state_is_read():
+    """Every private attribute stored on ``self`` in the package is read
+    somewhere in it, so state a refactor stopped using cannot linger. A write
+    into an element (``self._x[i] = ...``) or an augmented assignment is not a
+    read."""
+    stored, read = {}, set()
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        written = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                written.update(id(t.value) for tgt in targets for t in _write_targets(tgt)
+                               if isinstance(t, ast.Subscript))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if isinstance(node.ctx, ast.Load) and id(node) not in written:
+                read.add(node.attr)
+            elif (isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self" and not node.attr.startswith("__")):
+                stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+    assert stored
+    assert {name: where for name, where in stored.items() if name not in read} == {}
+
+
 def _imported_roots(tree: ast.Module):
     """(line, top-level package) of every absolute import in the module,
     function-local ones included; a relative import is the package itself."""
