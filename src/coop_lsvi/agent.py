@@ -203,6 +203,8 @@ class LsviAgent:
 
     def action_values(self, mdp: LinearMdp, s: int, h: int) -> np.ndarray:
         """Vector of truncated Q estimates over all actions at state s."""
+        if not (1 <= h <= self.H and 0 <= s < mdp.n_states):
+            raise ValueError(f"(s={s}, h={h}) out of [0, {mdp.n_states}) x [1, {self.H}]")
         return self._clipped_q(h - 1).reshape(mdp.n_states, mdp.n_actions)[s]
 
     def q_table(self, mdp: LinearMdp) -> np.ndarray:

@@ -3,17 +3,17 @@
 A run is strictly sequential: one active agent per episode. Determinism is
 enforced by deriving every random stream from (master_seed, episode, stream
 tag) through a 64-bit avalanche mix, so trajectories are invariant to
-diagnostic toggles. Episode k's trajectory stream is the uniforms
-np.random.default_rng(mix_seed(master_seed, k, TAG_TRAJECTORY)) gives; the run
-loop computes them for a block of episodes at a time with
-streams.default_rng_uniforms, which returns those same numbers bit for bit.
+diagnostic toggles. Episode k's trajectory is a pure function of its H
+uniforms, np.random.default_rng(mix_seed(master_seed, k, TAG_TRAJECTORY))
+.random(H), which run_experiment computes for a block of episodes at a time
+with streams.default_rng_uniforms, bit for bit, and hands to run_episode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -406,6 +406,8 @@ class RunState:
         return value
 
     def agent_tables(self, m: int) -> _AgentTables:
+        if not 1 <= m <= self.config.M:
+            raise ValueError(f"m={m}: agent out of [1, {self.config.M}]")
         idx = m - 1
         if self.tables[idx] is None:
             q = self.agents[idx].q_table(self.mdp)
@@ -485,16 +487,22 @@ def _refit(state: RunState, agent: LsviAgent, covs: list[Covariance],
     state.cum_switch += 1
 
 
-def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeView:
-    """Run episode k end to end, write row k-1 of state.record, return its view.
+def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
+    """Run episode k on its H trajectory uniforms, write row k-1 of
+    state.record, return its view; a bad k or len(draws) raises ValueError.
 
     The active agent acts greedily for h = 1..H under its frozen parameters,
-    accumulates the trajectory locally, then the protocol decides whether it
-    communicates (upload, download, backward update, local reset). The regret
-    increment compares the optimal value at the initial state against the
-    exact value of the pre-episode greedy policy (NaN under eval = off).
+    step h at draws[h-1], accumulates the trajectory locally, then the protocol
+    decides whether it communicates (upload, download, backward update, local
+    reset). The regret increment compares the optimal value at the initial
+    state against the exact value of the pre-episode greedy policy (NaN under
+    eval = off).
     """
     mdp = state.mdp
+    if not 1 <= k <= state.config.K:
+        raise ValueError(f"k={k}: episode out of [1, {state.config.K}]")
+    if len(draws) != mdp.H:
+        raise ValueError(f"draws: {len(draws)} uniforms for an episode of H = {mdp.H} steps")
     rec, i = state.record, k - 1
     m = state._schedule[i]
     agent = state.agents[m - 1]
@@ -511,9 +519,9 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
     slack = math.inf
 
     s = s1
-    for h in range(1, mdp.H + 1):
+    for h, u in enumerate(draws, 1):
         a = tables.actions[h - 1][s]
-        r, s_next = mdp.step(s, a, h, rng)
+        r, s_next = mdp.step(s, a, h, u)
         # Positional, in field order: keywords double the cost of building it.
         agent.record_transition(mdp, Transition(k, h, s, a, r, s_next))
         if diag:
@@ -544,21 +552,6 @@ def run_episode(state: RunState, k: int, rng: np.random.Generator) -> EpisodeVie
     return EpisodeView(k, m, mdp, agent, state.agents, state.server, trig, trig_h, decision)
 
 
-class _EpisodeUniforms:
-    """Stands in for episode k's trajectory generator in run_episode: its
-    random() hands out the H precomputed uniforms in order, and no more."""
-
-    __slots__ = ("_left",)
-
-    def __init__(self, draws: list[float]):
-        self._left = draws[::-1]
-
-    def random(self) -> float:
-        if not self._left:
-            raise RuntimeError("an episode draws at most H trajectory uniforms")
-        return self._left.pop()
-
-
 def run_experiment(config: RunConfig,
                    episode_hook: Optional[Callable[[EpisodeView], None]] = None
                    ) -> RunRecord:
@@ -566,8 +559,7 @@ def run_experiment(config: RunConfig,
 
     Identical configurations produce identical RunRecords; the optional
     diagnostic hook observes each finished episode and must not mutate run
-    state. Each block of episodes' trajectory uniforms is computed before the
-    block runs, so a hook cannot consume the trajectory stream.
+    state; it cannot reach the trajectory uniforms.
     """
     state = build_run_state(config)
     cfg = state.config
@@ -575,7 +567,7 @@ def run_experiment(config: RunConfig,
         ks = np.arange(start, min(start + TRAJECTORY_BLOCK, cfg.K + 1))
         seeds = mix_seeds(cfg.master_seed, ks, TAG_TRAJECTORY)
         for k, draws in zip(ks.tolist(), default_rng_uniforms(seeds, state.mdp.H).tolist()):
-            view = run_episode(state, k, _EpisodeUniforms(draws))
+            view = run_episode(state, k, draws)
             if episode_hook is not None:
                 episode_hook(view)
     record = state.record

@@ -97,15 +97,15 @@ class LinearMdp:
         """
         return s * self.n_actions + a
 
-    def step(self, s: int, a: int, h: int, rng: np.random.Generator) -> tuple[float, int]:
-        """Sample one environment step; the reward is deterministic in (s, a, h).
+    def step(self, s: int, a: int, h: int, u: float) -> tuple[float, int]:
+        """One environment step at its uniform u; the reward depends on (s, a, h).
 
-        The next state is drawn by inverse CDF on the transition row, so the
-        outcome is a pure function of (mdp, s, a, h, rng state). An index out
-        of range raises ValueError, before anything is drawn, rather than
-        wrapping to another row.
+        The next state is the inverse CDF of the transition row at u, so the
+        step is a pure function of (mdp, s, a, h, u). An index out of range
+        raises ValueError rather than wrapping to another row, and so does a
+        NaN u rather than landing on state S - 1.
 
-        The draw is searchsorted(row, u, side="right") clamped to S - 1, with
+        The state is searchsorted(row, u, side="right") clamped to S - 1, with
         no array view or numpy call per step: bisect_right over the row's span
         of the flat cumulative table probes the same midpoints, (lo + hi) // 2,
         and moves the same way, x < row[mid] being not row[mid] <= x for
@@ -118,10 +118,12 @@ class LinearMdp:
             raise ValueError(f"a={a}: action out of [0, {self.n_actions})")
         if not 1 <= h <= self.H:
             raise ValueError(f"h={h}: step out of [1, {self.H}]")
+        if u != u:
+            raise ValueError(f"u={u}: the step's uniform is NaN")
         S = self.n_states
         i = ((h - 1) * S + s) * self.n_actions + a
         lo = i * S
-        nxt = bisect_right(self._cum_flat, rng.random(), lo, lo + S) - lo
+        nxt = bisect_right(self._cum_flat, u, lo, lo + S) - lo
         if nxt >= S:
             nxt = S - 1
         return self._reward_flat[i], nxt

@@ -108,7 +108,7 @@ def test_c02_lsvi_update_oracle():
             s = int(rng.integers(S))
             for h in range(1, H + 1):
                 a = int(rng.integers(A))
-                r, s2 = mdp.step(s, a, h, rng)
+                r, s2 = mdp.step(s, a, h, rng.random())
                 per_h[h - 1].append(Transition(k, h, s, a, r, s2))
                 s = s2
         batches = [TransitionBatch.from_transitions(ts) for ts in per_h]

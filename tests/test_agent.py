@@ -1,5 +1,6 @@
 """Tests for the per-agent learner: acting, trigger, and the backward update."""
 
+import collections
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ def fresh_agent(mdp, alpha=0.5, ridge=1.0, beta=1.0):
 
 
 def make_transition(mdp, k, h, s, a, rng):
-    r, s2 = mdp.step(s, a, h, rng)
+    r, s2 = mdp.step(s, a, h, rng.random())
     return Transition(episode=k, step=h, state=s, action=a, reward=r, next_state=s2)
 
 
@@ -94,6 +95,14 @@ class TestEvalQ:
                 for h in range(1, m.H + 1):
                     q = ag.action_values(m, s, h)[a]
                     assert 0.0 <= q <= m.H - h + 1
+
+    @pytest.mark.parametrize("s, h", [(0, 0), (0, 4), (-1, 1), (4, 1)])
+    def test_out_of_range_index_raises(self, s, h):
+        """h = 0 would otherwise read step H's values, s = -1 state S - 1's."""
+        m = hard_instance(8, 3, 0.1)
+        assert (m.n_states, m.H) == (4, 3)
+        with pytest.raises(ValueError, match=rf"^\(s={s}, h={h}\)"):
+            fresh_agent(m).action_values(m, s, h)
 
 
 class TestRecordTransition:
@@ -286,48 +295,61 @@ class TestShouldCommunicate:
 
 
 def exact_trigger(agent, covs):
-    """The determinant trigger from scratch: each step's cells added to a copy
-    of its frozen covariance one add_basis at a time, every step compared."""
-    for hh, cells in enumerate(agent.loc_cells):
-        if cells:
-            ref = covs[hh].copy()
+    """The implemented trigger rule decided exactly. Per step, R is the product
+    over the local visits of (c_j + v + 1) / (c_j + v) as Fractions, c_j the
+    frozen covariance's diagonal entry and v the earlier local visits to cell
+    j; the step fires iff log R > log1p(alpha) + TRIGGER_LOG_TOLERANCE at 50
+    digits, and a step with R <= 1 + alpha must not."""
+    with mpmath.workdps(50):
+        ceiling = mpmath.log1p(agent.alpha) + TRIGGER_LOG_TOLERANCE
+        for hh, cells in enumerate(agent.loc_cells):
+            ratio, visits = Fraction(1), collections.Counter()
             for j in cells:
-                ref.add_basis(j)
-            if ref.logdet - covs[hh].logdet > math.log1p(agent.alpha) + TRIGGER_LOG_TOLERANCE:
+                c = Fraction(covs[hh].diag.item(j)) + visits[j]
+                ratio *= (c + 1) / c
+                visits[j] += 1
+            fires = mpmath.log(mpmath.mpf(ratio.numerator) / ratio.denominator) > ceiling
+            assert not (fires and ratio <= 1 + Fraction(agent.alpha))
+            if fires:
                 return True, hh + 1
     return False, None
 
 
 def cov_bytes(cov):
-    return cov.mat.tobytes(), cov.inv.tobytes(), cov.logdet, cov.updates_since_refresh
+    """The bytes of everything a covariance holds."""
+    mats = ((cov.diag, cov.inv_diag) if isinstance(cov, DiagonalPsdMatrix)
+            else (cov.mat, cov.inv))
+    return *(mat.tobytes() for mat in mats), cov.logdet, cov.updates_since_refresh
+
+
+@pytest.fixture(scope="module")
+def max_dim_instance():
+    return random_tabular(0, 64, 64, 2)  # d = 4096 = MAX_DIM, H = 2
+
+
+# Cells (s, a) of both instances the trigger tests use, and strategies for the
+# trigger parameters and the agent's episodes.
+CELLS = st.tuples(st.integers(0, 1), st.integers(0, 2))
+ALPHAS = (st.sampled_from([1.0, 0.5, 2.0, 1 / 3, 1 / 16, 1e-4, 50.0])
+          | st.floats(1e-4, 50.0))
+COUNTERS = (st.integers(REFRESH_PERIOD - 48, REFRESH_PERIOD - 1)
+            | st.integers(0, REFRESH_PERIOD - 1))
+EPISODES = st.lists(st.lists(CELLS, min_size=2, max_size=2), min_size=1, max_size=40)
 
 
 class TestTriggerBound:
-    """should_communicate decides from the visit-count statistic as the
-    determinant trigger replayed on a scratch covariance would."""
+    """should_communicate decides as exact arithmetic decides its rule."""
 
     M = random_tabular(0, 2, 3, 2)  # d = 6, H = 2
 
-    @settings(max_examples=200, deadline=None)
-    @given(cov_cls=st.sampled_from([DiagonalPsdMatrix, PsdMatrix]),
-           ridge=st.sampled_from([MIN_RIDGE, 1e-3, 0.5, 1.0, 2.0, 1e3])
-           | st.floats(MIN_RIDGE, 1e3),
-           alpha=st.sampled_from([1.0, 0.5, 2.0, 1 / 3, 1 / 16, 1e-4, 50.0])
-           | st.floats(1e-4, 50.0),
-           counter=st.integers(REFRESH_PERIOD - 48, REFRESH_PERIOD - 1)
-           | st.integers(0, REFRESH_PERIOD - 1),
-           prior=st.lists(st.integers(0, 5), max_size=12),
-           episodes=st.lists(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)),
-                                      min_size=2, max_size=2), min_size=1, max_size=40))
-    def test_decides_as_the_exact_trigger(self, cov_cls, ridge, alpha, counter, prior,
-                                          episodes):
+    @staticmethod
+    def decide_episodes(m, cov_cls, ridge, alpha, counter, prior, episodes):
         # A frozen covariance with visits and a refresh counter near the
         # refresh, as a download brings; at (alpha, ridge) = (1, 1) a cell
         # visited once before and twice now ties: (3/2)(4/3) = 2.
-        m = self.M
         ag = LsviAgent(1, m.d, m.H, alpha, ridge, 0.0, cov_cls)
         for cov in ag.qparams.cov:
-            cov.add_bases(prior)
+            cov.add_bases([m.cell(s, a) for s, a in prior])
             cov.updates_since_refresh = counter
         for k, steps in enumerate(episodes, 1):
             for h, (s, a) in enumerate(steps, 1):
@@ -346,6 +368,27 @@ class TestTriggerBound:
                     assert cov_bytes(got) == cov_bytes(ref)
                 ag.qparams.cov = snapshot
                 ag.reset_local()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cov_cls=st.sampled_from([DiagonalPsdMatrix, PsdMatrix]),
+           ridge=st.sampled_from([MIN_RIDGE, 1e-3, 0.5, 1.0, 2.0, 1e3])
+           | st.floats(MIN_RIDGE, 1e3),
+           alpha=ALPHAS, counter=COUNTERS, prior=st.lists(CELLS, max_size=12),
+           episodes=EPISODES)
+    def test_decides_as_the_exact_trigger(self, cov_cls, ridge, alpha, counter, prior,
+                                          episodes):
+        self.decide_episodes(self.M, cov_cls, ridge, alpha, counter, prior, episodes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=ALPHAS | st.floats(50.0, 1e300), counter=COUNTERS,
+           prior=st.lists(CELLS, max_size=12), episodes=EPISODES)
+    def test_decides_as_the_exact_trigger_at_max_dim(self, max_dim_instance, alpha, counter,
+                                                     prior, episodes):
+        """At MAX_DIM and MIN_RIDGE a first visit adds log1p(1e10) ~ 23 to the
+        statistic, where its rounding is largest; alphas up to 1e300 put the
+        threshold among such sums."""
+        self.decide_episodes(max_dim_instance, DiagonalPsdMatrix, MIN_RIDGE, alpha, counter,
+                             prior, episodes)
 
     def test_first_visits_at_the_rounding_corner_decide_as_exact_arithmetic(self):
         # 30 first visits on a MAX_DIM covariance at MIN_RIDGE, with
@@ -367,8 +410,10 @@ class TestTriggerBound:
         ag = LsviAgent(1, m.d, m.H, alpha, MIN_RIDGE, 0.0, DiagonalPsdMatrix)
         for j in range(30):
             ag.record_transition(m, Transition(1, 1, 0, j, 0.0, 0))
-        assert ag.should_communicate() == (False, None)
-        assert exact_trigger(ag, [cov]) == (True, 1)
+        assert ag.should_communicate() == exact_trigger(ag, [cov]) == (False, None)
+        replay = cov.copy()
+        replay.add_bases(ag.loc_cells[0])
+        assert replay.logdet - cov.logdet > math.log1p(alpha) + TRIGGER_LOG_TOLERANCE
 
 
 def naive_normal_equations(mdp, batches, ridge, beta):
@@ -407,7 +452,7 @@ def batches_from_rollout(mdp, n_episodes, seed):
         s = int(rng.integers(mdp.n_states))
         for h in range(1, mdp.H + 1):
             a = int(rng.integers(mdp.n_actions))
-            r, s2 = mdp.step(s, a, h, rng)
+            r, s2 = mdp.step(s, a, h, rng.random())
             per_h[h - 1].append(Transition(k, h, s, a, r, s2))
             s = s2
     return [TransitionBatch.from_transitions(ts) for ts in per_h]

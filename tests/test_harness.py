@@ -164,8 +164,18 @@ class TestRunEpisode:
         from coop_lsvi.harness import run_episode
         for k in range(1, 21):
             rng = np.random.default_rng(mix_seed(cfg.master_seed, k, 0xA1))
-            run_episode(state, k, rng)
+            run_episode(state, k, rng.random(state.mdp.H))
             assert state.record.regret_inc[k - 1] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_episode_out_of_range_raises(self, k):
+        """k = 0 would otherwise run the last episode's agent and write row K."""
+        from coop_lsvi.harness import run_episode
+        state = build_run_state(RunConfig(mdp_kind="hard", mdp_d=8, M=2, K=5))
+        with pytest.raises(ValueError, match=rf"^k={k}:"):
+            run_episode(state, k, [0.5] * state.mdp.H)
+        assert not state.record.m.any()
+        assert not any(cells for agent in state.agents for cells in agent.loc_cells)
 
     def test_cold_start_full_sync(self):
         rec = run_experiment(RunConfig(mdp_kind="hard", M=2, K=1,
@@ -263,7 +273,7 @@ class TestTrajectoryBlocks:
         state = build_run_state(cfg)
         for k in range(1, cfg.K + 1):
             run_episode(state, k, np.random.default_rng(
-                mix_seed(cfg.master_seed, k, TAG_TRAJECTORY)))
+                mix_seed(cfg.master_seed, k, TAG_TRAJECTORY)).random(state.mdp.H))
         # A block of 7 makes K cross several block boundaries.
         monkeypatch.setattr(harness, "TRAJECTORY_BLOCK", 7)
         seen = []
@@ -271,11 +281,15 @@ class TestTrajectoryBlocks:
         assert seen == list(range(1, cfg.K + 1))
         assert _diagnostic_bytes(rec) == _diagnostic_bytes(state.record)
 
-    def test_episode_draws_at_most_h_uniforms(self):
-        draws = harness._EpisodeUniforms([0.25, 0.5])
-        assert (draws.random(), draws.random()) == (0.25, 0.5)
-        with pytest.raises(RuntimeError, match="at most H"):
-            draws.random()
+    def test_episode_takes_exactly_h_uniforms(self):
+        from coop_lsvi.harness import run_episode
+        state = build_run_state(RunConfig(mdp_kind="hard", M=2, K=5))
+        assert state.mdp.H == 3
+        for n in (0, 2, 4):
+            with pytest.raises(ValueError, match=rf"^draws: {n} uniforms"):
+                run_episode(state, 1, [0.5] * n)
+        assert not state.record.m.any()
+        assert not any(cells for agent in state.agents for cells in agent.loc_cells)
 
 
 class TestCellIndexPath:
@@ -441,13 +455,20 @@ class TestOneQTable:
         switches = 0
         for k in range(1, cfg.K + 1):
             rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-            run_episode(state, k, rng)
+            run_episode(state, k, rng.random(state.mdp.H))
             if state.cum_switch > switches:
                 switches = state.cum_switch
                 self.check_tables(state)
         assert switches > 0
         assert any(not np.array_equal(q, ag.q_table(state.mdp))
                    for q, ag in zip(initial, state.agents))
+
+    @pytest.mark.parametrize("m", [0, -1, 3])
+    def test_agent_out_of_range_raises(self, m):
+        """m = 0 would otherwise return agent M's tables."""
+        state = build_run_state(RunConfig(mdp_kind="hard", M=2, K=5))
+        with pytest.raises(ValueError, match=rf"^m={m}:"):
+            state.agent_tables(m)
 
     def test_agents_share_one_read_only_initial_table(self):
         cfg = RunConfig(mdp_kind="random", mdp_n_states=6, mdp_n_actions=3, mdp_horizon=3,
@@ -463,7 +484,7 @@ class TestOneQTable:
         # Round robin: agent 1 acts first, and its first trigger fires.
         before = q0.copy()
         from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
-        run_episode(state, 1, np.random.default_rng(mix_seed(0, 1, TAG_TRAJECTORY)))
+        run_episode(state, 1, np.random.default_rng(mix_seed(0, 1, TAG_TRAJECTORY)).random(mdp.H))
         assert state.cum_switch == 1
         assert state.agent_tables(1).q is agents[0].q_table(mdp) is not q0
         assert all(state.agent_tables(m).q is q0 for m in range(2, cfg.M + 1))
@@ -555,7 +576,7 @@ class TestInactiveFreeze:
         }
         for k in range(1, cfg.K + 1):
             rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-            m = run_episode(state, k, rng).m
+            m = run_episode(state, k, rng.random(state.mdp.H)).m
             for other, ag in enumerate(state.agents, start=1):
                 mats, w = snapshots[other]
                 if other != m:
@@ -621,7 +642,7 @@ class TestUniversalTracking:
         rng_check = np.random.default_rng(99)
         for k in range(1, cfg.K + 1):
             rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-            run_episode(state, k, rng)
+            run_episode(state, k, rng.random(state.mdp.H))
         # After K episodes with one-hot features: trace = d*ridge + K per h.
         for hh in range(state.mdp.H):
             assert np.trace(state.all_cov[hh].mat) == pytest.approx(8 + 120)
@@ -638,7 +659,7 @@ class TestUniversalTracking:
         from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
         for k in range(1, cfg.K + 1):
             rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-            run_episode(state, k, rng)
+            run_episode(state, k, rng.random(state.mdp.H))
         for hh in range(state.mdp.H):
             assert np.abs(state.all_cov[hh].mat - state.server.cov[hh].mat).max() < 1e-8
 

@@ -219,7 +219,7 @@ class TestStep:
         m = build_tabular_as_linear(P, r)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            _, nxt = m.step(0, 0, 1, rng)
+            _, nxt = m.step(0, 0, 1, rng.random())
             assert nxt == 1
 
     def test_absorbing_state(self):
@@ -227,7 +227,7 @@ class TestStep:
         good = m.n_states - 2
         rng = np.random.default_rng(0)
         for h in range(1, 4):
-            reward, nxt = m.step(good, 0, h, rng)
+            reward, nxt = m.step(good, 0, h, rng.random())
             assert reward == 1.0 and nxt == good
 
     def test_frequency_oracle(self):
@@ -239,13 +239,13 @@ class TestStep:
         r = np.zeros((1, 2, 1))
         m = build_tabular_as_linear(P, r)
         rng = np.random.default_rng(42)
-        hits = sum(m.step(0, 0, 1, rng)[1] for _ in range(100_000))
+        hits = sum(m.step(0, 0, 1, rng.random())[1] for _ in range(100_000))
         assert abs(hits / 100_000 - 0.7) < 0.01
 
     def test_reproducible(self):
         m = random_tabular(3, 4, 2, 3)
-        out1 = [m.step(1, 0, 2, np.random.default_rng(9)) for _ in range(1)]
-        out2 = [m.step(1, 0, 2, np.random.default_rng(9)) for _ in range(1)]
+        out1 = [m.step(1, 0, 2, np.random.default_rng(9).random()) for _ in range(1)]
+        out2 = [m.step(1, 0, 2, np.random.default_rng(9).random()) for _ in range(1)]
         assert out1 == out2
 
     @pytest.mark.parametrize("s, a, h, name", [
@@ -257,21 +257,14 @@ class TestStep:
         """A negative index would otherwise wrap to another row's transition."""
         m = hard_instance(8, 3, 0.1)
         assert (m.n_states, m.n_actions, m.H) == (4, 2, 3)
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=rf"^{name}="):
-            m.step(s, a, h, rng)
-        # Nothing was drawn before the check.
-        assert rng.random() == np.random.default_rng(0).random()
+            m.step(s, a, h, 0.5)
 
-
-class _Uniforms:
-    """Stands in for a generator: random() returns the given values in turn."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
+    def test_nan_uniform_raises(self):
+        """bisect_right would carry a NaN past every entry to state S - 1."""
+        m = hard_instance(8, 3, 0.1)
+        with pytest.raises(ValueError, match=r"^u=nan"):
+            m.step(0, 0, 1, math.nan)
 
 
 def _rough_rows(rng, H, S, A):
@@ -313,7 +306,7 @@ class TestStepSampler:
                     for c in row.tolist():
                         us |= {c, float(np.nextafter(c, -1.0)), float(np.nextafter(c, 2.0))}
                     for u in sorted(us):
-                        reward, nxt = m.step(s, a, h, _Uniforms(u))
+                        reward, nxt = m.step(s, a, h, u)
                         assert nxt == self.expected(m, s, a, h, u)
                         assert type(nxt) is int and type(reward) is float
                         assert reward == m.rewards[h - 1, s, a]
@@ -326,20 +319,20 @@ class TestStepSampler:
         m = LinearMdp(P, np.zeros((1, 3, 1)))
         u = 0.5 - 5e-13
         assert self.expected(m, 0, 0, 1, u) == 2
-        assert m.step(0, 0, 1, _Uniforms(u))[1] == 2
+        assert m.step(0, 0, 1, u)[1] == 2
 
     def test_last_entry_below_one_clamps(self):
         P = np.array([[[[0.25, 0.75 - 1e-11]]] * 2])
         m = LinearMdp(P, np.zeros((1, 2, 1)))
-        assert m.step(1, 0, 1, _Uniforms(1.0 - 1e-12))[1] == 1
+        assert m.step(1, 0, 1, 1.0 - 1e-12)[1] == 1
 
     def test_pickles_and_steps_alike(self):
         m = random_tabular(4, 5, 3, 2)
         twin = pickle.loads(pickle.dumps(m))
         assert twin.transitions.tobytes() == m.transitions.tobytes()
         assert twin.rewards.tobytes() == m.rewards.tobytes()
-        assert ([twin.step(2, 1, 2, np.random.default_rng(k)) for k in range(20)]
-                == [m.step(2, 1, 2, np.random.default_rng(k)) for k in range(20)])
+        assert ([twin.step(2, 1, 2, np.random.default_rng(k).random()) for k in range(20)]
+                == [m.step(2, 1, 2, np.random.default_rng(k).random()) for k in range(20)])
 
 
 class TestSerialization:

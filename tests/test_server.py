@@ -19,7 +19,7 @@ def agent_with_rollout(mdp, agent_id, episodes, seed, alpha=0.5):
         s = int(rng.integers(mdp.n_states))
         for h in range(1, mdp.H + 1):
             a = int(rng.integers(mdp.n_actions))
-            r, s2 = mdp.step(s, a, h, rng)
+            r, s2 = mdp.step(s, a, h, rng.random())
             ag.record_transition(mdp, Transition(k, h, s, a, r, s2))
             s = s2
     return ag
@@ -243,7 +243,7 @@ def reference_single_agent_lsvi(cfg):
         s = s1
         for h in range(1, H + 1):
             a = int(pol[h - 1, s])
-            r, s2 = mdp.step(s, a, h, rng)
+            r, s2 = mdp.step(s, a, h, rng.random())
             data[h - 1].append((s, a, r, s2))
             loc[h - 1].append(mdp.features[s, a])
             actions.append(a)

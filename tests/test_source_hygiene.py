@@ -154,6 +154,28 @@ def test_imports_only_numpy_and_stdlib(path):
     assert bad == [], f"{path.name}: imports outside numpy and the standard library: {bad}"
 
 
+def _random_calls(node: ast.AST, function=None):
+    """(innermost enclosing function, line) of every ``.random(`` call."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "random"):
+            yield function, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        yield from _random_calls(child, inner or function)
+
+
+@pytest.mark.parametrize("name", ["harness.py", "agent.py", "server.py", "mdp.py"])
+def test_run_path_draws_no_random_numbers(name):
+    """The run path's randomness enters only as the arrays ``streams``
+    precomputes: a step reads its uniform, it draws none. Only building a
+    random instance draws, in mdp.random_tabular."""
+    allowed = {"random_tabular"} if name == "mdp.py" else set()
+    tree = ast.parse((ROOT / "src" / "coop_lsvi" / name).read_text())
+    calls = list(_random_calls(tree))
+    assert [(fn, line) for fn, line in calls if fn not in allowed] == []
+    assert bool(calls) == bool(allowed)
+
+
 def test_test_imports_are_declared():
     """Every third-party module the tests and perfbench import is named in
     pyproject's dependencies or its test extra, so an environment built from
