@@ -50,13 +50,14 @@ TRAJECTORY_BLOCK = 1024
 POLICY_VALUE_CACHE_BYTES = 2 ** 20
 
 # Caps on what a run allocates, checked by RunConfig.validate. tracemalloc
-# measures about 250 bytes per episode step (records allocated up front, the
-# server's store of every transition) and, per agent and step h, 2 KB of
-# objects plus 29 bytes per feature cell: 32-byte units with the objects as
-# AGENT_CELL_OVERHEAD cells. Each cap is about 2 GiB. The largest shipped,
-# acceptance or benchmark run has K * H = 96,000, M * H * (d + 64) = 5,280
-# and K * d = 256,000. A refit builds each step's (n, d) float64 design matrix
-# from its n <= K transitions, so MAX_DESIGN_ENTRIES bounds that matrix.
+# measures about 190 bytes per episode step with diagnostics, 175 without
+# (records allocated up front, the server's store of every transition) and,
+# per agent and step h, 2 KB of objects plus 29 bytes per feature cell:
+# 32-byte units with the objects as AGENT_CELL_OVERHEAD cells. Each cap is
+# about 2 GiB. The largest shipped, acceptance or benchmark run has K * H =
+# 96,000, M * H * (d + 64) = 5,280 and K * d = 256,000. A refit builds each
+# step's (n, d) float64 design matrix from its n <= K transitions, so
+# MAX_DESIGN_ENTRIES bounds that matrix.
 MAX_RUN_STEPS = 2 ** 23       # on K * H
 AGENT_CELL_OVERHEAD = 64
 MAX_AGENT_UNITS = 2 ** 26     # on M * H * (d + AGENT_CELL_OVERHEAD)
@@ -240,7 +241,7 @@ class RunRecord:
     cum_comm: np.ndarray
     cum_switch: np.ndarray
     agent_logdet: Optional[np.ndarray] = None      # (K, H), active agent, episode end
-    all_logdet: Optional[np.ndarray] = None        # (K, H), universal cov, episode start
+    cells: Optional[np.ndarray] = None             # (K, H), cell visited at each step
     optimism_slack: Optional[np.ndarray] = None    # (K,), min over visited (s,a,h)
     epoch_starts: Optional[list[int]] = None
 
@@ -252,7 +253,7 @@ class RunRecord:
                      trigger_h=np.zeros(K, np.int64), cum_comm=np.zeros(K, np.int64),
                      cum_switch=np.zeros(K, np.int64))
         if diagnostics:
-            record.agent_logdet, record.all_logdet = np.zeros((K, H)), np.zeros((K, H))
+            record.agent_logdet, record.cells = np.zeros((K, H)), np.zeros((K, H), np.int64)
             record.optimism_slack = np.zeros(K)
         return record
 
@@ -297,29 +298,30 @@ def metrics_csv_text(record: RunRecord) -> str:
 # Diagnostics helpers
 
 
-def epoch_boundaries(all_logdet: np.ndarray, ridge: float, d: int) -> list[int]:
-    """First episode at which the universal logdet crosses each doubling.
+def epoch_boundaries(cells: np.ndarray, ridge: float, d: int) -> list[int]:
+    """First episode at which the universal covariance's determinant crosses
+    each doubling, decided in integers from a run's (K, H) visit record.
 
-    Boundary i is the smallest 1-based k whose beginning-of-episode logdet at
-    any step reaches i*log(2) + d*log(ridge); the list ends at the last
-    threshold any episode reaches.
+    At the start of episode k, step h's universal covariance is ridge * I plus
+    the visit counts n_j of episodes 1..k-1, so for ridge = p / q its
+    det / ridge^d is prod_j (p + n_j q) / p^d. Boundary i is the smallest
+    1-based k at which that ratio reaches 2^i at any step; the list ends at
+    the last doubling any episode reaches.
     """
-    if all_logdet.shape[0] == 0:
-        return [1]
-    peak = all_logdet.max(axis=1)
-    base = d * math.log(ridge)
-    out = []
-    i = 0
-    k_from = 0
-    while True:
-        threshold = i * math.log(2.0) + base
-        idx = np.argmax(peak[k_from:] >= threshold) + k_from
-        if peak[idx] < threshold:
-            break
-        out.append(int(idx) + 1)
-        k_from = int(idx)
-        i += 1
-    return out
+    p, q = float(ridge).as_integer_ratio()
+    counts = [[0] * d for _ in range(cells.shape[1])]
+    dets = [p ** d] * cells.shape[1]  # p^d times each step's ratio
+    target, out = p ** d, []
+    for lo in range(0, len(cells), TRAJECTORY_BLOCK):
+        for k, row in enumerate(cells[lo:lo + TRAJECTORY_BLOCK].tolist(), lo + 1):
+            while max(dets) >= target:
+                out.append(k)
+                target *= 2
+            for hh, j in enumerate(row):
+                n = counts[hh][j]
+                counts[hh][j] = n + 1
+                dets[hh] = dets[hh] // (p + n * q) * (p + (n + 1) * q)
+    return out or [1]
 
 
 def _epochs(boundaries: list[int], K: int):
@@ -372,7 +374,6 @@ class RunState:
     init_states: np.ndarray
     record: RunRecord
     tables: list[Optional[_AgentTables]]
-    all_cov: Optional[list[Covariance]] = None
     cum_comm: int = 0
     cum_switch: int = 0
     # policy.tobytes() -> read-only eval_policy value, oldest entry first.
@@ -462,8 +463,6 @@ def build_run_state(cfg: RunConfig) -> RunState:
     # diagonal, grown by add_basis at the cell index of each phi(s, a) = e_j.
     agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, DiagonalPsdMatrix)
               for m in range(1, cfg.M + 1)]
-    all_cov = ([DiagonalPsdMatrix(mdp.d, cfg.ridge) for _ in range(mdp.H)]
-               if cfg.diagnostics else None)
     state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
                      server=CentralServer(mdp.d, mdp.H, cfg.ridge, DiagonalPsdMatrix),
                      protocol=ProtocolKind(cfg.protocol),
@@ -471,7 +470,7 @@ def build_run_state(cfg: RunConfig) -> RunState:
                      init_states=make_initial_states(
                          cfg, mdp, mix_seed(cfg.master_seed, TAG_INIT)),
                      record=RunRecord.empty(cfg.K, mdp.H, cfg.diagnostics),
-                     tables=[None] * cfg.M, all_cov=all_cov)
+                     tables=[None] * cfg.M)
     # All agents start from w = 0 and cov_h = ridge * I: every slot holds agent
     # 1's read-only table, policy and value until that agent's first refit.
     state.tables[:] = [state.agent_tables(1)] * cfg.M
@@ -503,6 +502,8 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
         raise ValueError(f"k={k}: episode out of [1, {state.config.K}]")
     if len(draws) != mdp.H:
         raise ValueError(f"draws: {len(draws)} uniforms for an episode of H = {mdp.H} steps")
+    if any(map(math.isnan, draws)):
+        raise ValueError(f"draws: {list(draws)} holds a NaN uniform")
     rec, i = state.record, k - 1
     m = state._schedule[i]
     agent = state.agents[m - 1]
@@ -514,8 +515,6 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     # The float64 subtraction numpy would do, on the same two values.
     rec.regret_inc[i] = math.nan if v_star is None else v_star[s1] - tables.first_value[s1]
     diag = state.config.diagnostics
-    if diag:
-        rec.all_logdet[i] = [c.logdet for c in state.all_cov]
     slack = math.inf
 
     s = s1
@@ -525,7 +524,7 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
         # Positional, in field order: keywords double the cost of building it.
         agent.record_transition(mdp, Transition(k, h, s, a, r, s_next))
         if diag:
-            state.all_cov[h - 1].add_basis(mdp.cell(s, a))
+            rec.cells[i, h - 1] = mdp.cell(s, a)
             slack = min(slack, tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a])
         s = s_next
 
@@ -572,5 +571,5 @@ def run_experiment(config: RunConfig,
                 episode_hook(view)
     record = state.record
     if cfg.diagnostics:
-        record.epoch_starts = epoch_boundaries(record.all_logdet, cfg.ridge, state.mdp.d)
+        record.epoch_starts = epoch_boundaries(record.cells, cfg.ridge, state.mdp.d)
     return record

@@ -177,9 +177,11 @@ def test_zero_bonus_digest_with_diagnostics(protocol):
 # (1e-4, MIN_RIDGE) nearly every episode fires. At (50, 1e3) almost none does,
 # 600 episodes per agent carry a local delta past REFRESH_PERIOD updates, and
 # downloaded covariances arrive with every refresh counter. The digest covers
-# the metrics CSV and the bytes of the agents' and the universal
-# log-determinants. Recorded before the trigger skipped steps on the
-# elliptical-potential bound.
+# the metrics CSV, the bytes of the agents' log-determinants and the run's
+# visit record. Recorded before the trigger skipped steps on the
+# elliptical-potential bound; re-recorded when the visit record replaced the
+# universal log-determinants, with the metrics CSV and the agents'
+# log-determinants hashing as before on all 24.
 TRIGGER_INSTANCES = {
     "hard": dict(mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.05),
     "random": dict(mdp_kind="random", mdp_n_states=6, mdp_n_actions=3, mdp_horizon=4,
@@ -189,53 +191,53 @@ TRIGGER_CORNERS = {"tie": (1.0, 1.0), "eager": (1e-4, MIN_RIDGE), "lazy": (50.0,
 
 TRIGGER_DIGESTS = {
     ("hard", "eager", "async_trigger"):
-        "1e5a2ab9580702db3908e9de32cdabd180ce12529e5b5b2656fb1d5c4af52624",
+        "5aff912baef44ece2d555917fbf00a87a9a48edf93794db1905a0c75334b13f5",
     ("hard", "eager", "full_sync"):
-        "1e5a2ab9580702db3908e9de32cdabd180ce12529e5b5b2656fb1d5c4af52624",
+        "5aff912baef44ece2d555917fbf00a87a9a48edf93794db1905a0c75334b13f5",
     ("hard", "eager", "no_comm"):
-        "ff4907ce8c6a82b542e7b2c07025b3bbe7af58fec1a117ba18f898d63877d0a5",
+        "09be35a39f265aea218df869e6eada0bd16c4b2631d7bc9bf75cce4693207e17",
     ("hard", "eager", "sync_round_robin"):
-        "74f4754bafcd3cc1a8271095bf4b3aefefee3037c2aeb18b80ea5ba488d853e0",
+        "2e8916af0a053270819fb0180449c1c73a7efa4cd4e87510662ee7a45775f6e2",
     ("hard", "lazy", "async_trigger"):
-        "c96a6abe8d82d8e2feb82546aebfa7df541c1a6d3e25ab7938c75e9b2964d9d6",
+        "0c9059336ed0d2464e1e00aeb59508635594adc39adbd340b1e24ec6dd57ad42",
     ("hard", "lazy", "full_sync"):
-        "e0f110db50602e1715acad3a67eb1734a64261f3cfa4b3634f3406afa2252704",
+        "9a9ee95c2bb727fa144bf9a5ab3eff0865cf472bb785fe3f0dabb5f418d433fd",
     ("hard", "lazy", "no_comm"):
-        "c96a6abe8d82d8e2feb82546aebfa7df541c1a6d3e25ab7938c75e9b2964d9d6",
+        "0c9059336ed0d2464e1e00aeb59508635594adc39adbd340b1e24ec6dd57ad42",
     ("hard", "lazy", "sync_round_robin"):
-        "c96a6abe8d82d8e2feb82546aebfa7df541c1a6d3e25ab7938c75e9b2964d9d6",
+        "0c9059336ed0d2464e1e00aeb59508635594adc39adbd340b1e24ec6dd57ad42",
     ("hard", "tie", "async_trigger"):
-        "18e53312ed4561edda169a6e5e7bffc48e682794cd45ea43ec8be0765c26a770",
+        "9db55e06a4d050438f05390e8241a19f96d3ebd537cac9bf31233841ec2816d8",
     ("hard", "tie", "full_sync"):
-        "d84676050551a3c2d2345a81972cb71e3f6670ab5229c1046567a0a1751009e2",
+        "27e6a6607eeb8469fe025922143666612c4ce7215db69d8d3386e34c165b23c2",
     ("hard", "tie", "no_comm"):
-        "f89e9dc8b4f8f5818e05d3c00f9c2f9001d1cf40bd6d6c6f6d6bac2c998a7590",
+        "3d4c3f994a168afd0b7f2fefcefca816c797f67eac84dcd766e6d35547c0de9f",
     ("hard", "tie", "sync_round_robin"):
-        "2482b6135bdd13394393d2660fc71394eb08ecc3b87fbe9726622d0ade798e9e",
+        "e67c39d48d150919cd90fface378b779796fd5fa0f48418576978da8842ff4e6",
     ("random", "eager", "async_trigger"):
-        "8d589976e56cb2f2ba86d0d8b9d69c309d65e57fdcce620527ad509a5c41b1f2",
+        "b6a962ee2c80d7195a96572d1496cb36fddce56f95d373556deb0f219fa18cd1",
     ("random", "eager", "full_sync"):
-        "8d589976e56cb2f2ba86d0d8b9d69c309d65e57fdcce620527ad509a5c41b1f2",
+        "b6a962ee2c80d7195a96572d1496cb36fddce56f95d373556deb0f219fa18cd1",
     ("random", "eager", "no_comm"):
-        "4a5a2f6d6427905364c42eb3cd73ee155d79e58b73f8d3aa5d68049337f38c28",
+        "16e1bae1e1a88b617119b346ed949ca20e2e051f8b38fde9c64f021b7354fe50",
     ("random", "eager", "sync_round_robin"):
-        "f4c10584d35ef4d98164db3d309c1d56de9b97ba859633bfc483ac88d3aadc61",
+        "2b7b01724ef6e91eff57b3e981ebe5ebc6a726fe0f37d0860b00642df7c5489f",
     ("random", "lazy", "async_trigger"):
-        "2e0dcc604d1d04ca5534b6878b3f49bf18be1a8a181519c3006661f2014d3910",
+        "5c8b6ee5b04ad5e8373c1b24ae41ee3d32fb45fa0029ad17db723d95ac19c0b9",
     ("random", "lazy", "full_sync"):
-        "464c4008115d0467f8f555fbbcfb61efd67b06e52fee1e529d27fca3c3ba309f",
+        "8f4250b41626e788b6d201d46a666f3ff53674c4cbbbd86aaba6f0236ac7b814",
     ("random", "lazy", "no_comm"):
-        "2e0dcc604d1d04ca5534b6878b3f49bf18be1a8a181519c3006661f2014d3910",
+        "5c8b6ee5b04ad5e8373c1b24ae41ee3d32fb45fa0029ad17db723d95ac19c0b9",
     ("random", "lazy", "sync_round_robin"):
-        "2e0dcc604d1d04ca5534b6878b3f49bf18be1a8a181519c3006661f2014d3910",
+        "5c8b6ee5b04ad5e8373c1b24ae41ee3d32fb45fa0029ad17db723d95ac19c0b9",
     ("random", "tie", "async_trigger"):
-        "b1385d16ba82f4cf01c232ab6d23fa945c7bf4b8bb45831c3eae3bcc6f0ee06e",
+        "ef6085081db2e7fb34131305bae3330d9ce91dc714afee5ca2a0e2af57420ec7",
     ("random", "tie", "full_sync"):
-        "f00a9ad680f75f41c9a487ab1eb7c51bc7fc9cafdbbd7765b3ecb333f59c488f",
+        "fe1eec93a31845d098082364aeb47871a00489314214251e7bf608d42a71b41e",
     ("random", "tie", "no_comm"):
-        "dffb6a0a0d148b4b887f217732ee452d317a4d7201b041648a26f5ae78f10c5f",
+        "208162b56168567c34955a44571a7c6b60b04a121865c25d41953645dc09b24e",
     ("random", "tie", "sync_round_robin"):
-        "0adaef473559c1ff09e6d55d7656d8e9adeb36cdc6de6d529a177cc47e89df73",
+        "e50eae72fa09673f6223eaa9b7a0ff7b0bb16443420f8f3e3accf3f84b5a2155",
 }
 
 
@@ -247,5 +249,5 @@ def test_trigger_boundary_digest_with_diagnostics(instance, corner, protocol):
                                       diagnostics=True, **TRIGGER_INSTANCES[instance]))
     digest = hashlib.sha256(metrics_csv_text(record).encode())
     digest.update(record.agent_logdet.tobytes())
-    digest.update(record.all_logdet.tobytes())
+    digest.update(record.cells.tobytes())
     assert digest.hexdigest() == TRIGGER_DIGESTS[(instance, corner, protocol)]

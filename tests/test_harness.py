@@ -1,13 +1,17 @@
 """Tests for schedules, the episode loop, metrics, and diagnostics."""
 
 import collections
+import dataclasses
 import importlib.util
 import math
 import pathlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coop_lsvi import harness
 from coop_lsvi import mdp as mdp_mod
@@ -18,9 +22,9 @@ from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_s
                                metrics_csv_text, mix_seed, per_epoch_counts,
                                run_experiment)
 from coop_lsvi.mdp import LinearMdp, g17, value_iteration
-from coop_lsvi.psdmat import DiagonalPsdMatrix, PsdMatrix, det_ratio
+from coop_lsvi.psdmat import MIN_RIDGE, DiagonalPsdMatrix, PsdMatrix, det_ratio
 from coop_lsvi.schedules import make_initial_states, make_schedule
-from coop_lsvi.server import CentralServer, ProtocolKind
+from coop_lsvi.server import CentralServer, Decision, ProtocolKind
 
 
 class TestMixSeed:
@@ -223,7 +227,7 @@ class TestDeterminism:
 
 def _diagnostic_bytes(rec):
     return (metrics_csv_text(rec).encode(), rec.agent_logdet.tobytes(),
-            rec.all_logdet.tobytes(), rec.optimism_slack.tobytes())
+            rec.cells.tobytes(), rec.optimism_slack.tobytes())
 
 
 def _run_bytes(cfg):
@@ -290,6 +294,27 @@ class TestTrajectoryBlocks:
                 run_episode(state, 1, [0.5] * n)
         assert not state.record.m.any()
         assert not any(cells for agent in state.agents for cells in agent.loc_cells)
+
+    @pytest.mark.parametrize("bad_step", [1, 2, 3])
+    def test_nan_uniform_raises_before_anything_is_written(self, bad_step):
+        """A NaN at step h > 1 used to raise from LinearMdp.step after the
+        record row and the agent's local delta had taken the earlier steps."""
+        from coop_lsvi.harness import run_episode
+        state = build_run_state(RunConfig(mdp_kind="hard", mdp_d=8, M=2, K=5,
+                                          diagnostics=True))
+
+        def snapshot():
+            rec = [getattr(state.record, f.name) for f in dataclasses.fields(state.record)]
+            return ([x.tobytes() if isinstance(x, np.ndarray) else x for x in rec],
+                    [(repr(a.loc_cells), repr(a.loc_transitions), repr(a._visits),
+                      repr(a._log_ratio)) for a in state.agents])
+
+        before = snapshot()
+        draws = [0.5] * state.mdp.H
+        draws[bad_step - 1] = math.nan
+        with pytest.raises(ValueError, match=r"^draws: .* NaN"):
+            run_episode(state, 1, draws)
+        assert snapshot() == before
 
 
 class TestCellIndexPath:
@@ -358,6 +383,31 @@ class TestTracedBoundaries:
         assert calls["lsvi_backward_update"] == rec.total_switches > 0
         assert calls["upload"] == calls["download"] == rec.total_comm
         assert (rec.total_comm > 0) == (protocol != "no_comm")
+
+
+class TestDiagnosticsKeepNoCovariance:
+    @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+    def test_same_covariance_work_with_and_without(self, monkeypatch, protocol):
+        """Diagnostics read the run's visit record: they build, update and
+        copy no covariance that the same run without them does not."""
+        calls = collections.Counter()
+        for name in ("__init__", "add_bases", "copy"):
+            original = vars(DiagonalPsdMatrix)[name]
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(DiagonalPsdMatrix, name, counted)
+        counts = {}
+        for diagnostics in (False, True):
+            calls.clear()
+            run_experiment(RunConfig(mdp_kind="hard", mdp_d=8, M=3, K=300, protocol=protocol,
+                                     schedule="uniform_random", master_seed=2,
+                                     diagnostics=diagnostics))
+            counts[diagnostics] = dict(calls)
+        assert counts[True] == counts[False]
+        assert counts[False]["add_bases"] > 0
 
 
 class TestAccounting:
@@ -633,35 +683,73 @@ class TestTriggerSoundness:
 
 
 class TestUniversalTracking:
+    """The run's visit record against the covariances the run grew."""
+
+    @staticmethod
+    def _run(cfg):
+        """The run's state after its K episodes, and each agent's last episode
+        with a refit."""
+        from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
+        state = build_run_state(cfg)
+        synced = {}
+        for k in range(1, cfg.K + 1):
+            rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
+            view = run_episode(state, k, rng.random(state.mdp.H))
+            if view.decision is not Decision.NONE:
+                synced[view.m] = k
+        return state, synced
+
     def test_trace_and_domination(self):
         cfg = RunConfig(mdp_kind="hard", mdp_d=8, M=2, K=120,
                         protocol="async_trigger", schedule="round_robin",
                         master_seed=0, diagnostics=True)
-        state = build_run_state(cfg)
-        from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
-        rng_check = np.random.default_rng(99)
-        for k in range(1, cfg.K + 1):
-            rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-            run_episode(state, k, rng.random(state.mdp.H))
-        # After K episodes with one-hot features: trace = d*ridge + K per h.
+        state, synced = self._run(cfg)
+        cells, ridge = state.record.cells, cfg.ridge
+        assert cells.shape == (120, 3) and 0 <= cells.min() and cells.max() < 8
+        assert sorted(synced) == [1, 2]
         for hh in range(state.mdp.H):
-            assert np.trace(state.all_cov[hh].mat) == pytest.approx(8 + 120)
-            xs = rng_check.standard_normal((100, 8))
+            # Every visit is on the server or in one agent's local delta.
+            local = sum(np.bincount(ag.loc_cells[hh], minlength=8) for ag in state.agents)
+            assert np.array_equal(state.server.cov[hh].diag - ridge + local,
+                                  np.bincount(cells[:, hh], minlength=8))
+            # An agent holds at most the visits of the episodes up to its last refit.
             for ag in state.agents:
-                all_q = np.einsum("nd,de,ne->n", xs, state.all_cov[hh].mat, xs)
-                ag_q = np.einsum("nd,de,ne->n", xs, ag.qparams.cov[hh].mat, xs)
-                assert np.all(all_q >= ag_q - 1e-9)
+                seen = np.bincount(cells[:synced[ag.agent_id], hh], minlength=8)
+                assert np.all(ag.qparams.cov[hh].diag - ridge <= seen)
 
     def test_full_sync_server_equals_universal(self):
         cfg = RunConfig(mdp_kind="hard", M=2, K=60, protocol="full_sync",
                         schedule="round_robin", master_seed=0, diagnostics=True)
-        state = build_run_state(cfg)
-        from coop_lsvi.harness import TAG_TRAJECTORY, run_episode
-        for k in range(1, cfg.K + 1):
-            rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
-            run_episode(state, k, rng.random(state.mdp.H))
+        state, _ = self._run(cfg)
+        d = state.mdp.d
         for hh in range(state.mdp.H):
-            assert np.abs(state.all_cov[hh].mat - state.server.cov[hh].mat).max() < 1e-8
+            assert np.array_equal(state.server.cov[hh].diag,
+                                  cfg.ridge + np.bincount(state.record.cells[:, hh], minlength=d))
+
+
+def fraction_epochs(cells: np.ndarray, ridge: float, d: int) -> list[int]:
+    """epoch_boundaries by Fraction products: boundary i is the first episode
+    at whose start prod_j (ridge + n_j) / ridge reaches 2^i at some step, n_j
+    the visits of the earlier episodes."""
+    K, H = cells.shape
+    if K == 0:
+        return [1]
+    r = Fraction(ridge)
+    counts = np.zeros((H, d), dtype=np.int64)
+    out = []
+    for k in range(1, K + 1):
+        ratio = max(math.prod((r + int(n)) / r for n in counts[hh]) for hh in range(H))
+        while ratio >= 2 ** len(out):
+            out.append(k)
+        counts[np.arange(H), cells[k - 1]] += 1
+    return out
+
+
+@st.composite
+def visit_records(draw):
+    d, H, K = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(0, 80))
+    cells = draw(st.lists(st.integers(0, d - 1), min_size=K * H, max_size=K * H))
+    return np.array(cells, dtype=np.int64).reshape(K, H), d
 
 
 class TestEpochBoundaries:
@@ -669,12 +757,31 @@ class TestEpochBoundaries:
         # d=1, ridge=1, one unit feature per episode: det at the start of
         # episode k is k, so boundaries sit at powers of two.
         K = 40
-        logdets = np.log(np.arange(1, K + 1, dtype=float)).reshape(K, 1)
-        bounds = epoch_boundaries(logdets, ridge=1.0, d=1)
+        bounds = epoch_boundaries(np.zeros((K, 1), dtype=np.int64), ridge=1.0, d=1)
         assert bounds == [1, 2, 4, 8, 16, 32]
 
     def test_empty_stream(self):
-        assert epoch_boundaries(np.zeros((0, 3)), 1.0, 4) == [1]
+        assert epoch_boundaries(np.zeros((0, 3), dtype=np.int64), 1.0, 4) == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(visit_records(), st.sampled_from([1.0, 0.8, 0.3, 2.5, MIN_RIDGE]))
+    def test_matches_fraction_products(self, record, ridge):
+        cells, d = record
+        assert epoch_boundaries(cells, ridge, d) == fraction_epochs(cells, ridge, d)
+
+    def test_exact_doubling_on_a_grid_run(self):
+        """An acceptance-grid run: at the start of episode 11 the universal
+        determinant is exactly 2^5 ridge^d, which a float log-det comparison
+        with 5 log 2 put one episode late. K = 2000 crosses a block of the
+        record's read."""
+        cfg = RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=3, M=4, K=2000,
+                        protocol="async_trigger", schedule="uniform_random",
+                        master_seed=1, diagnostics=True)
+        rec = run_experiment(cfg)
+        dets = [math.prod((1 + np.bincount(rec.cells[:10, hh], minlength=8)).tolist())
+                for hh in range(3)]
+        assert max(dets) == 32 and rec.epoch_starts[5] == 11
+        assert rec.epoch_starts == fraction_epochs(rec.cells, cfg.ridge, 8)
 
     def test_epoch_count_bound_on_run(self):
         cfg = RunConfig(mdp_kind="hard", mdp_d=8, M=2, K=2000,
