@@ -12,6 +12,7 @@ under no communication) and w_h the matching regression weights.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
@@ -22,6 +23,11 @@ import numpy as np
 
 from .mdp import LinearMdp
 from .psdmat import Covariance, PsdMatrix
+
+try:  # The ufunc ndarray.clip calls, without the method's Python-level wrapper.
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 # Strictness guard for the determinant trigger. One-hot features make the
 # determinant ratio a product of small rationals, so it lands EXACTLY on the
@@ -55,12 +61,23 @@ TRANSITION_ROW = np.dtype([(name, np.float64 if name == "reward" else np.int64)
 _RAW_ROW = np.dtype((np.void, TRANSITION_ROW.itemsize))
 
 
+@functools.lru_cache(maxsize=1)
+def _identity(d: int) -> np.ndarray:
+    """Read-only eye(d), whose row j is phi of cell j (mdp.LinearMdp.cell);
+    built once for the run's d and shared by its stores and batches."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 @dataclass
 class TransitionBatch:
     """Column-oriented transitions for one step h, kept in episode order.
 
     The regression in the backward update is vectorized over these columns;
-    the per-record Transition type remains the unit of bookkeeping.
+    the per-record Transition type remains the unit of bookkeeping. ``phis``
+    is the one-hot design of the rows, a store's view of the design it keeps,
+    or None until ``design`` builds it.
     """
 
     episode: np.ndarray
@@ -68,15 +85,23 @@ class TransitionBatch:
     action: np.ndarray
     reward: np.ndarray
     next_state: np.ndarray
+    phis: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.episode.shape[0]
 
+    def design(self, mdp: LinearMdp) -> np.ndarray:
+        """The (n, d) C-contiguous float64 design matrix, row i being
+        features[state[i], action[i]]."""
+        if self.phis is None:
+            self.phis = _identity(mdp.d).take(mdp.cell(self.state, self.action), axis=0)
+        return self.phis
+
     @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "TransitionBatch":
-        """Column views of a TRANSITION_ROW record array."""
+    def from_rows(cls, rows: np.ndarray, phis: Optional[np.ndarray] = None) -> "TransitionBatch":
+        """Column views of a TRANSITION_ROW record array, with its design."""
         return cls(rows["episode"], rows["state"], rows["action"], rows["reward"],
-                   rows["next_state"])
+                   rows["next_state"], phis)
 
     @classmethod
     def empty(cls) -> "TransitionBatch":
@@ -88,42 +113,56 @@ class TransitionBatch:
 
 
 class TransitionStore:
-    """Every transition ever stored for one step h, as episode-ordered rows.
+    """Every transition ever stored for one step h, as episode-ordered rows,
+    with the one-hot design of those rows.
 
     ``extend`` is a list extend, so the recording paths stay cheap.
     ``batch`` moves only the rows added since its last call, one record
     assignment each, into a record array that doubles its capacity when full,
-    and re-sorts by episode (stably, from the first stored row a new one
-    precedes) only when the new rows break episode order. The batch it returns
-    holds column views that stay valid until the next ``batch`` that moves
-    rows; callers share it and must not write to it.
+    fills their design rows from the identity with one take, and re-sorts
+    records and design by episode (stably, from the first stored row a new
+    one precedes) only when the new rows break episode order. The batch it
+    returns holds column views and the (n, d) design view, valid until the
+    next ``batch`` that moves rows; callers share it and must not write to it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, d: int) -> None:
         self._pending: list[Transition] = []
+        self._pending_cells: list[int] = []
+        self._eye = _identity(d)
         self._rows = np.empty(0, TRANSITION_ROW)
-        self._view = TransitionBatch.empty()
+        self._design = np.empty((0, d))
+        self._view = TransitionBatch.from_rows(self._rows, self._design)
 
-    def extend(self, ts: Sequence[Transition]) -> None:
+    def extend(self, ts: Sequence[Transition], cells: Sequence[int]) -> None:
+        """Add transitions with their cell indices j (phi = e_j), aligned."""
+        if len(ts) != len(cells):
+            raise ValueError(f"{len(ts)} transitions with {len(cells)} cell indices")
         self._pending += ts
+        self._pending_cells += cells
 
     def batch(self) -> TransitionBatch:
         new = self._pending
         if not new:
             return self._view
-        self._pending = []
+        cells = self._pending_cells
+        self._pending, self._pending_cells = [], []
         n0 = len(self._view)
         n = n0 + len(new)
         if n > len(self._rows):
-            grown = np.empty(max(n, 2 * len(self._rows)), TRANSITION_ROW)
+            capacity = max(n, 2 * len(self._rows))
+            grown = np.empty(capacity, TRANSITION_ROW)
             grown[:n0] = self._rows[:n0]
-            self._rows = grown
-        rows = self._rows
+            design = np.empty((capacity, self._eye.shape[0]))
+            design[:n0] = self._design[:n0]
+            self._rows, self._design = grown, design
+        rows, design = self._rows, self._design
         # A tuple per record assignment converts the fields as a slice
         # assignment of the list does, with equal bytes, and costs less: a
         # third as much for one row, and less at every size measured.
         for i, t in enumerate(new, n0):
             rows[i] = t
+        self._eye.take(cells, axis=0, out=design[n0:n])
         # The order check runs on Python ints from the last stored row on: a
         # download usually brings a few rows, where numpy's overhead dominates.
         ep = rows["episode"]
@@ -132,9 +171,11 @@ class TransitionStore:
             # A bisection over the strided field's buffer: half the time of
             # np.searchsorted on a view of it.
             lo = bisect_right(memoryview(ep), min(eps), 0, n0)
+            order = np.argsort(ep[lo:n], kind="stable")
             raw = rows[lo:n].view(_RAW_ROW)
-            raw[:] = raw.take(np.argsort(ep[lo:n], kind="stable"))
-        self._view = TransitionBatch.from_rows(rows[:n])
+            raw[:] = raw.take(order)
+            design[lo:n] = design[lo:n].take(order, axis=0)
+        self._view = TransitionBatch.from_rows(rows[:n], design[:n])
         return self._view
 
 
@@ -197,9 +238,9 @@ class LsviAgent:
         """
         qp = self.qparams
         raw = np.add(qp.w[hh], qp.beta * np.sqrt(qp.cov[hh].inv_diag), out=out)
-        # The method calls np.clip's ufunc without its dispatch wrapper; unlike
-        # np.maximum/np.minimum, that ufunc keeps a -0.0 inside the bounds.
-        return raw.clip(0.0, self.H - hh, out=raw)
+        # The ufunc np.clip and ndarray.clip end in; unlike np.maximum and
+        # np.minimum, it keeps a -0.0 inside the bounds.
+        return _clip(raw, 0.0, self.H - hh, out=raw)
 
     def action_values(self, mdp: LinearMdp, s: int, h: int) -> np.ndarray:
         """Vector of truncated Q estimates over all actions at state s."""
@@ -226,8 +267,7 @@ class LsviAgent:
     def loc_features(self) -> list[list[np.ndarray]]:
         """Per-h feature vectors of the local delta: read-only rows of eye(d)
         at the recorded cell indices."""
-        eye = np.eye(self.d)
-        eye.setflags(write=False)
+        eye = _identity(self.d)
         return [[eye[j] for j in cells] for cells in self.loc_cells]
 
     def record_transition(self, mdp: LinearMdp, t: Transition) -> None:
@@ -280,9 +320,11 @@ class LsviAgent:
         reset_local() cleared it (as the no-communication refit does); valid
         until the next call."""
         if not self._own:
-            self._own = [TransitionStore() for _ in range(self.H)]
-        for hh, (store, ts) in enumerate(zip(self._own, self.loc_transitions)):
-            store.extend(ts[self._own_moved[hh]:])
+            self._own = [TransitionStore(self.d) for _ in range(self.H)]
+        for hh, (store, ts, cells) in enumerate(zip(self._own, self.loc_transitions,
+                                                    self.loc_cells)):
+            moved = self._own_moved[hh]
+            store.extend(ts[moved:], cells[moved:])
             self._own_moved[hh] = len(ts)
         return [store.batch() for store in self._own]
 
@@ -304,10 +346,6 @@ class LsviAgent:
         """
         qp = self.qparams
         S, A = mdp.n_states, mdp.n_actions
-        # Row j of the flat table is phi of cell j; taking the rows gives the
-        # same C-contiguous (n, d) design matrix as features[state, action],
-        # so phis.T @ y has the same bits, without fancy indexing's overhead.
-        feats_flat = mdp.features.reshape(S * A, self.d)
         q = np.empty((self.H, S, A))
         q_cells = q.reshape(self.H, self.d)  # a view: Q_h is written in place
         next_value = None  # value table for step h+1, None means zero
@@ -318,12 +356,14 @@ class LsviAgent:
                 # y = r + V_{h+1}(s'), a fresh contiguous array: the GEMV's input.
                 y = (batch.reward.copy() if next_value is None
                      else np.add(batch.reward, next_value.take(batch.next_state)))
-                phis = feats_flat.take(mdp.cell(batch.state, batch.action), axis=0)
-                qp.w[hh] = cov.solve(phis.T @ y)
+                # The design is features[state, action] as one C-contiguous
+                # (n, d) matrix, kept by a store or built once for the batch.
+                cov.solve(batch.design(mdp).T @ y, out=qp.w[hh])
             else:
                 qp.w[hh] = 0.0
             # Value table V_h(s) = max_a Q_h(s, a) for the step below.
-            next_value = self._clipped_q(hh, out=q_cells[hh]).reshape(S, A).max(axis=1)
+            next_value = np.maximum.reduce(
+                self._clipped_q(hh, out=q_cells[hh]).reshape(S, A), axis=1)
         self._q = q
         return qp
 

@@ -49,19 +49,22 @@ TRAJECTORY_BLOCK = 1024
 # run's peak RSS. An instance whose one entry exceeds it is never cached.
 POLICY_VALUE_CACHE_BYTES = 2 ** 20
 
-# Caps on what a run allocates, checked by RunConfig.validate. tracemalloc
-# measures about 190 bytes per episode step with diagnostics, 175 without
-# (records allocated up front, the server's store of every transition) and,
-# per agent and step h, 2 KB of objects plus 29 bytes per feature cell:
-# 32-byte units with the objects as AGENT_CELL_OVERHEAD cells. Each cap is
-# about 2 GiB. The largest shipped, acceptance or benchmark run has K * H =
-# 96,000, M * H * (d + 64) = 5,280 and K * d = 256,000. A refit builds each
-# step's (n, d) float64 design matrix from its n <= K transitions, so
-# MAX_DESIGN_ENTRIES bounds that matrix.
+# Caps on what a run allocates, checked by RunConfig.validate. Per episode
+# step tracemalloc measures about 130 bytes (records allocated up front, the
+# stored transitions), 18 more with diagnostics, plus the one-hot design the
+# stores keep beside their rows: 199 and 412 bytes a step in all at d = 8 and
+# 32, from K = 8,000 to 16,000 without diagnostics. Per agent and step h it
+# measures 2 KB of objects plus 24 bytes per feature cell: 32-byte units with
+# the objects as AGENT_CELL_OVERHEAD cells. Each cap is about 2 GiB. Every
+# transition is held once, by the server's H stores or, without
+# communication, by the agents' own, and a store's capacity is under twice
+# its rows, so the designs take under 16 * K * H * d bytes: MAX_DESIGN_ENTRIES
+# bounds K * H * d. The largest shipped, acceptance or benchmark run has
+# K * H = 96,000, M * H * (d + 64) = 5,280 and K * H * d = 768,000.
 MAX_RUN_STEPS = 2 ** 23       # on K * H
 AGENT_CELL_OVERHEAD = 64
 MAX_AGENT_UNITS = 2 ** 26     # on M * H * (d + AGENT_CELL_OVERHEAD)
-MAX_DESIGN_ENTRIES = 2 ** 28  # on K * d
+MAX_DESIGN_ENTRIES = 2 ** 27  # on K * H * d
 
 
 class ConfigError(ValueError):
@@ -149,9 +152,9 @@ class RunConfig:
             if self.K * H > MAX_RUN_STEPS:
                 bad(f"K * H = {self.K * H} episode steps exceeds {MAX_RUN_STEPS}",
                     ("run", "K"))
-            if self.K * d > MAX_DESIGN_ENTRIES:
-                bad(f"K * d = {self.K * d} design-matrix entries exceeds {MAX_DESIGN_ENTRIES}",
-                    ("run", "K"))
+            if self.K * H * d > MAX_DESIGN_ENTRIES:
+                bad(f"K * H * d = {self.K * H * d} design-matrix entries exceeds "
+                    f"{MAX_DESIGN_ENTRIES}", ("run", "K"))
             units = self.M * H * (d + AGENT_CELL_OVERHEAD)
             if units > MAX_AGENT_UNITS:
                 bad(f"M * H * (d + {AGENT_CELL_OVERHEAD}) = {units} exceeds {MAX_AGENT_UNITS}",

@@ -1,12 +1,12 @@
 """SPD matrices maintained under rank-one updates.
 
-Every covariance matrix in the simulator (per-agent, per-server, and the
-universal diagnostic matrix) is a ridge-regularized sum of feature outer
-products with cached inverse and log-determinant. ``PsdMatrix`` is the
-dense reference, O(d^2) per update, and the default of an agent or server
-built directly. ``DiagonalPsdMatrix`` is what every run uses: every built
-instance has one-hot features, so each update is some e_j and the matrix
-stays ridge * I plus a diagonal of visit counts, at O(1) per update.
+Every covariance matrix in the simulator (per-agent and per-server) is a
+ridge-regularized sum of feature outer products with cached inverse and
+log-determinant. ``PsdMatrix`` is the dense reference, O(d^2) per update,
+and the default of an agent or server built directly. ``DiagonalPsdMatrix``
+is what every run uses: every built instance has one-hot features, so each
+update is some e_j and the matrix stays ridge * I plus a diagonal of visit
+counts, at O(1) per update.
 The run loop adds e_j by its index, ``add_bases(cells)`` with each j the
 cell index of mdp.LinearMdp.cell, so no d-vector is built or searched for its
 1, and a batch of updates pays one Python call.
@@ -19,7 +19,7 @@ trajectory does not depend on the class it uses.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -141,10 +141,11 @@ class PsdMatrix:
     diag = property(lambda self: self.mat.diagonal())  # read-only view
     inv_diag = property(lambda self: self.inv.diagonal())  # read-only view
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve mat x = b via the cached inverse plus one refinement step."""
+    def solve(self, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solve mat x = b via the cached inverse plus one refinement step,
+        into ``out`` if given."""
         b = np.asarray(b, dtype=np.float64)
-        x = self.inv @ b
+        x = np.matmul(self.inv, b, out=out)
         # One step of iterative refinement squares the inverse-drift error,
         # keeping the residual at machine precision between refreshes.
         x += self.inv @ (b - self.mat @ x)
@@ -260,12 +261,13 @@ class DiagonalPsdMatrix:
         self.logdet = 2.0 * float(np.sum(np.log(c)))
         self.updates_since_refresh = 0
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve mat x = b with PsdMatrix.solve's refinement, elementwise."""
+    def solve(self, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solve mat x = b with PsdMatrix.solve's refinement, elementwise,
+        into ``out`` if given."""
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.dim,):
             raise ValueError(f"right-hand side shape {b.shape} != ({self.dim},)")
-        x = self.inv_diag * b
+        x = np.multiply(self.inv_diag, b, out=out)
         x += self.inv_diag * (b - self.diag * x)
         return x
 

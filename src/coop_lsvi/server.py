@@ -55,7 +55,7 @@ class CentralServer:
         self.ridge = ridge
         self.cov: list[Covariance] = [cov_cls(d, ridge) for _ in range(H)]
         # Per h: the global store plus the set of its episode keys.
-        self._store = [TransitionStore() for _ in range(H)]
+        self._store = [TransitionStore(d) for _ in range(H)]
         self._episodes: list[set[int]] = [set() for _ in range(H)]
 
     def upload(self, agent: "LsviAgent") -> None:
@@ -79,7 +79,7 @@ class CentralServer:
                             f"duplicate upload for episode {t.episode}, step {t.step}")
                     seen.add(t.episode)
             episodes |= new
-            self._store[hh].extend(ts)
+            self._store[hh].extend(ts, agent.loc_cells[hh])
             self.cov[hh].add_bases(agent.loc_cells[hh])
 
     def download(self) -> tuple[list[Covariance], list[TransitionBatch]]:

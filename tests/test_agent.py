@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -155,29 +156,38 @@ def random_transitions(episodes, seed):
                        float(rng.random()), int(rng.integers(5))) for k in episodes]
 
 
+# random_transitions' cells: 5 states by 3 actions.
+STORE_D = 15
+
+
+def cells_of(ts):
+    return [t.state * 3 + t.action for t in ts]
+
+
 class TestTransitionStore:
     def test_interleaved_adds_come_out_sorted(self):
         rng = np.random.default_rng(4)
         ts = random_transitions(rng.permutation(np.arange(1, 61)), seed=4)
-        store, added = TransitionStore(), []
+        store, added = TransitionStore(STORE_D), []
         for lo, hi in [(0, 5), (5, 6), (6, 20), (20, 21), (21, 45), (45, 60)]:
-            store.extend(ts[lo:hi])
+            store.extend(ts[lo:hi], cells_of(ts[lo:hi]))
             added += ts[lo:hi]
             want = TransitionBatch.from_transitions(sorted(added, key=lambda t: t.episode))
             assert_batches_equal(store.batch(), want)
 
     def test_growth_keeps_every_row(self):
         ts = random_transitions(range(1, 70), seed=1)
-        store = TransitionStore()
+        store = TransitionStore(STORE_D)
         for i, t in enumerate(ts):
-            store.extend([t])
+            store.extend([t], cells_of([t]))
             if i % 3 == 0:  # batch at irregular sizes around each doubling
                 assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts[:i + 1]))
         assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts))
 
     def test_repeat_batch_without_adds_is_equal(self):
-        store = TransitionStore()
-        store.extend(random_transitions([3, 1, 2], seed=2))
+        store = TransitionStore(STORE_D)
+        ts = random_transitions([3, 1, 2], seed=2)
+        store.extend(ts, cells_of(ts))
         first = store.batch()
         snapshot = TransitionBatch(*(c.copy() for c in (
             first.episode, first.state, first.action, first.reward, first.next_state)))
@@ -185,7 +195,80 @@ class TestTransitionStore:
         assert list(snapshot.episode) == [1, 2, 3]
 
     def test_empty_store(self):
-        assert_batches_equal(TransitionStore().batch(), TransitionBatch.empty())
+        assert_batches_equal(TransitionStore(STORE_D).batch(), TransitionBatch.empty())
+
+    def test_design_is_the_feature_rows_through_re_sorts_and_growth(self):
+        m = random_tabular(0, 5, 3, 1)  # d = 15: random_transitions' cells
+        ts = random_transitions(np.random.default_rng(8).permutation(np.arange(1, 200)), seed=8)
+        store, lo, capacities = TransitionStore(m.d), 0, set()
+        for size in [1, 1, 3, 7, 2, 30, 1, 64, 90]:
+            # Two extends per batch, each out of episode order.
+            for part in (ts[lo:lo + size // 2], ts[lo + size // 2:lo + size]):
+                store.extend(part, cells_of(part))
+            lo += size
+            got = store.batch()
+            capacities.add(len(store._design))
+            assert got.phis is not None  # the store's kept design, not built here
+            phis = got.design(m)
+            assert phis.dtype == np.float64 and phis.flags.c_contiguous
+            assert phis.tobytes() == m.features[got.state, got.action].tobytes()
+            assert_batches_equal(got, TransitionBatch.from_transitions(
+                sorted(ts[:lo], key=lambda t: t.episode)))
+        assert lo == len(ts) and len(capacities) > 3
+
+    @staticmethod
+    def refit_inputs(m, n_episodes, seed, cov_cls):
+        """Per-h transitions of random episodes, stores fed them in shuffled
+        chunks (as uploads arrive), and the matching covariances."""
+        rng = np.random.default_rng(seed)
+        per_h = [[] for _ in range(m.H)]
+        for k in rng.permutation(np.arange(1, n_episodes + 1)).tolist():
+            s = int(rng.integers(m.n_states))
+            for h in range(1, m.H + 1):
+                t = make_transition(m, k, h, s, int(rng.integers(m.n_actions)), rng)
+                per_h[h - 1].append(t)
+                s = t.next_state
+        stores = [TransitionStore(m.d) for _ in range(m.H)]
+        covs = [cov_cls(m.d, 1.0) for _ in range(m.H)]
+        for store, cov, ts in zip(stores, covs, per_h):
+            cells = [int(m.cell(t.state, t.action)) for t in ts]
+            cov.add_bases(cells)
+            for lo in range(0, len(ts), 7):
+                store.extend(ts[lo:lo + 7], cells[lo:lo + 7])
+                if lo % 3 == 0:
+                    store.batch()
+        return per_h, stores, covs
+
+    @pytest.mark.parametrize("cov_cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_refit_from_a_store_equals_refit_from_transitions(self, cov_cls):
+        m = random_tabular(3, 5, 3, 3)  # d = 15
+        per_h, stores, covs = self.refit_inputs(m, 120, 9, cov_cls)
+        listed = [TransitionBatch.from_transitions(sorted(ts, key=lambda t: t.episode))
+                  for ts in per_h]
+        from_store, from_list = (LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4, cov_cls)
+                                 for _ in range(2))
+        from_store.lsvi_backward_update(m, [s.batch() for s in stores],
+                                        [c.copy() for c in covs])
+        from_list.lsvi_backward_update(m, listed, [c.copy() for c in covs])
+        assert np.any(from_store.qparams.w != 0.0)
+        assert from_store.qparams.w.tobytes() == from_list.qparams.w.tobytes()
+        assert from_store.q_table(m).tobytes() == from_list.q_table(m).tobytes()
+
+    def test_refit_builds_no_design_matrix(self):
+        """The refit reads the store's design: on fresh batches, a 4,000-row
+        step allocates less than its (n, d) float64 design would take."""
+        m = hard_instance(8, 3, 0.1)
+        n = 4000
+        _, stores, covs = self.refit_inputs(m, n, 10, DiagonalPsdMatrix)
+        batches = [s.batch() for s in stores]
+        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4, DiagonalPsdMatrix)
+        tracemalloc.start()
+        try:
+            ag.lsvi_backward_update(m, batches, covs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m.d * 8
 
     def test_own_history_equals_list_built_columns(self):
         m = random_tabular(2, 3, 2, 3)
@@ -587,8 +670,9 @@ class TestPerCellQ:
 
 
 class TestBackwardUpdateBits:
-    """The backward update's row take and in-place clip give the bits of
-    fancy indexing and np.clip. Compared by tobytes, since -0.0 == 0.0."""
+    """The design's row take (TransitionBatch.design, TransitionStore) and the
+    in-place clip give the bits of fancy indexing and np.clip. Compared by
+    tobytes, since -0.0 == 0.0."""
 
     @pytest.mark.parametrize("S,A", [(4, 2), (40, 5)])  # d = 8 and d = 200
     @pytest.mark.parametrize("picks", [[-1], [0, -1, 5, 5, 2, 0, 5, -1]],

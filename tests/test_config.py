@@ -12,7 +12,7 @@ from coop_lsvi.cli import main
 from coop_lsvi.configio import (_AXES, _FIELDS, SweepSpec, config_hash,
                                 emit_config, expand_sweep, parse_config,
                                 parse_config_file)
-from coop_lsvi.harness import ConfigError, RunConfig
+from coop_lsvi.harness import MAX_DESIGN_ENTRIES, ConfigError, RunConfig
 from coop_lsvi.psdmat import MIN_RIDGE
 from coop_lsvi.schedules import SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS
 from coop_lsvi.server import ProtocolKind
@@ -126,6 +126,9 @@ def _run_configs(draw):
                   mdp_n_actions=draw(st.integers(1, 4)),
                   mdp_horizon=draw(st.integers(1, 6)), mdp_seed=draw(st.integers(0, 2**32)))
         inits = [None, "fixed", "uniform_random"]
+    # K * H * d within its cap: the stores' one-hot design is held for the run.
+    steps_cells = kw["mdp_horizon"] * (d if kw["mdp_kind"] == "hard"
+                                       else n_states * kw["mdp_n_actions"])
     kw["init_state"] = draw(st.sampled_from(inits))
     if kw["init_state"] == "fixed":
         kw["init_state_fixed"] = draw(st.integers(0, n_states - 1))
@@ -141,7 +144,7 @@ def _run_configs(draw):
     beta = st.floats(0, 1e6)
     kw["beta_value"] = draw(beta if kw["beta_mode"] == "fixed" else st.none() | beta)
     cfg = RunConfig(
-        **kw, M=M, K=draw(st.integers(1, 10**6)),
+        **kw, M=M, K=draw(st.integers(1, min(10**6, MAX_DESIGN_ENTRIES // steps_cells))),
         alpha=draw(st.none() | st.floats(0, exclude_min=True)),  # inf: never communicates
         ridge=draw(st.floats(MIN_RIDGE, allow_infinity=False)),
         delta=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),

@@ -431,16 +431,16 @@ WIDE_CFG = "[mdp]\nkind = random\nn_states = 1024\nn_actions = 4\nH = 1\n\n[run]
 
 def test_design_matrix_cap_admits_k_at_the_cap():
     K = harness.MAX_DESIGN_ENTRIES // 4096
-    assert K == 65_536
+    assert K == 32_768
     assert parse_config(WIDE_CFG.format(K)).K == K  # parsed only: nothing is allocated
 
 
 def test_design_matrix_cap_names_the_k_line():
-    """Past the cap a refit's (K, d) float64 design matrix would pass 2 GiB;
-    at K = 2**20 it would take 32 GiB."""
-    with pytest.raises(ConfigError, match="^line 8: K \\* d = 268439552 design-matrix "
-                                          "entries exceeds 268435456$"):
-        parse_config(WIDE_CFG.format(65_537))
+    """Past the cap the stores' (K * H, d) float64 design, with capacity
+    doubling, could pass 2 GiB; at K = 2**20 it could take 64 GiB."""
+    with pytest.raises(ConfigError, match="^line 8: K \\* H \\* d = 134221824 design-matrix "
+                                          "entries exceeds 134217728$"):
+        parse_config(WIDE_CFG.format(32_769))
 
 
 def test_run_size_caps_apply_to_file_instances(tmp_path, capsys):
