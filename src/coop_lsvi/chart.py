@@ -24,11 +24,13 @@ def run_chart_svg(k: np.ndarray, cum_regret: np.ndarray, cum_comm: np.ndarray) -
     """Cumulative regret (left axis) and communication rounds (right axis) vs k."""
     k = np.asarray(k, dtype=float)
     n = len(k)
-    stride = max(1, n // 2000)  # cap the point count; shape is unaffected
-    k, cum_regret, cum_comm = k[::stride], cum_regret[::stride], cum_comm[::stride]
-    xs = _scale(k, _ML, _W - _MR)
-    y_reg = _scale(np.nan_to_num(cum_regret), _H - _MB, _MT)
-    y_comm = _scale(cum_comm.astype(float), _H - _MB, _MT)
+    keep = np.arange(0, n, max(1, n // 2000))  # cap the point count; shape is unaffected
+    if n and keep[-1] != n - 1:
+        keep = np.append(keep, n - 1)  # the curves end at the last episode
+    xs = _scale(k[keep], _ML, _W - _MR)
+    y_reg = _scale(np.nan_to_num(cum_regret[keep]), _H - _MB, _MT)
+    y_comm = _scale(cum_comm[keep].astype(float), _H - _MB, _MT)
+    # The labels read the full arrays, not the plotted sample.
     evaluated = cum_regret[~np.isnan(cum_regret)]  # none when eval is off
     reg_max = float(np.max(evaluated)) if len(evaluated) else float("nan")
     comm_max = int(np.max(cum_comm)) if len(cum_comm) else 0

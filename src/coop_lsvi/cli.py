@@ -1,7 +1,10 @@
-"""Command-line front end: run, sweep, validate, and lower-bound subcommands.
+"""Command-line front end: run, sweep and validate subcommands.
+
+The hard instance's lower-bound trade-off (async vs no-comm) is a sweep:
+``coop-lsvi sweep --config configs/sweep_lower_bound.cfg``.
 
 Exit codes: 0 success, 2 configuration error, 3 run failure, 4
-acceptance-check failure (a validation or report assertion did not hold).
+acceptance-check failure (a table check of ``validate`` did not hold).
 """
 
 from __future__ import annotations
@@ -11,17 +14,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Optional
-
-import numpy as np
 
 from . import mdp as mdp_mod
 from .chart import run_chart_svg
 from .configio import SweepSpec, config_hash, emit_config, parse_config_file
-from .harness import (ConfigError, RunConfig, comm_complexity_scale,
-                      metrics_csv_text, run_experiment)
-from .sweep import atomic_write, regret_ratio, run_sweep
+from .harness import ConfigError, metrics_csv_text, run_experiment
+from .sweep import atomic_write, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -138,65 +137,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
-def cmd_lower_bound(args) -> int:
-    d, H, M, K = args.d, args.horizon, args.M, args.K
-    base = RunConfig(mdp_kind="hard", mdp_d=d, mdp_horizon=H, mdp_gap=args.gap,
-                     M=M, K=K, schedule="lower_bound", init_state="epoch")
-    try:
-        cfg = base.resolved()
-        if K < d * M:
-            raise ConfigError(f"K must be >= d*M = {d * M}, got {K}")
-        if args.seeds < 1:
-            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-        workers = _workers()
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    spec = SweepSpec(base, {"protocol": ["async_trigger", "no_comm"],
-                            "seeds": list(range(args.seeds))})
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            rows = run_sweep(spec, args.out or tmp, workers=workers)
-    except Exception as e:
-        print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_RUN
-    for r in rows:
-        if r["status"] != "ok":
-            print(f"run failed: {r['status']}", file=sys.stderr)
-            return EXIT_RUN
-    gap = cfg.mdp_gap
-    report = {"d": d, "H": H, "M": M, "K": K, "gap": gap, "n_seeds": args.seeds}
-    for proto in spec.axes["protocol"]:
-        regs = [r["total_regret"] for r in rows if r["protocol"] == proto]
-        comms = [r["total_comm"] for r in rows if r["protocol"] == proto]
-        report[proto] = {
-            "mean_total_regret": float(np.mean(regs)),
-            "mean_total_comm": float(np.mean(comms)),
-            "per_seed_regret": regs,
-            "per_seed_comm": comms,
-        }
-    mean_async = report["async_trigger"]["mean_total_regret"]
-    mean_nc = report["no_comm"]["mean_total_regret"]
-    report["regret_ratio_no_comm_over_async"] = regret_ratio(mean_nc, mean_async)
-    scale = d * H * M * M * math.log(1.0 + K / d)
-    report["comm_bound_scale_dHM2logK"] = scale
-    report["async_comm_fitted_constant"] = (
-        report["async_trigger"]["mean_total_comm"] / scale)
-    report["comm_budget_full_form"] = comm_complexity_scale(d, H, M, cfg.alpha, K, cfg.ridge)
-    if args.out:
-        atomic_write(os.path.join(args.out, "lower_bound_report.json"), _json_text(report))
-    print(f"hard instance d={d} H={H} M={M} K={K} gap={gap:.6g} seeds={args.seeds}")
-    print(f"  async_trigger: mean regret {mean_async:.6g}, "
-          f"mean comm {report['async_trigger']['mean_total_comm']:.1f}")
-    print(f"  no_comm:       mean regret {mean_nc:.6g}, mean comm "
-          f"{report['no_comm']['mean_total_comm']:.1f}")
-    print(f"  regret ratio no_comm/async = "
-          f"{report['regret_ratio_no_comm_over_async']:.4g}")
-    print(f"  async comm / (d H M^2 log(1+K/d)) = "
-          f"{report['async_comm_fitted_constant']:.4g}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coop-lsvi",
@@ -221,19 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a serialized MDP file")
     p_val.add_argument("mdp_file", help="MDP file in the sectioned text format")
     p_val.set_defaults(func=cmd_validate)
-
-    p_lb = sub.add_parser("lower-bound",
-                          help="hard-instance trade-off report (async vs no-comm)")
-    p_lb.add_argument("--d", type=int, default=8)
-    p_lb.add_argument("--horizon", "--H", dest="horizon", type=int, default=3)
-    p_lb.add_argument("--M", type=int, default=8)
-    p_lb.add_argument("--K", type=int, required=True)
-    p_lb.add_argument("--gap", type=float, default=None,
-                      help="arm gap (default min(1/4, sqrt(dM/8K)))")
-    p_lb.add_argument("--seeds", type=int, default=10, help="number of seeds")
-    p_lb.add_argument("--out", default=None,
-                      help="directory for the JSON report and the sweep files")
-    p_lb.set_defaults(func=cmd_lower_bound)
     return parser
 
 

@@ -27,7 +27,8 @@ SCALING_HEADER = ("protocol,alpha,n_grid,n_seeds,regret_loglog_slope,"
                   "regret_slope_halfwidth,comm_vs_logk_slope,"
                   "comm_vs_logk_intercept,comm_slope_halfwidth,M,ridge,gap")
 COMPARISON_HEADER = ("K,mean_regret_async_trigger,mean_regret_no_comm,"
-                     "ratio_no_comm_over_async,M,alpha,ridge,gap")
+                     "ratio_no_comm_over_async,M,alpha,ridge,gap,"
+                     "mean_comm_async_trigger,mean_comm_no_comm")
 # Summaries keep apart runs that differ in any swept value but the seed. A
 # scaling fit runs over K, and the default hard gap shrinks with K, so the gap
 # splits fits only where it is swept.
@@ -212,20 +213,22 @@ def regret_ratio(no_comm: float, async_trigger: float) -> float:
 
 
 def collaboration_comparison(rows: list[dict]) -> Optional[str]:
-    """Regret ratio no_comm / async_trigger per COMPARISON_GROUP where both ran."""
+    """Mean regret and communication of async_trigger and no_comm, and their
+    regret ratio no_comm / async_trigger, per COMPARISON_GROUP where both ran."""
     ok = [r for r in rows if r["status"] == "ok"]
     protocols = {r["protocol"] for r in ok}
     if not {"async_trigger", "no_comm"} <= protocols:
         return None
     lines = [COMPARISON_HEADER]
     for group in _groups(ok, COMPARISON_GROUP):
-        a = [r["total_regret"] for r in group if r["protocol"] == "async_trigger"]
-        n = [r["total_regret"] for r in group if r["protocol"] == "no_comm"]
+        a = [r for r in group if r["protocol"] == "async_trigger"]
+        n = [r for r in group if r["protocol"] == "no_comm"]
         if not a or not n:
             continue
-        ma, mn = float(np.mean(a)), float(np.mean(n))
-        ratio = regret_ratio(mn, ma)
+        ma, mn = (float(np.mean([r["total_regret"] for r in p])) for p in (a, n))
+        ca, cn = (float(np.mean([r["total_comm"] for r in p])) for p in (a, n))
         r = group[0]
-        lines.append(f"{r['K']},{g17(ma)},{g17(mn)},{g17(ratio)},{r['M']},"
-                     f"{g17(r['alpha'])},{g17(r['ridge'])},{g17(r['gap'])}")
+        lines.append(f"{r['K']},{g17(ma)},{g17(mn)},{g17(regret_ratio(mn, ma))},{r['M']},"
+                     f"{g17(r['alpha'])},{g17(r['ridge'])},{g17(r['gap'])},"
+                     f"{g17(ca)},{g17(cn)}")
     return "\n".join(lines) + "\n"

@@ -303,3 +303,16 @@ def test_shipped_config_resolves(path):
     runs = expand_sweep(parsed) if isinstance(parsed, SweepSpec) else [parsed]
     for run in runs:
         run.resolved()
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_is_what_its_name_says(path):
+    """run_*.cfg is one run; sweep_*.cfg is a sweep that fits under its cap."""
+    parsed = parse_config_file(str(path))
+    kind = path.name.split("_")[0]
+    assert kind in ("run", "sweep")
+    if kind == "run":
+        assert isinstance(parsed, RunConfig)
+    else:
+        assert isinstance(parsed, SweepSpec)
+        assert 1 < parsed.size() <= parsed.cap

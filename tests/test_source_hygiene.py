@@ -1,5 +1,6 @@
 """Static checks on the package source."""
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import coop_lsvi
+from coop_lsvi.cli import build_parser
 from coop_lsvi.configio import config_hash, parse_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -265,3 +267,16 @@ def test_hard_runs_import_neither_numpy_random_nor_openssl():
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"complete": 4 * 5 * 3 * 2, "loaded": [],
                       "hash": config_hash(parse_config(hashed).resolved())}
+
+
+def test_readme_cli_synopsis_names_every_subcommand():
+    """The ``coop-lsvi <cmd>`` lines of README's ``## CLI`` code block name
+    exactly the subcommands the parser defines."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    documented = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("coop-lsvi ")]
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(documented) == sorted(sub.choices)

@@ -5,16 +5,20 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import coop_lsvi
 from coop_lsvi import harness
 from coop_lsvi import sweep as sweep_mod
+from coop_lsvi.chart import run_chart_svg
 from coop_lsvi.cli import main
-from coop_lsvi.configio import parse_config
+from coop_lsvi.configio import config_hash, parse_config
 from coop_lsvi.harness import ConfigError, RunConfig, run_experiment
 from coop_lsvi.mdp import InvalidMdpError, g17, hard_instance, random_tabular, write_mdp
 from coop_lsvi.sweep import expand_sweep, run_sweep, scaling_csv_text, scaling_fits
@@ -49,6 +53,27 @@ K = 40
 K = 40, 80, 160
 seeds = 0..4
 """
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped(name, *edits):
+    """A shipped config's text with each (old, new) edit made exactly once."""
+    text = (CONFIGS / name).read_text()
+    for old, new in edits:
+        assert text.count(old) == 1, f"{name}: {old!r}"
+        text = text.replace(old, new)
+    return text
+
+
+def _line_of(text, line):
+    return text.splitlines().index(line) + 1
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def _strict_json(path):
@@ -273,6 +298,23 @@ class TestCliRun:
                      "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("n", [4002, 4001, 3999, 10])
+def test_chart_ends_at_the_last_episode(n):
+    """A long run is thinned to a stride of n // 2000 episodes; the curves still
+    end at episode n, and the labels read the whole run."""
+    k = np.arange(1, n + 1)
+    svg = run_chart_svg(k, 0.5 * k, 2 * k)
+    assert f"episode k (1..{n})" in svg
+    assert f"cum regret (max {0.5 * n:.3g})" in svg
+    assert f"cum comm rounds (max {2 * n})" in svg
+    lines = re.findall(r'points="([^"]*)"', svg)
+    assert len(lines) == 2
+    for points in lines:
+        xy = points.split()
+        assert len(xy) < 4000
+        assert xy[-1] == "660.00,30.00"  # the right edge, at the curve's top
+
+
 class TestCliSweep:
     def test_sweep_command(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -318,20 +360,18 @@ def test_bytes_that_are_not_utf8_in_a_config(tmp_path, capsys, command):
     ("sweep", ["--workers", "0"], None, "--workers"),
     ("sweep", [], "abc", "COOP_LSVI_WORKERS"),
     ("sweep", [], "0", "COOP_LSVI_WORKERS"),
-    ("lower-bound", [], "2.5", "COOP_LSVI_WORKERS"),
-    ("lower-bound", [], "-1", "COOP_LSVI_WORKERS"),
+    ("sweep", [], "2.5", "COOP_LSVI_WORKERS"),
 ], ids=["sweep_flag_negative", "sweep_flag_zero", "sweep_env_word", "sweep_env_zero",
-        "lower_bound_env_float", "lower_bound_env_negative"])
+        "sweep_env_float"])
 def test_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, command,
                                             flag, env, named):
     """A worker count below 1, or a non-integer one, exits 2 naming where it
-    came from, before any run starts. lower-bound reads only the variable."""
+    came from, before any run starts."""
     if env is not None:
         monkeypatch.setenv("COOP_LSVI_WORKERS", env)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(SWEEP_CFG)
-    args = (["sweep", "--config", str(cfg)] if command == "sweep"
-            else ["lower-bound", "--d", "8", "--M", "2", "--K", "64", "--seeds", "1"])
+    args = [command, "--config", str(cfg)]
     assert main(args + ["--out", str(tmp_path / "out")] + flag) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -456,10 +496,15 @@ def test_run_size_caps_apply_to_file_instances(tmp_path, capsys):
     assert "line 6:" in capsys.readouterr().err
 
 
-def test_run_size_caps_apply_to_lower_bound(tmp_path, capsys):
-    args = ["lower-bound", "--d", "8", "--M", "2", "--K", "10000000000", "--seeds", "1"]
-    assert main(args + ["--out", str(tmp_path / "out")]) == 2
-    assert "K * H" in capsys.readouterr().err
+def test_run_size_caps_apply_to_the_lower_bound_config(tmp_path, capsys):
+    text = _shipped("sweep_lower_bound.cfg", ("K = 1024", "K = 10000000000"))
+    bad_line = _line_of(text, "K = 10000000000")
+    with pytest.raises(ConfigError, match=f"^line {bad_line}: K \\* H = 30000000000 "):
+        parse_config(text)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"line {bad_line}: K * H" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -532,44 +577,98 @@ class TestCliValidate:
         assert "file error: line 2: [meta]" in err and f"exceeds {limit}" in err
 
 
-class TestCliLowerBound:
-    def test_report(self, tmp_path, capsys):
-        rc = main(["lower-bound", "--d", "8", "--M", "2", "--K", "128",
-                   "--seeds", "2", "--out", str(tmp_path)])
-        assert rc == 0
-        report = json.loads((tmp_path / "lower_bound_report.json").read_text())
-        assert report["no_comm"]["mean_total_comm"] == 0.0
-        assert report["async_trigger"]["mean_total_comm"] > 0
-        assert "regret_ratio_no_comm_over_async" in report
-        assert report["async_comm_fitted_constant"] <= 10.0
+class TestLowerBoundConfig:
+    """The hard instance's trade-off sweep, configs/sweep_lower_bound.cfg."""
+
+    def test_shipped_grid(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_lower_bound.cfg"),
+                     "--out", str(out)]) == 0
+        base = parse_config((out / "base.resolved.cfg").read_text())
+        assert (base.mdp_kind, base.mdp_d, base.mdp_horizon, base.M, base.K,
+                base.schedule, base.init_state) == ("hard", 8, 3, 8, 1024,
+                                                    "lower_bound", "epoch")
+        agg = _csv_rows(out / "aggregate.csv")
+        assert len(agg) == 2 * 10 and {r["status"] for r in agg} == {"ok"}
+        (comp,) = _csv_rows(out / "comparison.csv")
+        regret, comm = {}, {}
+        for proto in ("async_trigger", "no_comm"):
+            own = [r for r in agg if r["protocol"] == proto]
+            assert sorted(int(r["seed"]) for r in own) == list(range(10))
+            regret[proto] = float(np.mean([float(r["total_regret"]) for r in own]))
+            comm[proto] = float(np.mean([int(r["total_comm"]) for r in own]))
+            assert comp[f"mean_comm_{proto}"] == g17(comm[proto])
+        # The columns before the two comm means keep their bytes.
+        r = agg[0]
+        ma, mn = regret["async_trigger"], regret["no_comm"]
+        want = (f"1024,{g17(ma)},{g17(mn)},{g17(sweep_mod.regret_ratio(mn, ma))},8,"
+                f"{r['alpha']},{r['ridge']},{r['gap']},")
+        assert (out / "comparison.csv").read_text().split("\n")[1].startswith(want)
+        # no_comm never communicates; on this instance it also scores no regret
+        # (README, "Lower-bound sweep").
+        assert comm["no_comm"] == 0 and mn == 0 and ma > 0
+
+    def test_comm_against_the_dhm2_scale(self, tmp_path):
+        spec = parse_config(_shipped("sweep_lower_bound.cfg", ("K = 1024", "K = 128"),
+                                     ("M = 8", "M = 2"), ("seeds = 0..9", "seeds = 0..1")))
+        run_sweep(spec, str(tmp_path))
+        (comp,) = _csv_rows(tmp_path / "comparison.csv")
+        base = parse_config((tmp_path / "base.resolved.cfg").read_text())
+        d, H, K, M = base.mdp_d, base.mdp_horizon, int(comp["K"]), int(comp["M"])
+        assert float(comp["mean_comm_no_comm"]) == 0.0
+        async_comm = float(comp["mean_comm_async_trigger"])
+        assert 0 < async_comm <= 10.0 * d * H * M * M * math.log(1.0 + K / d)
 
     def test_zero_gap_zero_regret(self, tmp_path):
-        rc = main(["lower-bound", "--d", "8", "--M", "2", "--K", "64",
-                   "--gap", "0", "--seeds", "2", "--out", str(tmp_path)])
-        assert rc == 0
-        report = _strict_json(tmp_path / "lower_bound_report.json")
-        assert report["async_trigger"]["mean_total_regret"] == pytest.approx(0.0, abs=1e-9)
-        assert report["no_comm"]["mean_total_regret"] == pytest.approx(0.0, abs=1e-9)
-        assert report["regret_ratio_no_comm_over_async"] is None  # 0 / 0
+        spec = parse_config(_shipped(
+            "sweep_lower_bound.cfg", ("# gap defaults to min(1/4, sqrt(d*M/(8K)))", "gap = 0"),
+            ("K = 1024", "K = 64"), ("M = 8", "M = 2"), ("seeds = 0..9", "seeds = 0..1")))
+        run_sweep(spec, str(tmp_path))
+        (comp,) = _csv_rows(tmp_path / "comparison.csv")
+        assert [comp[c] for c in ("mean_regret_async_trigger", "mean_regret_no_comm",
+                                  "ratio_no_comm_over_async")] == ["0", "0", "nan"]
 
-    def test_report_equals_direct_runs(self, tmp_path):
-        assert main(["lower-bound", "--d", "8", "--M", "2", "--K", "64",
-                     "--seeds", "2", "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "lower_bound_report.json").read_text())
-        for proto in ("async_trigger", "no_comm"):
-            records = [run_experiment(RunConfig(
-                mdp_kind="hard", mdp_d=8, mdp_horizon=3, M=2, K=64, protocol=proto,
-                master_seed=seed, schedule="lower_bound", init_state="epoch").resolved())
-                for seed in range(2)]
-            assert report[proto]["per_seed_regret"] == [r.total_regret for r in records]
-            assert report[proto]["per_seed_comm"] == [r.total_comm for r in records]
-        assert len((tmp_path / "aggregate.csv").read_text().splitlines()) == 1 + 2 * 2
+    def test_rows_equal_direct_runs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "lb.cfg"
+        cfg.write_text(_shipped("sweep_lower_bound.cfg", ("K = 1024", "K = 64"),
+                                ("M = 8", "M = 2"), ("seeds = 0..9", "seeds = 0..1")))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        agg = _csv_rows(out / "aggregate.csv")
+        assert len(agg) == 2 * 2
+        for row in agg:
+            resolved = RunConfig(
+                mdp_kind="hard", mdp_d=8, mdp_horizon=3, M=2, K=64,
+                protocol=row["protocol"], master_seed=int(row["seed"]),
+                schedule="lower_bound", init_state="epoch").resolved()
+            record = run_experiment(resolved)
+            assert (row["total_regret"], row["total_comm"], row["total_switch"],
+                    row["config_hash"]) == (g17(record.total_regret), str(record.total_comm),
+                                            str(record.total_switches), config_hash(resolved))
 
-    def test_constraints(self):
-        assert main(["lower-bound", "--d", "7", "--M", "2", "--K", "128"]) == 2
-        assert main(["lower-bound", "--d", "8", "--M", "4", "--K", "16"]) == 2
-        assert main(["lower-bound", "--d", "8", "--M", "2", "--K", "64", "--seeds", "0"]) == 2
-        assert main(["lower-bound", "--d", "8", "--M", "2", "--K", "64", "--seeds", "-1"]) == 2
+    @pytest.mark.parametrize("old,new", [
+        ("d = 8", "d = 7"), ("seeds = 0..9", "seeds ="), ("seeds = 0..9", "seeds = 0..-1"),
+    ], ids=["hard_d", "no_seeds", "empty_seed_range"])
+    def test_config_errors_name_their_line(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_shipped("sweep_lower_bound.cfg", (old, new)))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"line {_line_of(cfg.read_text(), new)}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_k_below_d_m_runs(self, tmp_path):
+        """K >= d*M is the construction's premise, not a check: the schedule
+        is defined for every K >= 1, and run and sweep accept any K."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_shipped("sweep_lower_bound.cfg", ("K = 1024", "K = 16"),
+                                ("M = 8", "M = 4"), ("seeds = 0..9", "seeds = 0")))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_lower_bound_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lower-bound", "--K", "64"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lower-bound'" in capsys.readouterr().err
 
 
 class TestComparisonOutput:
@@ -629,15 +728,17 @@ class TestSummaryGroups:
                             .replace("K = 40, 80, 160", "K = 40, 80"))
         rows = run_sweep(spec, str(tmp_path), workers=1)
         got = (tmp_path / "comparison.csv").read_text().strip().split("\n")
-        assert got[0].endswith(",M,alpha,ridge,gap")
+        assert got[0].endswith(",M,alpha,ridge,gap,mean_comm_async_trigger,mean_comm_no_comm")
         want = []
         for K in (40, 80):
             for M in (2, 8):
-                ma, mn = (sum(r["total_regret"] for r in rows
-                              if (r["K"], r["M"], r["protocol"]) == (K, M, p)) / 2
-                          for p in ("async_trigger", "no_comm"))
+                (ma, ca), (mn, cn) = (
+                    [sum(r[f] for r in rows
+                         if (r["K"], r["M"], r["protocol"]) == (K, M, p)) / 2
+                     for f in ("total_regret", "total_comm")]
+                    for p in ("async_trigger", "no_comm"))
                 want.append(f"{K},{g17(ma)},{g17(mn)},{g17(mn / ma)},{M},"
-                            f"{g17(1 / M ** 2)},1,nan")
+                            f"{g17(1 / M ** 2)},1,nan,{g17(ca)},{g17(cn)}")
         assert got[1:] == want
 
 
