@@ -12,7 +12,6 @@ under no communication) and w_h the matching regression weights.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from bisect import bisect_right
@@ -21,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .mdp import LinearMdp
+from .mdp import LinearMdp, identity
 from .psdmat import Covariance, PsdMatrix
 
 try:  # The ufunc ndarray.clip calls, without the method's Python-level wrapper.
@@ -61,15 +60,6 @@ TRANSITION_ROW = np.dtype([(name, np.float64 if name == "reward" else np.int64)
 _RAW_ROW = np.dtype((np.void, TRANSITION_ROW.itemsize))
 
 
-@functools.lru_cache(maxsize=1)
-def _identity(d: int) -> np.ndarray:
-    """Read-only eye(d), whose row j is phi of cell j (mdp.LinearMdp.cell);
-    built once for the run's d and shared by its stores and batches."""
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
-
-
 @dataclass
 class TransitionBatch:
     """Column-oriented transitions for one step h, kept in episode order.
@@ -94,7 +84,7 @@ class TransitionBatch:
         """The (n, d) C-contiguous float64 design matrix, row i being
         features[state[i], action[i]]."""
         if self.phis is None:
-            self.phis = _identity(mdp.d).take(mdp.cell(self.state, self.action), axis=0)
+            self.phis = identity(mdp.d).take(mdp.cell(self.state, self.action), axis=0)
         return self.phis
 
     @classmethod
@@ -129,7 +119,7 @@ class TransitionStore:
     def __init__(self, d: int) -> None:
         self._pending: list[Transition] = []
         self._pending_cells: list[int] = []
-        self._eye = _identity(d)
+        self._eye = identity(d)
         self._rows = np.empty(0, TRANSITION_ROW)
         self._design = np.empty((0, d))
         self._view = TransitionBatch.from_rows(self._rows, self._design)
@@ -267,7 +257,7 @@ class LsviAgent:
     def loc_features(self) -> list[list[np.ndarray]]:
         """Per-h feature vectors of the local delta: read-only rows of eye(d)
         at the recorded cell indices."""
-        eye = _identity(self.d)
+        eye = identity(self.d)
         return [[eye[j] for j in cells] for cells in self.loc_cells]
 
     def record_transition(self, mdp: LinearMdp, t: Transition) -> None:

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 from . import mdp as mdp_mod
 from .chart import run_chart_svg
@@ -26,20 +25,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUN = 3
 EXIT_CHECK = 4
-
-
-def _workers(flag: Optional[int] = None) -> int:
-    """Worker processes from --workers, else COOP_LSVI_WORKERS, else 1."""
-    name, value = "--workers", flag
-    if flag is None:
-        name, value = "COOP_LSVI_WORKERS", os.environ.get("COOP_LSVI_WORKERS") or "1"
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ConfigError(f"{name} must be >= 1, got {n}")
-    return n
 
 
 def _finite(obj):
@@ -107,12 +92,13 @@ def cmd_sweep(args) -> int:
         spec = parse_config_file(args.config)
         if not isinstance(spec, SweepSpec):
             raise ConfigError("config has no [sweep] section; use the 'run' subcommand")
-        workers = _workers(args.workers)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        rows = run_sweep(spec, args.out, workers=workers)
+        rows = run_sweep(spec, args.out, workers=args.workers)
     except Exception as e:
         print(f"sweep failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUN
@@ -154,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="execute a configured sweep")
     p_sweep.add_argument("--config", required=True, help="config file with [sweep]")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: COOP_LSVI_WORKERS or 1)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes (default: 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a serialized MDP file")

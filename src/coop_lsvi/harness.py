@@ -517,8 +517,6 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     v_star = state._v_star_first
     # The float64 subtraction numpy would do, on the same two values.
     rec.regret_inc[i] = math.nan if v_star is None else v_star[s1] - tables.first_value[s1]
-    diag = state.config.diagnostics
-    slack = math.inf
 
     s = s1
     for h, u in enumerate(draws, 1):
@@ -526,11 +524,10 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
         r, s_next = mdp.step(s, a, h, u)
         # Positional, in field order: keywords double the cost of building it.
         agent.record_transition(mdp, Transition(k, h, s, a, r, s_next))
-        if diag:
-            rec.cells[i, h - 1] = mdp.cell(s, a)
-            slack = min(slack, tables.q[h - 1, s, a] - state.planner.q_star[h - 1, s, a])
         s = s_next
 
+    # The episode's cells, one per step, read before a refit's reset_local.
+    cells = [loc[-1] for loc in agent.loc_cells] if state.config.diagnostics else None
     trig, trig_h = agent.should_communicate()
     decision = state._decisions[trig]
     if decision is Decision.LOCAL_UPDATE:
@@ -547,9 +544,13 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     rec.trigger_h[i] = trig_h or 0
     rec.cum_comm[i] = state.cum_comm
     rec.cum_switch[i] = state.cum_switch
-    if diag:
+    if cells is not None:
+        rec.cells[i] = cells
+        # The pre-episode table's Q-hat minus Q* at each (h, cell), as floats.
+        q, q_star, d = tables.q, state.planner.q_star, mdp.d
+        rec.optimism_slack[i] = min(q.item(hh * d + j) - q_star.item(hh * d + j)
+                                    for hh, j in enumerate(cells))
         rec.agent_logdet[i] = [c.logdet for c in agent.qparams.cov]
-        rec.optimism_slack[i] = slack
     # Positional, in field order, as the Transition above.
     return EpisodeView(k, m, mdp, agent, state.agents, state.server, trig, trig_h, decision)
 

@@ -13,6 +13,7 @@ formulation, and converted to 0-based only at array access.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -32,6 +33,15 @@ REWARD_RANGE_TOL = 1e-12
 # the instance's copy and its cumulative rows), so the cap keeps an instance
 # within a few GiB; the largest any shipped config builds has 40,000 entries.
 MAX_TABLE_ENTRIES = 2 ** 27
+
+
+@functools.lru_cache(maxsize=1)
+def identity(d: int) -> np.ndarray:
+    """Read-only eye(d), row j being phi of cell j (LinearMdp.cell): one per
+    run, shared by its instance's features, its stores and batches."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
 
 class InvalidMdpError(ValueError):
@@ -77,7 +87,7 @@ class LinearMdp:
         self.H, self.n_states, self.n_actions = P.shape[:3]
         self.d = self.n_states * self.n_actions
         self.transitions, self.rewards = P, r
-        self.features = np.eye(self.d).reshape(self.n_states, self.n_actions, self.d)
+        self.features = identity(self.d).reshape(self.n_states, self.n_actions, self.d)
         self._cum_rows = np.cumsum(P, axis=-1)
         for arr in (self.features, self.transitions, self.rewards, self._cum_rows):
             arr.setflags(write=False)

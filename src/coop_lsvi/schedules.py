@@ -33,8 +33,9 @@ def make_schedule(cfg: RunConfig, d: int) -> np.ndarray:
     """Length-K array of active agent ids in [1, M].
 
     ``lower_bound`` is the epoch participation pattern of the hard
-    construction: within each epoch the agents take turns in contiguous
-    blocks of ceil(epoch/M) episodes each, in agent-id order.
+    construction: episode i of each epoch of L episodes goes to agent
+    i * M // L + 1, so the agents take turns in agent-id order, in blocks
+    that differ in length by at most one, and all play in an epoch of >= M.
     """
     M, K = cfg.M, cfg.K
     if cfg.schedule == "round_robin":
@@ -43,7 +44,7 @@ def make_schedule(cfg: RunConfig, d: int) -> np.ndarray:
         return np.full(K, cfg.schedule_agent, dtype=np.int64)
     if cfg.schedule == "lower_bound":
         epoch_len = _epoch_len(K, d)
-        return np.minimum(np.arange(K) % epoch_len // -(-epoch_len // M), M - 1) + 1
+        return np.arange(K) % epoch_len * M // epoch_len + 1
     if cfg.schedule == "uniform_random":
         return default_rng_integers(cfg.schedule_seed, 1, M + 1, K)
     block = cfg.schedule_block  # bursty

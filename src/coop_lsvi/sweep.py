@@ -8,6 +8,7 @@ the per-run outputs.
 
 from __future__ import annotations
 
+import fnmatch
 import math
 import os
 import tempfile
@@ -36,6 +37,8 @@ FIT_GROUP = ("protocol", "alpha", "M", "ridge")
 COMPARISON_GROUP = ("K", "M", "alpha", "ridge", "gap")
 MIN_GRID_POINTS = 3
 MIN_SEEDS = 5
+# run_sweep's outputs besides base.resolved.cfg, an earlier sweep's removed first.
+SWEEP_OUTPUTS = ("run_*.metrics.csv", "aggregate.csv", "scaling.csv", "comparison.csv")
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -74,8 +77,12 @@ def _run_one(args: tuple[int, RunConfig, str]) -> dict:
 
 
 def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> list[dict]:
-    """Execute every run in the sweep and write per-run plus aggregate files."""
+    """Execute every run in the sweep and write per-run plus aggregate files,
+    removing first an earlier sweep's, which would disagree with them."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):
+        if any(fnmatch.fnmatchcase(name, pattern) for pattern in SWEEP_OUTPUTS):
+            os.unlink(os.path.join(out_dir, name))
     atomic_write(os.path.join(out_dir, "base.resolved.cfg"), emit_config(spec.base))
     configs = expand_sweep(spec)
     jobs = [(i, cfg, out_dir) for i, cfg in enumerate(configs)]

@@ -80,6 +80,12 @@ class TestSchedules:
         assert list(s[:8]) == [1, 1, 1, 1, 2, 2, 2, 2]
         assert list(s[:8]) == list(s[8:16])
 
+    def test_lower_bound_seats_every_agent(self):
+        # d=8, M=8, K=68: four epochs of 17 episodes, split 3 + 2 * 7.
+        s = make_schedule(RunConfig(schedule="lower_bound", M=8, K=68), 8)
+        assert list(s[:17]) == [1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8]
+        assert np.bincount(s, minlength=9)[1:].tolist() == [12, 8, 8, 8, 8, 8, 8, 8]
+
     def test_initial_state_schedules(self):
         three_states = mdp_mod.random_tabular(0, 3, 2, 1)
         fixed = RunConfig(mdp_kind="random", init_state="fixed", init_state_fixed=2, K=4)
@@ -389,16 +395,19 @@ class TestDiagnosticsKeepNoCovariance:
     @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
     def test_same_covariance_work_with_and_without(self, monkeypatch, protocol):
         """Diagnostics read the run's visit record: they build, update and
-        copy no covariance that the same run without them does not."""
+        copy no covariance that the same run without them does not, and the
+        step loop computes no cell and takes no step of its own for them."""
         calls = collections.Counter()
-        for name in ("__init__", "add_bases", "copy"):
-            original = vars(DiagonalPsdMatrix)[name]
+        for owner, name in ((DiagonalPsdMatrix, "__init__"), (DiagonalPsdMatrix, "add_bases"),
+                            (DiagonalPsdMatrix, "copy"), (LinearMdp, "cell"),
+                            (LinearMdp, "step")):
+            original = vars(owner)[name]
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(DiagonalPsdMatrix, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         counts = {}
         for diagnostics in (False, True):
             calls.clear()
@@ -408,6 +417,7 @@ class TestDiagnosticsKeepNoCovariance:
             counts[diagnostics] = dict(calls)
         assert counts[True] == counts[False]
         assert counts[False]["add_bases"] > 0
+        assert counts[False]["cell"] >= counts[False]["step"] == 300 * 3
 
 
 class TestAccounting:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coop_lsvi import mdp as mdp_mod
+from coop_lsvi.agent import TransitionStore
 from coop_lsvi.mdp import (InvalidMdpError, LinearMdp, build_tabular_as_linear, eval_policy,
                            hard_instance, random_tabular, read_mdp,
                            validate_linear_mdp, value_iteration, write_mdp)
@@ -80,6 +81,11 @@ class TestLinearMdp:
         assert (m.H, m.n_states, m.n_actions, m.d) == (3, 4, 2, 8)
         assert np.array_equal(m.features, np.eye(8).reshape(4, 2, 8))
         assert np.array_equal(m.features.reshape(8, 8)[m.cell(3, 1)], np.eye(8)[7])
+
+    def test_features_are_a_view_of_the_shared_identity(self):
+        m = hard_instance(8, 3, 0.1)
+        assert np.shares_memory(m.features, mdp_mod.identity(m.d))
+        assert np.shares_memory(m.features, TransitionStore(m.d)._eye)
 
     def test_copies_the_tables_as_read_only_float64(self):
         P = np.ones((1, 2, 1, 2), dtype=np.int64)

@@ -355,25 +355,15 @@ def test_bytes_that_are_not_utf8_in_a_config(tmp_path, capsys, command):
     assert "line 9: unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,flag,env,named", [
-    ("sweep", ["--workers", "-3"], None, "--workers"),
-    ("sweep", ["--workers", "0"], None, "--workers"),
-    ("sweep", [], "abc", "COOP_LSVI_WORKERS"),
-    ("sweep", [], "0", "COOP_LSVI_WORKERS"),
-    ("sweep", [], "2.5", "COOP_LSVI_WORKERS"),
-], ids=["sweep_flag_negative", "sweep_flag_zero", "sweep_env_word", "sweep_env_zero",
-        "sweep_env_float"])
-def test_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, command,
-                                            flag, env, named):
-    """A worker count below 1, or a non-integer one, exits 2 naming where it
-    came from, before any run starts."""
-    if env is not None:
-        monkeypatch.setenv("COOP_LSVI_WORKERS", env)
+@pytest.mark.parametrize("workers", ["-3", "0"],
+                         ids=["sweep_flag_negative", "sweep_flag_zero"])
+def test_bad_worker_count_is_a_config_error(tmp_path, capsys, workers):
+    """A worker count below 1 exits 2 naming --workers, before any run starts."""
     cfg = tmp_path / "s.cfg"
     cfg.write_text(SWEEP_CFG)
-    args = [command, "--config", str(cfg)]
-    assert main(args + ["--out", str(tmp_path / "out")] + flag) == 2
-    assert named in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -627,6 +617,21 @@ class TestLowerBoundConfig:
         (comp,) = _csv_rows(tmp_path / "comparison.csv")
         assert [comp[c] for c in ("mean_regret_async_trigger", "mean_regret_no_comm",
                                   "ratio_no_comm_over_async")] == ["0", "0", "nan"]
+
+    def test_a_reused_directory_holds_only_the_last_sweep(self, tmp_path):
+        """An earlier sweep's per-run metrics and summaries are removed, and
+        nothing else in the directory is."""
+        small = (("K = 1024", "K = 64"), ("M = 8", "M = 2"))
+        run_sweep(parse_config(_shipped("sweep_lower_bound.cfg", *small)), str(tmp_path))
+        assert len(list(tmp_path.glob("run_*.metrics.csv"))) == 20
+        (tmp_path / "notes.txt").write_text("kept")
+        run_sweep(parse_config(_shipped(
+            "sweep_lower_bound.cfg", *small, ("seeds = 0..9", "seeds = 0..1"),
+            ("protocol = async_trigger, no_comm", "protocol = async_trigger"))), str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "aggregate.csv", "base.resolved.cfg", "notes.txt", "run_0000.metrics.csv",
+            "run_0001.metrics.csv", "scaling.csv"]
+        assert len(_csv_rows(tmp_path / "aggregate.csv")) == 2
 
     def test_rows_equal_direct_runs(self, tmp_path):
         out = tmp_path / "out"
