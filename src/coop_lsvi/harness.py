@@ -180,10 +180,14 @@ class RunConfig:
                 bad(f"beta = theoretical: {e}", ("run", "beta"))
         if (sizes is not None and self.beta_value is not None
                 and (self.alpha is not None or self.beta_mode != "theoretical")):
-            beta = resolve_beta(self, sizes[2], sizes[0])
+            H, _, d = sizes
+            beta = resolve_beta(self, d, H)
+            if self.beta_mode == "practical" and 2.0 * d * self.K * H / self.delta == math.inf:
+                bad(f"delta = {self.delta!r} overflows practical beta's log(2dKH/delta) "
+                    f"at d = {d}, K = {self.K}, H = {H}", ("run", "delta"))
             if not math.isfinite(beta):
                 bad(f"beta = {self.beta_mode}:{self.beta_value:g} resolves to {beta} "
-                    f"at d = {sizes[2]}, H = {sizes[0]}", ("run", "beta"))
+                    f"at d = {d}, H = {H}", ("run", "beta"))
         if self.protocol not in [p.value for p in ProtocolKind]:
             bad(f"unknown protocol {self.protocol!r}", ("run", "protocol"))
         if self.eval_mode not in ("exact", "off"):
@@ -365,7 +369,8 @@ class _AgentTables(NamedTuple):
 
 @dataclass
 class RunState:
-    """Everything a single run owns; built once, then driven episode by episode."""
+    """Everything a single run owns, beside the instance and plan it shares
+    read-only (built_instance); built once, then driven episode by episode."""
 
     config: RunConfig
     mdp: LinearMdp
@@ -455,12 +460,57 @@ def build_mdp(cfg: RunConfig) -> LinearMdp:
     return mdp_mod.require_valid(mdp_mod.read_mdp(cfg.mdp_path))
 
 
+class _SharedInstance(NamedTuple):
+    key: tuple                         # instance_key of the config it was built for
+    mdp: LinearMdp
+    planner: Optional[PlannerOutput]   # None until a run needs the plan
+
+
+# The one instance a process shares across runs: the last hard or random
+# instance built_instance built, with its exact plan once a run needed it.
+# Both are frozen with read-only tables and the key is every field build_mdp
+# reads, so a run reads the same bytes whether it built the instance or found
+# it here. Nothing from a run's seeds, schedule, uniforms or policies is kept.
+# A file instance is never kept: only reading the file shows it unchanged.
+_shared: Optional[_SharedInstance] = None
+
+
+def instance_key(cfg: RunConfig) -> Optional[tuple]:
+    """The resolved [mdp] fields build_mdp reads; None for a file instance."""
+    if cfg.mdp_kind == "hard":
+        return ("hard", cfg.mdp_d, cfg.mdp_horizon, cfg.mdp_gap)
+    if cfg.mdp_kind == "random":
+        return ("random", cfg.mdp_seed, cfg.mdp_n_states, cfg.mdp_n_actions, cfg.mdp_horizon)
+    return None
+
+
+def built_instance(cfg: RunConfig, needs_planner: bool
+                   ) -> tuple[LinearMdp, Optional[PlannerOutput]]:
+    """The resolved config's instance and, if needs_planner, its exact plan:
+    the shared ones when the key matches, else built (and, unless a file
+    instance, shared in place of the last, which is dropped first so a
+    process never holds two)."""
+    global _shared
+    key = instance_key(cfg)
+    if key is None:
+        mdp = build_mdp(cfg)
+        return mdp, mdp_mod.value_iteration(mdp) if needs_planner else None
+    # One read of the slot: another thread's rebind cannot mix two entries.
+    shared = _shared
+    if shared is None or shared.key != key:
+        _shared = shared = None
+        shared = _SharedInstance(key, build_mdp(cfg), None)
+    if needs_planner and shared.planner is None:
+        shared = shared._replace(planner=mdp_mod.value_iteration(shared.mdp))
+    _shared = shared
+    return shared.mdp, shared.planner if needs_planner else None
+
+
 def build_run_state(cfg: RunConfig) -> RunState:
     cfg = cfg.resolved()
-    mdp = build_mdp(cfg)
-    cfg.validate(mdp)  # a file instance's sizes are known only now
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
-    planner = mdp_mod.value_iteration(mdp) if needs_planner else None
+    mdp, planner = built_instance(cfg, needs_planner)
+    cfg.validate(mdp)  # a file instance's sizes are known only now
     beta = resolve_beta(cfg, mdp.d, mdp.H)
     # Every built instance is one-hot, so every covariance of the run is a
     # diagonal, grown by add_basis at the cell index of each phi(s, a) = e_j.

@@ -37,8 +37,8 @@ MAX_TABLE_ENTRIES = 2 ** 27
 
 @functools.lru_cache(maxsize=1)
 def identity(d: int) -> np.ndarray:
-    """Read-only eye(d), row j being phi of cell j (LinearMdp.cell): one per
-    run, shared by its instance's features, its stores and batches."""
+    """Read-only eye(d), row j being phi of cell j (LinearMdp.cell): one for
+    the last d asked, shared by the instance's features, stores and batches."""
     eye = np.eye(d)
     eye.setflags(write=False)
     return eye
@@ -55,7 +55,7 @@ class InvalidMdpError(ValueError):
         self.param = param
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearMdp:
     """A finite MDP given by exact (P, r) tables, embedded with one-hot features.
 
@@ -65,6 +65,8 @@ class LinearMdp:
     are derived from them; the run loop relies on that map when it indexes
     covariances by cell and keeps them diagonal. Instances compare (and hash)
     by identity: comparing their tables elementwise has no single truth value.
+    An instance is immutable (frozen fields, read-only tables), so the runs of
+    one process may share it (harness.built_instance).
     """
 
     transitions: np.ndarray
@@ -84,15 +86,18 @@ class LinearMdp:
         r = np.array(self.rewards, dtype=np.float64)
         if P.ndim != 4 or P.shape[3] != P.shape[1] or r.shape != P.shape[:3]:
             raise InvalidMdpError(f"inconsistent table shapes P{P.shape} r{r.shape}")
-        self.H, self.n_states, self.n_actions = P.shape[:3]
-        self.d = self.n_states * self.n_actions
-        self.transitions, self.rewards = P, r
-        self.features = identity(self.d).reshape(self.n_states, self.n_actions, self.d)
-        self._cum_rows = np.cumsum(P, axis=-1)
-        for arr in (self.features, self.transitions, self.rewards, self._cum_rows):
+        H, S, A = P.shape[:3]
+        cum_rows = np.cumsum(P, axis=-1)
+        for arr in (P, r, cum_rows):
             arr.setflags(write=False)
-        self._cum_flat = memoryview(self._cum_rows.reshape(-1))
-        self._reward_flat = memoryview(self.rewards.reshape(-1))
+        # Frozen: the fields are set once, here, through object.__setattr__.
+        for name, value in (("transitions", P), ("rewards", r), ("H", H), ("n_states", S),
+                            ("n_actions", A), ("d", S * A),
+                            ("features", identity(S * A).reshape(S, A, S * A)),
+                            ("_cum_rows", cum_rows),
+                            ("_cum_flat", memoryview(cum_rows.reshape(-1))),
+                            ("_reward_flat", memoryview(r.reshape(-1)))):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # The memoryviews do not pickle; the tables rebuild everything.
@@ -139,12 +144,12 @@ class LinearMdp:
         return self._reward_flat[i], nxt
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PlannerOutput:
     """Exact optimal value/Q tables and a greedy optimal policy.
 
     v_star and optimal_policy are (H, S); q_star is (H, S, A). Row h-1 holds
-    the step-h quantities.
+    the step-h quantities. Frozen, with read-only tables, as LinearMdp.
     """
 
     v_star: np.ndarray
@@ -259,6 +264,8 @@ def value_iteration(mdp: LinearMdp) -> PlannerOutput:
         q[h] = mdp.rewards[h] + mdp.transitions[h] @ v[h + 1]
         v[h] = q[h].max(axis=1)
         pol[h] = q[h].argmax(axis=1)
+    for arr in (q, v, pol):
+        arr.setflags(write=False)
     return PlannerOutput(v_star=v[:H], q_star=q, optimal_policy=pol)
 
 

@@ -1,11 +1,17 @@
 """Tests for schedules, the episode loop, metrics, and diagnostics."""
 
+import ast
 import collections
 import dataclasses
+import gc
 import importlib.util
+import inspect
 import math
 import pathlib
+import textwrap
 import tracemalloc
+import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -890,3 +896,157 @@ class TestMetricsCsv:
             parts = line.split(",")
             assert float(parts[2]) == rec.regret_inc[i]
             assert float(parts[3]) == rec.cum_regret[i]
+
+
+# The benchmark's random_d200 run at seed 0: 40 states x 5 actions, H = 5.
+D200 = dict(mdp_kind="random", mdp_n_states=40, mdp_n_actions=5, mdp_horizon=5, mdp_seed=0,
+            M=4, K=8, schedule="uniform_random")
+
+
+def _reachable_instances(root) -> list:
+    """The LinearMdp objects reachable from root through object references,
+    not through classes or modules."""
+    seen, out, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, LinearMdp):
+            out.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return out
+
+
+class TestSharedInstance:
+    """build_run_state shares the last hard or random instance it built, and
+    its plan, across the runs of a process (harness.built_instance)."""
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """An empty slot for the test, the process's own slot back after it."""
+        monkeypatch.setattr(harness, "_shared", None)
+
+    @staticmethod
+    def output(cfg: RunConfig) -> tuple:
+        rec = run_experiment(cfg)
+        return (metrics_csv_text(rec), rec.agent_logdet.tobytes(), rec.cells.tobytes(),
+                rec.optimism_slack.tobytes(), rec.epoch_starts)
+
+    @pytest.mark.parametrize("instance", sorted(CACHE_INSTANCES))
+    @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+    def test_cold_and_warm_runs_are_byte_identical(self, monkeypatch, cold, instance,
+                                                    protocol):
+        cfg = RunConfig(M=3, K=120, protocol=protocol, schedule="uniform_random",
+                        master_seed=4, diagnostics=True, **CACHE_INSTANCES[instance])
+        expected = self.output(cfg)
+        monkeypatch.setattr(harness, "_shared", None)
+        # An unplanned warm-up leaves the instance without its plan: the next
+        # run plans it, and the run after that reuses both.
+        run_experiment(dataclasses.replace(cfg, eval_mode="off", diagnostics=False))
+        planned = []
+        value_iteration = mdp_mod.value_iteration
+        monkeypatch.setattr(mdp_mod, "value_iteration",
+                            lambda mdp: planned.append(mdp) or value_iteration(mdp))
+        assert self.output(cfg) == expected
+        assert self.output(cfg) == expected
+        assert len(planned) == 1 and planned[0] is harness._shared.mdp
+
+    @pytest.mark.parametrize("instance,change", [
+        ("hard", dict(mdp_d=10)), ("hard", dict(mdp_horizon=4)), ("hard", dict(mdp_gap=0.1)),
+        ("random", dict(mdp_seed=4)), ("random", dict(mdp_n_states=4)),
+        ("random", dict(mdp_n_actions=2)), ("random", dict(mdp_horizon=2)),
+    ])
+    def test_each_keyed_field_gives_a_new_instance_and_frees_the_old(self, cold, instance,
+                                                                    change):
+        cfg = RunConfig(M=2, K=5, **CACHE_INSTANCES[instance])
+        old = build_run_state(cfg).mdp
+        assert build_run_state(dataclasses.replace(cfg, master_seed=9, M=3)).mdp is old
+        tables, ref = (old.transitions.copy(), old.rewards.copy()), weakref.ref(old)
+        del old
+        new = build_run_state(dataclasses.replace(cfg, **change)).mdp
+        gc.collect()
+        assert ref() is None
+        assert not (np.array_equal(new.transitions, tables[0])
+                    and np.array_equal(new.rewards, tables[1]))
+
+    def test_key_is_every_field_build_mdp_reads(self):
+        """instance_key names each RunConfig field that build_mdp reads, so a
+        field added to an instance family cannot be left out of the key."""
+        def cfg_fields(function):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+            return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+
+        assert cfg_fields(harness.instance_key) == cfg_fields(harness.build_mdp) - {"mdp_path"}
+
+    def test_shared_tables_and_fields_are_read_only(self, cold):
+        state = build_run_state(RunConfig(M=2, K=5, diagnostics=True))
+        assert state.mdp is harness._shared.mdp and state.planner is harness._shared.planner
+        for obj in (state.mdp, state.planner):
+            assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
+            for name, value in vars(obj).items():
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, value)
+                if isinstance(value, memoryview):
+                    assert value.readonly
+                    with pytest.raises(TypeError):
+                        value[0] = 0.0
+                elif isinstance(value, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        value[(0,) * value.ndim] = 0
+                    arr = value
+                    while isinstance(arr, np.ndarray):  # and every array it views
+                        assert not arr.flags.writeable
+                        arr = arr.base
+
+    def test_eval_off_without_diagnostics_never_plans(self, monkeypatch, cold):
+        planned = []
+        monkeypatch.setattr(mdp_mod, "value_iteration", planned.append)
+        for _ in range(2):
+            rec = run_experiment(RunConfig(M=2, K=20, eval_mode="off"))
+            assert np.isnan(rec.regret_inc).all()
+        assert planned == []
+        assert harness._shared.planner is None
+
+    def test_file_instance_is_read_on_every_run(self, tmp_path, monkeypatch, cold):
+        reads, read_mdp = [], mdp_mod.read_mdp
+        monkeypatch.setattr(mdp_mod, "read_mdp", lambda path: reads.append(path)
+                            or read_mdp(path))
+        path = tmp_path / "inst.mdp"
+        cfg = RunConfig(mdp_kind="file", mdp_path=str(path), M=2, K=5)
+        for seed in (0, 1):
+            mdp_mod.write_mdp(mdp_mod.random_tabular(seed, 3, 2, 2), str(path))
+            assert np.array_equal(build_run_state(cfg).mdp.transitions,
+                                  mdp_mod.random_tabular(seed, 3, 2, 2).transitions)
+        assert reads == [str(path)] * 2
+        assert harness._shared is None
+
+    def test_warm_run_allocates_the_instance_less(self, cold):
+        """Under tracemalloc a warm run of the random d = 200 config peaks at
+        least its instance's table bytes below the cold run; a run of another
+        instance then leaves one instance reachable from the slot."""
+        cfg = RunConfig(**D200)
+        # Another instance of the same sizes first: what any first run
+        # allocates once (imports, eye(200)) is then outside both peaks.
+        run_experiment(dataclasses.replace(cfg, mdp_seed=1))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        mdp = harness._shared.mdp
+        table_bytes = mdp.transitions.nbytes + mdp._cum_rows.nbytes + mdp.rewards.nbytes
+        assert table_bytes == 648_000
+        assert peaks[0] - peaks[1] >= table_bytes
+        ref = weakref.ref(mdp)
+        del mdp
+        run_experiment(RunConfig(M=2, K=5))
+        gc.collect()
+        assert ref() is None
+        assert [m.d for m in _reachable_instances(harness._shared)] == [8]

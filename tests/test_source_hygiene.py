@@ -135,6 +135,58 @@ def test_private_state_is_read():
     assert {name: where for name, where in stored.items() if name not in read} == {}
 
 
+# Process-wide state in the package: every functools cache and every
+# module-level name rebound through ``global``, each with why it is safe. A
+# cache keyed on a run's seeds, schedule, uniforms or policies would speed up
+# only repeated identical runs, such as the benchmark's timed loop, and no new
+# run, so adding one is a reviewed decision: an entry here.
+PROCESS_STATE = {
+    "mdp.identity": "one read-only eye(d), a function of d alone",
+    "harness._shared": "the last hard or random instance and its plan, frozen and "
+                       "read-only, keyed on every [mdp] field build_mdp reads",
+}
+
+_FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _process_state(path: pathlib.Path) -> list[str]:
+    """``module.function`` of each functools-cached function, ``module.name``
+    of each name declared ``global``, and ``module:line`` of any other use of
+    a functools cache."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [(node, alias) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    modules = {a.asname or a.name for n, a in imports
+               if isinstance(n, ast.Import) and a.name == "functools"}
+    names = {a.asname or a.name for n, a in imports if isinstance(n, ast.ImportFrom)
+             and n.module == "functools" and a.name in _FUNCTOOLS_CACHES}
+
+    def is_cache(node):
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in _FUNCTOOLS_CACHES
+                and isinstance(node.value, ast.Name) and node.value.id in modules)
+
+    module, found, decorating = path.stem, [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                hits = [id(n) for n in ast.walk(dec) if is_cache(n)]
+                found += [f"{module}.{node.name}"] if hits else []
+                decorating.update(hits)
+        elif isinstance(node, ast.Global):
+            found.extend(f"{module}.{name}" for name in node.names)
+    found.extend(f"{module}:{node.lineno}" for node in ast.walk(tree)
+                 if is_cache(node) and id(node) not in decorating)
+    return found
+
+
+def test_process_wide_state_is_listed():
+    """Every cache and global the package keeps across calls is in
+    PROCESS_STATE with its reason, and every entry there still exists."""
+    found = sorted({entry for path in SRC for entry in _process_state(path)})
+    assert found == sorted(PROCESS_STATE)
+
+
 def _imported_roots(tree: ast.Module):
     """(line, top-level package) of every absolute import in the module,
     function-local ones included; a relative import is the package itself."""

@@ -256,13 +256,18 @@ class TestCliRun:
         (RUN_CFG + f"\n[schedule]\nkind = bursty\nseed = {2 ** 64}\n", 16),
         (RUN_CFG + "beta = practical:1e308\n", 13),
         (RUN_CFG + "alpha = inf\nbeta = theoretical\n", 14),
+        # 1e-320 lies in (0, 1) but sends practical beta's 2dKH/delta to inf.
+        (RUN_CFG + "delta = 1e-320\n", 13),
+        (RUN_CFG + "beta = practical:0.1\ndelta = 1e-320\n", 14),
         (RUN_CFG.replace("master_seed = 3", "master_seed = -1"), 12),
         (RUN_CFG.replace("master_seed = 3", f"master_seed = {2 ** 64 + 5}"), 12),
     ], ids=["hard_d", "hard_H", "hard_gap", "random_n_states", "random_H",
             "fixed_state", "bursty_block_len", "beta_nan", "beta_negative",
             "beta_inf", "theoretical_beta_negative", "ridge_inf", "mdp_seed_negative",
             "schedule_seed_negative", "schedule_seed_over_64_bits",
-            "practical_beta_resolves_inf", "theoretical_beta_resolves_inf", "master_seed_negative", "master_seed_over_64_bits"])
+            "practical_beta_resolves_inf", "theoretical_beta_resolves_inf",
+            "delta_overflows_beta", "delta_overflows_beta_after_beta_line",
+            "master_seed_negative", "master_seed_over_64_bits"])
     def test_instance_and_schedule_errors_name_their_line(self, tmp_path, capsys,
                                                           text, bad_line):
         cfg = self._write(tmp_path, text)
