@@ -472,7 +472,11 @@ class _SharedInstance(NamedTuple):
 # reads, so a run reads the same bytes whether it built the instance or found
 # it here. Nothing from a run's seeds, schedule, uniforms or policies is kept.
 # A file instance is never kept: only reading the file shows it unchanged.
+# Nor is an instance whose transition table exceeds SHARED_TABLE_ENTRIES, so
+# what stays resident after the runs is at most about 16 MiB (P and its
+# cumulative rows), and a one-off large run frees its instance when it ends.
 _shared: Optional[_SharedInstance] = None
+SHARED_TABLE_ENTRIES = 2 ** 20
 
 
 def instance_key(cfg: RunConfig) -> Optional[tuple]:
@@ -487,30 +491,29 @@ def instance_key(cfg: RunConfig) -> Optional[tuple]:
 def built_instance(cfg: RunConfig, needs_planner: bool
                    ) -> tuple[LinearMdp, Optional[PlannerOutput]]:
     """The resolved config's instance and, if needs_planner, its exact plan:
-    the shared ones when the key matches, else built (and, unless a file
-    instance, shared in place of the last, which is dropped first so a
-    process never holds two)."""
+    the shared ones when the key matches, else built, and shared in place of
+    the last unless a file instance or too large (see _shared)."""
     global _shared
     key = instance_key(cfg)
     if key is None:
         mdp = build_mdp(cfg)
+        cfg.validate(mdp)  # a file instance's sizes are known only now
         return mdp, mdp_mod.value_iteration(mdp) if needs_planner else None
-    # One read of the slot: another thread's rebind cannot mix two entries.
-    shared = _shared
-    if shared is None or shared.key != key:
-        _shared = shared = None
-        shared = _SharedInstance(key, build_mdp(cfg), None)
-    if needs_planner and shared.planner is None:
-        shared = shared._replace(planner=mdp_mod.value_iteration(shared.mdp))
-    _shared = shared
-    return shared.mdp, shared.planner if needs_planner else None
+    if _shared is None or _shared.key != key:
+        _shared = None  # dropped first, so the process never holds two
+        mdp = build_mdp(cfg)
+        if mdp.transitions.size > SHARED_TABLE_ENTRIES:
+            return mdp, mdp_mod.value_iteration(mdp) if needs_planner else None
+        _shared = _SharedInstance(key, mdp, None)
+    if needs_planner and _shared.planner is None:
+        _shared = _shared._replace(planner=mdp_mod.value_iteration(_shared.mdp))
+    return _shared.mdp, _shared.planner if needs_planner else None
 
 
 def build_run_state(cfg: RunConfig) -> RunState:
     cfg = cfg.resolved()
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     mdp, planner = built_instance(cfg, needs_planner)
-    cfg.validate(mdp)  # a file instance's sizes are known only now
     beta = resolve_beta(cfg, mdp.d, mdp.H)
     # Every built instance is one-hot, so every covariance of the run is a
     # diagonal, grown by add_basis at the cell index of each phi(s, a) = e_j.

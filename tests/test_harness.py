@@ -1022,6 +1022,40 @@ class TestSharedInstance:
         assert reads == [str(path)] * 2
         assert harness._shared is None
 
+    @pytest.mark.parametrize("change,key", [
+        (dict(K=5_000_000), ("run", "K")),
+        (dict(init_state="fixed", init_state_fixed=3), ("init_state", "state")),
+    ])
+    def test_file_instance_is_checked_before_it_is_planned(self, tmp_path, monkeypatch, cold,
+                                                           change, key):
+        """A file config that its instance's sizes reject raises before any
+        value iteration: the K cap (K * H = 10**7 steps) or a fixed initial
+        state out of the file's three states."""
+        path = tmp_path / "inst.mdp"
+        mdp_mod.write_mdp(mdp_mod.random_tabular(0, 3, 2, 2), str(path))
+        planned = []
+        monkeypatch.setattr(mdp_mod, "value_iteration", planned.append)
+        cfg = RunConfig(**{**dict(mdp_kind="file", mdp_path=str(path), M=2, K=5), **change})
+        with pytest.raises(ConfigError) as err:
+            build_run_state(cfg)
+        assert err.value.key == key
+        assert planned == []
+
+    @pytest.mark.parametrize("cap,kept", [(96, True), (95, False)])
+    def test_only_an_instance_within_the_cap_is_kept(self, monkeypatch, cold, cap, kept):
+        """The hard d = 8, H = 3 table has 3 * 4 * 2 * 4 = 96 entries; an
+        instance above SHARED_TABLE_ENTRIES drops the last one and is freed
+        when its run ends."""
+        run_experiment(RunConfig(M=2, K=5, **CACHE_INSTANCES["random"]))
+        monkeypatch.setattr(harness, "SHARED_TABLE_ENTRIES", cap)
+        state = build_run_state(RunConfig(M=2, K=5, **CACHE_INSTANCES["hard"]))
+        assert state.mdp.transitions.size == 96
+        ref = weakref.ref(state.mdp)
+        del state
+        gc.collect()
+        assert (ref() is not None) == kept
+        assert (harness._shared is not None) == kept
+
     def test_warm_run_allocates_the_instance_less(self, cold):
         """Under tracemalloc a warm run of the random d = 200 config peaks at
         least its instance's table bytes below the cold run; a run of another

@@ -137,13 +137,15 @@ def test_private_state_is_read():
 
 # Process-wide state in the package: every functools cache and every
 # module-level name rebound through ``global``, each with why it is safe. A
-# cache keyed on a run's seeds, schedule, uniforms or policies would speed up
-# only repeated identical runs, such as the benchmark's timed loop, and no new
-# run, so adding one is a reviewed decision: an entry here.
+# cache keyed on a run's seeds, schedule or uniforms would hit only when a run
+# repeats an earlier one, as the benchmark's timed loop does, and one keyed on
+# its policies would tie a run's work to the runs before it, so adding any
+# cache is a reviewed decision: an entry here.
 PROCESS_STATE = {
     "mdp.identity": "one read-only eye(d), a function of d alone",
-    "harness._shared": "the last hard or random instance and its plan, frozen and "
-                       "read-only, keyed on every [mdp] field build_mdp reads",
+    "harness._shared": "the last hard or random instance of at most 2**20 table "
+                       "entries and its plan, frozen and read-only, keyed on every "
+                       "[mdp] field build_mdp reads",
 }
 
 _FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
