@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .mdp import LinearMdp, identity
-from .psdmat import Covariance, PsdMatrix
+from .psdmat import Covariance, DiagonalPsdMatrix, _check_basis_index
 
 try:  # The ufunc ndarray.clip calls, without the method's Python-level wrapper.
     from numpy._core.umath import clip as _clip
@@ -94,10 +94,6 @@ class TransitionBatch:
                    rows["next_state"], phis)
 
     @classmethod
-    def empty(cls) -> "TransitionBatch":
-        return cls.from_rows(np.empty(0, TRANSITION_ROW))
-
-    @classmethod
     def from_transitions(cls, transitions: Sequence[Transition]) -> "TransitionBatch":
         return cls.from_rows(np.array(list(transitions), TRANSITION_ROW))
 
@@ -106,19 +102,17 @@ class TransitionStore:
     """Every transition ever stored for one step h, as episode-ordered rows,
     with the one-hot design of those rows.
 
-    ``extend`` is a list extend, so the recording paths stay cheap.
-    ``batch`` moves only the rows added since its last call, one record
-    assignment each, into a record array that doubles its capacity when full,
-    fills their design rows from the identity with one take, and re-sorts
-    records and design by episode (stably, from the first stored row a new
-    one precedes) only when the new rows break episode order. The batch it
-    returns holds column views and the (n, d) design view, valid until the
-    next ``batch`` that moves rows; callers share it and must not write to it.
+    ``extend`` refuses a cell index that is not an integer in [0, d) before
+    it changes anything, then files the new rows, one record assignment
+    each, into a record array that doubles its capacity when full, fills
+    their design rows from the identity with one take, and re-sorts records
+    and design by episode (stably, from the first stored row a new one
+    precedes) only when the new rows break episode order. ``batch`` returns
+    column views and the (n, d) design view, valid until the next
+    ``extend``; callers share it and must not write to it.
     """
 
     def __init__(self, d: int) -> None:
-        self._pending: list[Transition] = []
-        self._pending_cells: list[int] = []
         self._eye = identity(d)
         self._rows = np.empty(0, TRANSITION_ROW)
         self._design = np.empty((0, d))
@@ -128,33 +122,30 @@ class TransitionStore:
         """Add transitions with their cell indices j (phi = e_j), aligned."""
         if len(ts) != len(cells):
             raise ValueError(f"{len(ts)} transitions with {len(cells)} cell indices")
-        self._pending += ts
-        self._pending_cells += cells
-
-    def batch(self) -> TransitionBatch:
-        new = self._pending
-        if not new:
-            return self._view
-        cells = self._pending_cells
-        self._pending, self._pending_cells = [], []
+        if not ts:
+            return
+        d = self._eye.shape[0]
+        for j in cells:  # as DiagonalPsdMatrix.add_bases checks them
+            if type(j) is not int or not 0 <= j < d:
+                _check_basis_index(j, d)  # numpy integers pass; the rest raise
         n0 = len(self._view)
-        n = n0 + len(new)
+        n = n0 + len(ts)
         if n > len(self._rows):
             capacity = max(n, 2 * len(self._rows))
             grown = np.empty(capacity, TRANSITION_ROW)
             grown[:n0] = self._rows[:n0]
-            design = np.empty((capacity, self._eye.shape[0]))
+            design = np.empty((capacity, d))
             design[:n0] = self._design[:n0]
             self._rows, self._design = grown, design
         rows, design = self._rows, self._design
         # A tuple per record assignment converts the fields as a slice
         # assignment of the list does, with equal bytes, and costs less: a
         # third as much for one row, and less at every size measured.
-        for i, t in enumerate(new, n0):
+        for i, t in enumerate(ts, n0):
             rows[i] = t
         self._eye.take(cells, axis=0, out=design[n0:n])
-        # The order check runs on Python ints from the last stored row on: a
-        # download usually brings a few rows, where numpy's overhead dominates.
+        # The order check runs on Python ints from the last stored row on: an
+        # upload usually brings a few rows, where numpy's overhead dominates.
         ep = rows["episode"]
         eps = ep[max(n0 - 1, 0):n].tolist()
         if any(map(operator.gt, eps, eps[1:])):
@@ -166,18 +157,19 @@ class TransitionStore:
             raw[:] = raw.take(order)
             design[lo:n] = design[lo:n].take(order, axis=0)
         self._view = TransitionBatch.from_rows(rows[:n], design[:n])
+
+    def batch(self) -> TransitionBatch:
         return self._view
 
 
 class QParams:
-    """Regression weights, covariance snapshots (of class ``cov_cls``), and the
-    bonus multiplier."""
+    """Regression weights, covariance snapshots and the bonus multiplier."""
 
     __slots__ = ("w", "cov", "beta")
 
-    def __init__(self, d: int, H: int, ridge: float, beta: float, cov_cls: type = PsdMatrix):
+    def __init__(self, d: int, H: int, ridge: float, beta: float):
         self.w = np.zeros((H, d))
-        self.cov: list[Covariance] = [cov_cls(d, ridge) for _ in range(H)]
+        self.cov: list[Covariance] = [DiagonalPsdMatrix(d, ridge) for _ in range(H)]
         self.beta = float(beta)
 
 
@@ -193,13 +185,12 @@ class LsviAgent:
     recording adds the log of that factor.
     """
 
-    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float,
-                 cov_cls: type = PsdMatrix):
+    def __init__(self, agent_id: int, d: int, H: int, alpha: float, ridge: float, beta: float):
         self.agent_id = agent_id
         self.d = d
         self.H = H
         self.alpha = float(alpha)
-        self.qparams = QParams(d, H, ridge, beta, cov_cls)
+        self.qparams = QParams(d, H, ridge, beta)
         self._log_ceiling = math.log1p(self.alpha) + TRIGGER_LOG_TOLERANCE
         # Per-h local delta since last update: cell indices + aligned transitions.
         self.loc_cells: list[list[int]] = [[] for _ in range(H)]

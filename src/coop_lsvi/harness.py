@@ -21,7 +21,7 @@ from . import mdp as mdp_mod
 from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
                     theoretical_beta)
 from .mdp import LinearMdp, PlannerOutput
-from .psdmat import MIN_RIDGE, Covariance, DiagonalPsdMatrix
+from .psdmat import MIN_RIDGE, Covariance
 from .schedules import (INIT_STATE_KINDS, SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS,
                         make_initial_states, make_schedule)
 from .server import CentralServer, Decision, ProtocolKind, protocol_decide
@@ -123,8 +123,15 @@ class RunConfig:
 
         if self.mdp_kind not in ("hard", "random", "file"):
             bad(f"unknown mdp kind {self.mdp_kind!r}", ("mdp", "kind"))
-        if self.mdp_kind == "file" and not self.mdp_path:
-            bad("mdp kind 'file' requires a path", ("mdp", "path"))
+        if self.mdp_kind == "file":
+            if not self.mdp_path:
+                bad("mdp kind 'file' requires a path", ("mdp", "path"))
+            # The echo writes str(path) as a config value, which ends at a line
+            # break, drops a '#' comment and is stripped: it would name another file.
+            path = str(self.mdp_path)
+            if "#" in path or path != path.strip() or path.splitlines() != [path]:
+                bad(f"mdp path {path!r} has a '#', a line break, or leading or trailing "
+                    "whitespace, which a config file cannot carry", ("mdp", "path"))
         if self.mdp_seed < 0:
             bad(f"mdp seed must be >= 0, got {self.mdp_seed}", ("mdp", "seed"))
         if not 0 <= self.master_seed < 2 ** 64:
@@ -515,12 +522,10 @@ def build_run_state(cfg: RunConfig) -> RunState:
     needs_planner = cfg.eval_mode != "off" or cfg.diagnostics
     mdp, planner = built_instance(cfg, needs_planner)
     beta = resolve_beta(cfg, mdp.d, mdp.H)
-    # Every built instance is one-hot, so every covariance of the run is a
-    # diagonal, grown by add_basis at the cell index of each phi(s, a) = e_j.
-    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta, DiagonalPsdMatrix)
+    agents = [LsviAgent(m, mdp.d, mdp.H, cfg.alpha, cfg.ridge, beta)
               for m in range(1, cfg.M + 1)]
     state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
-                     server=CentralServer(mdp.d, mdp.H, cfg.ridge, DiagonalPsdMatrix),
+                     server=CentralServer(mdp.d, mdp.H, cfg.ridge),
                      protocol=ProtocolKind(cfg.protocol),
                      schedule=make_schedule(cfg, mdp.d),
                      init_states=make_initial_states(

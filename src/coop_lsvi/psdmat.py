@@ -3,10 +3,10 @@
 Every covariance matrix in the simulator (per-agent and per-server) is a
 ridge-regularized sum of feature outer products with cached inverse and
 log-determinant. ``PsdMatrix`` is the dense reference, O(d^2) per update,
-and the default of an agent or server built directly. ``DiagonalPsdMatrix``
-is what every run uses: every built instance has one-hot features, so each
-update is some e_j and the matrix stays ridge * I plus a diagonal of visit
-counts, at O(1) per update.
+put in an agent or server only on purpose, to compare against.
+``DiagonalPsdMatrix`` is what every agent and server builds: every instance
+has one-hot features, so each update is some e_j and the matrix stays
+ridge * I plus a diagonal of visit counts, at O(1) per update.
 The run loop adds e_j by its index, ``add_bases(cells)`` with each j the
 cell index of mdp.LinearMdp.cell, so no d-vector is built or searched for its
 1, and a batch of updates pays one Python call.

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .agent import TransitionBatch, TransitionStore
-from .psdmat import Covariance, PsdMatrix
+from .psdmat import Covariance, DiagonalPsdMatrix
 
 if TYPE_CHECKING:
     from .agent import LsviAgent
@@ -49,11 +49,11 @@ class ProtocolViolation(RuntimeError):
 class CentralServer:
     """Aggregated covariance and transition store, mutated strictly in turn."""
 
-    def __init__(self, d: int, H: int, ridge: float, cov_cls: type = PsdMatrix):
+    def __init__(self, d: int, H: int, ridge: float):
         self.d = d
         self.H = H
         self.ridge = ridge
-        self.cov: list[Covariance] = [cov_cls(d, ridge) for _ in range(H)]
+        self.cov: list[Covariance] = [DiagonalPsdMatrix(d, ridge) for _ in range(H)]
         # Per h: the global store plus the set of its episode keys.
         self._store = [TransitionStore(d) for _ in range(H)]
         self._episodes: list[set[int]] = [set() for _ in range(H)]
@@ -64,8 +64,9 @@ class CentralServer:
         Each buffered transition adds e_j e_j^T for its cell index j to the
         covariance, in buffer order, and is inserted under its episode key.
         Every episode is uploaded by exactly one agent exactly once, so a key
-        collision, with the store or within the buffer, is fatal; it is found
-        before step h changes, and names the first colliding transition.
+        collision, with the store or within the buffer, is fatal. It is found,
+        like a cell index the store refuses (ValueError), before step h
+        changes, and names the first colliding transition.
         """
         for hh in range(self.H):
             ts = agent.loc_transitions[hh]
@@ -78,8 +79,8 @@ class CentralServer:
                         raise ProtocolViolation(
                             f"duplicate upload for episode {t.episode}, step {t.step}")
                     seen.add(t.episode)
-            episodes |= new
             self._store[hh].extend(ts, agent.loc_cells[hh])
+            episodes |= new
             self.cov[hh].add_bases(agent.loc_cells[hh])
 
     def download(self) -> tuple[list[Covariance], list[TransitionBatch]]:

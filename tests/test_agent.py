@@ -44,6 +44,7 @@ class TestGreedyAction:
         m = random_tabular(5, 2, 4, 2)  # d = 8, 4 actions
         rng = np.random.default_rng(7)
         ag = fresh_agent(m, beta=0.3)
+        ag.qparams.cov = [PsdMatrix(m.d, 1.0) for _ in range(m.H)]  # for dense updates
         for hh in range(m.H):
             ag.qparams.w[hh] = rng.standard_normal(m.d) * 0.5
             for v in rng.standard_normal((10, m.d)):
@@ -195,7 +196,24 @@ class TestTransitionStore:
         assert list(snapshot.episode) == [1, 2, 3]
 
     def test_empty_store(self):
-        assert_batches_equal(TransitionStore(STORE_D).batch(), TransitionBatch.empty())
+        assert_batches_equal(TransitionStore(STORE_D).batch(),
+                             TransitionBatch.from_transitions([]))
+
+    @pytest.mark.parametrize("bad", [-1, STORE_D, 1.5])
+    def test_out_of_range_cell_is_refused_before_any_change(self, bad):
+        """A cell of -1 would file the identity's last row as its design, one
+        of d would break the store at its next read, and 1.5 would file e_1."""
+        ts = random_transitions([2, 1, 3], seed=3)
+        store = TransitionStore(STORE_D)
+        store.extend(ts[:1], cells_of(ts[:1]))
+        with pytest.raises(ValueError, match=rf"^basis index {bad} outside \[0, {STORE_D}\)$"):
+            store.extend(ts[1:], [cells_of(ts[1:2])[0], bad])
+        assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts[:1]))
+        store.extend(ts[1:], cells_of(ts[1:]))
+        ordered = sorted(ts, key=lambda t: t.episode)
+        got = store.batch()
+        assert_batches_equal(got, TransitionBatch.from_transitions(ordered))
+        assert got.phis.tobytes() == np.eye(STORE_D)[cells_of(ordered)].tobytes()
 
     def test_design_is_the_feature_rows_through_re_sorts_and_growth(self):
         m = random_tabular(0, 5, 3, 1)  # d = 15: random_transitions' cells
@@ -245,8 +263,7 @@ class TestTransitionStore:
         per_h, stores, covs = self.refit_inputs(m, 120, 9, cov_cls)
         listed = [TransitionBatch.from_transitions(sorted(ts, key=lambda t: t.episode))
                   for ts in per_h]
-        from_store, from_list = (LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4, cov_cls)
-                                 for _ in range(2))
+        from_store, from_list = (LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4) for _ in range(2))
         from_store.lsvi_backward_update(m, [s.batch() for s in stores],
                                         [c.copy() for c in covs])
         from_list.lsvi_backward_update(m, listed, [c.copy() for c in covs])
@@ -261,7 +278,7 @@ class TestTransitionStore:
         n = 4000
         _, stores, covs = self.refit_inputs(m, n, 10, DiagonalPsdMatrix)
         batches = [s.batch() for s in stores]
-        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4, DiagonalPsdMatrix)
+        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4)
         tracemalloc.start()
         try:
             ag.lsvi_backward_update(m, batches, covs)
@@ -430,7 +447,8 @@ class TestTriggerBound:
         # A frozen covariance with visits and a refresh counter near the
         # refresh, as a download brings; at (alpha, ridge) = (1, 1) a cell
         # visited once before and twice now ties: (3/2)(4/3) = 2.
-        ag = LsviAgent(1, m.d, m.H, alpha, ridge, 0.0, cov_cls)
+        ag = LsviAgent(1, m.d, m.H, alpha, ridge, 0.0)
+        ag.qparams.cov = [cov_cls(m.d, ridge) for _ in range(m.H)]
         for cov in ag.qparams.cov:
             cov.add_bases([m.cell(s, a) for s, a in prior])
             cov.updates_since_refresh = counter
@@ -490,7 +508,7 @@ class TestTriggerBound:
         with mpmath.workdps(50):
             # Within the error TRIGGER_LOG_TOLERANCE's comment derives.
             assert abs(total - 30 * mpmath.log1p(1 / mpmath.mpf(c))) < 2.5e-12
-        ag = LsviAgent(1, m.d, m.H, alpha, MIN_RIDGE, 0.0, DiagonalPsdMatrix)
+        ag = LsviAgent(1, m.d, m.H, alpha, MIN_RIDGE, 0.0)
         for j in range(30):
             ag.record_transition(m, Transition(1, 1, 0, j, 0.0, 0))
         assert ag.should_communicate() == exact_trigger(ag, [cov]) == (False, None)
@@ -546,7 +564,7 @@ class TestBackwardUpdate:
         m = random_tabular(0, 2, 2, 2)
         ag = fresh_agent(m, beta=0.7)
         covs = [PsdMatrix(m.d, 1.0) for _ in range(m.H)]
-        ag.lsvi_backward_update(m, [TransitionBatch.empty()] * m.H, covs)
+        ag.lsvi_backward_update(m, [TransitionBatch.from_transitions([])] * m.H, covs)
         assert np.all(ag.qparams.w == 0.0)
         for s in range(m.n_states):
             for a in range(m.n_actions):
@@ -638,8 +656,7 @@ class TestPerCellQ:
     def test_matches_feature_products(self, kind, beta):
         m = random_tabular(2, 4, 3, 3)  # d = 12
         rng = np.random.default_rng(11)
-        cov_cls = PsdMatrix if kind == "dense" else DiagonalPsdMatrix
-        ag = LsviAgent(1, m.d, m.H, 0.5, 0.8, beta, cov_cls)
+        ag = LsviAgent(1, m.d, m.H, 0.5, 0.8, beta)
         pairs = self.covariances(m, kind, rng)
         for hh, (cov, _) in enumerate(pairs):
             w = rng.uniform(-1.0, m.H - hh + 1.0, m.d)
@@ -694,8 +711,9 @@ class TestBackwardUpdateBits:
     @pytest.mark.parametrize("cov_cls", [PsdMatrix, DiagonalPsdMatrix])
     def test_clipped_q_matches_np_clip(self, beta, cov_cls):
         m = random_tabular(1, 4, 2, 3)  # d = 8
-        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, beta, cov_cls)
+        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, beta)
         qp = ag.qparams
+        qp.cov = [cov_cls(m.d, 1.0) for _ in range(m.H)]
         for hh in range(m.H):
             top = m.H - hh
             qp.w[hh] = [-0.0, 0.0, -1.5, top, top + 2.0, 0.25, top - 0.3, -1e-300]

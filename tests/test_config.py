@@ -13,6 +13,7 @@ from coop_lsvi.configio import (_AXES, _FIELDS, SweepSpec, config_hash,
                                 emit_config, expand_sweep, parse_config,
                                 parse_config_file)
 from coop_lsvi.harness import MAX_DESIGN_ENTRIES, ConfigError, RunConfig
+from coop_lsvi.mdp import random_tabular, write_mdp
 from coop_lsvi.psdmat import MIN_RIDGE
 from coop_lsvi.schedules import SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS
 from coop_lsvi.server import ProtocolKind
@@ -210,6 +211,28 @@ seed = 77
     def test_round_trip_property(self, cfg):
         resolved = cfg.resolved()
         assert parse_config(emit_config(resolved)) == resolved
+
+    def test_file_path_round_trip(self, tmp_path):
+        """A file instance's resolved config echoes, and the echo reruns the
+        same file; a space inside the path is carried, and a path object is
+        checked as the text the echo writes."""
+        path = tmp_path / "a b" / "h.mdp"
+        path.parent.mkdir()
+        write_mdp(random_tabular(0, 3, 2, 2), str(path))
+        resolved = RunConfig(mdp_kind="file", mdp_path=str(path), M=2, K=5).resolved()
+        assert parse_config(emit_config(resolved)) == resolved
+        assert RunConfig(mdp_kind="file", mdp_path=path, M=2, K=5).resolved().mdp_path == path
+        with pytest.raises(ConfigError, match="cannot carry"):
+            RunConfig(mdp_kind="file", mdp_path=tmp_path / "p#q.mdp", M=2, K=5).resolved()
+
+    @pytest.mark.parametrize("path", ["p#q/h.mdp", " h.mdp", "h.mdp ", "p\nq.mdp",
+                                      "p\rq.mdp", "p\u2028q.mdp", "h.mdp\t"])
+    def test_file_path_the_format_cannot_carry_is_refused(self, path):
+        """The echo would cut such a path at '#', split it at the line break
+        or strip it, and name another file."""
+        with pytest.raises(ConfigError, match="which a config file cannot carry") as err:
+            RunConfig(mdp_kind="file", mdp_path=path, M=2, K=5).resolved()
+        assert err.value.key == ("mdp", "path")
 
     def test_hash_stable_and_sensitive(self):
         a = parse_config(MINIMAL).resolved()

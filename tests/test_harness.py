@@ -19,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coop_lsvi import agent as agent_mod
 from coop_lsvi import harness
 from coop_lsvi import mdp as mdp_mod
+from coop_lsvi import server as server_mod
 from coop_lsvi.agent import LsviAgent
 from coop_lsvi.configio import parse_config
 from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_state,
@@ -266,7 +268,8 @@ class TestCovarianceClasses:
         cfg = RunConfig(**instance, protocol=protocol, schedule="uniform_random",
                         master_seed=3, diagnostics=True)
         diag_classes, diag_bytes = _run_bytes(cfg)
-        monkeypatch.setattr(harness, "DiagonalPsdMatrix", PsdMatrix)
+        for module in (agent_mod, server_mod):
+            monkeypatch.setattr(module, "DiagonalPsdMatrix", PsdMatrix)
         dense_classes, dense_bytes = _run_bytes(cfg)
         assert diag_classes == {DiagonalPsdMatrix}
         assert dense_classes == {PsdMatrix}

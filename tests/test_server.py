@@ -98,6 +98,26 @@ class TestUpload:
         with pytest.raises(ProtocolViolation, match=r"episode 5, step 1$"):
             srv.upload(ag)
 
+    @pytest.mark.parametrize("bad", [-1, 4, 7, 1.5])
+    def test_out_of_range_cell_leaves_the_step_as_it_was(self, bad):
+        """A refused cell changes neither the step's store, covariance nor
+        episode keys, so the corrected buffer uploads afterwards."""
+        m = random_tabular(0, 2, 2, 2)  # d = 4
+        srv = CentralServer(m.d, m.H, 1.0)
+        ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 1.0)
+        ag.loc_transitions[0].append(Transition(1, 1, 0, 1, 0.5, 1))
+        ag.loc_cells[0].append(bad)
+        with pytest.raises(ValueError, match=rf"^basis index {bad} outside \[0, 4\)$"):
+            srv.upload(ag)
+        assert srv.cov[0].diag.tolist() == [1.0] * 4
+        assert (srv.cov[0].logdet, srv.cov[0].updates_since_refresh) == (0.0, 0)
+        assert len(srv.download()[1][0]) == 0
+        ag.loc_cells[0][0] = m.cell(0, 1)
+        srv.upload(ag)
+        covs, data = srv.download()
+        assert list(data[0].episode) == [1] and list(data[0].action) == [1]
+        assert covs[0].diag.tolist() == [1.0, 2.0, 1.0, 1.0]
+
     def test_logdet_monotone_across_uploads(self):
         m = random_tabular(1, 3, 2, 2)
         srv = CentralServer(m.d, m.H, 1.0)

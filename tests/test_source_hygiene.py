@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 import coop_lsvi
+from coop_lsvi.agent import LsviAgent, QParams
 from coop_lsvi.cli import build_parser
 from coop_lsvi.configio import config_hash, parse_config
+from coop_lsvi.psdmat import DiagonalPsdMatrix
+from coop_lsvi.server import CentralServer
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "coop_lsvi").glob("*.py"))
@@ -55,6 +58,19 @@ def test_traced_names_exist():
                if attr not in vars(owner)]
     assert targets
     assert missing == []
+
+
+def test_only_psdmat_names_the_dense_class():
+    """Agents and servers build diagonal covariances themselves; the dense
+    reference is defined and exported, and put in by tests on purpose."""
+    naming = [p.name for p in SRC if re.search(r"\bPsdMatrix\b", p.read_text())]
+    assert naming == ["__init__.py", "psdmat.py"]
+
+
+def test_covariances_are_diagonal_by_construction():
+    covs = [*QParams(4, 2, 1.0, 0.5).cov, *LsviAgent(1, 4, 2, 0.5, 1.0, 0.5).qparams.cov,
+            *CentralServer(4, 2, 1.0).cov]
+    assert len(covs) == 6 and all(type(c) is DiagonalPsdMatrix for c in covs)
 
 
 def _named_constants(tree: ast.Module) -> set[int]:
