@@ -16,6 +16,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,22 +53,13 @@ class Transition(NamedTuple):
     next_state: int
 
 
-# One Transition as a record; a TransitionStore keeps its rows in this dtype.
-TRANSITION_ROW = np.dtype([(name, np.float64 if name == "reward" else np.int64)
-                           for name in Transition._fields])
-# The same records as opaque bytes: a take or copy of these moves whole rows
-# without a per-field conversion, several times faster, and with equal bytes.
-_RAW_ROW = np.dtype((np.void, TRANSITION_ROW.itemsize))
-
-
 @dataclass
 class TransitionBatch:
     """Column-oriented transitions for one step h, kept in episode order.
 
-    The regression in the backward update is vectorized over these columns;
-    the per-record Transition type remains the unit of bookkeeping. ``phis``
-    is the one-hot design of the rows, a store's view of the design it keeps,
-    or None until ``design`` builds it.
+    The regression in the backward update is vectorized over these columns.
+    ``phis`` is the one-hot design of the rows, a store's view of the design
+    it keeps, or None until ``design`` builds it.
     """
 
     episode: np.ndarray
@@ -88,78 +80,101 @@ class TransitionBatch:
         return self.phis
 
     @classmethod
-    def from_rows(cls, rows: np.ndarray, phis: Optional[np.ndarray] = None) -> "TransitionBatch":
-        """Column views of a TRANSITION_ROW record array, with its design."""
-        return cls(rows["episode"], rows["state"], rows["action"], rows["reward"],
-                   rows["next_state"], phis)
-
-    @classmethod
     def from_transitions(cls, transitions: Sequence[Transition]) -> "TransitionBatch":
-        return cls.from_rows(np.array(list(transitions), TRANSITION_ROW))
+        """int64 columns, and a float64 reward column, of the transitions."""
+        columns = list(zip(*transitions)) or [()] * len(Transition._fields)
+        episode, _, state, action, reward, next_state = columns
+        return cls(*(np.array(col, np.int64) for col in (episode, state, action)),
+                   np.array(reward, np.float64), np.array(next_state, np.int64))
 
 
 class TransitionStore:
-    """Every transition ever stored for one step h, as episode-ordered rows,
-    with the one-hot design of those rows.
+    """Every episode ever stored, in episode order, as one H-wide record,
+    with the one-hot design of its steps.
 
-    ``extend`` refuses a cell index that is not an integer in [0, d) before
-    it changes anything, then files the new rows, one record assignment
-    each, into a record array that doubles its capacity when full, fills
-    their design rows from the identity with one take, and re-sorts records
-    and design by episode (stably, from the first stored row a new one
-    precedes) only when the new rows break episode order. ``batch`` returns
-    column views and the (n, d) design view, valid until the next
-    ``extend``; callers share it and must not write to it.
+    Per episode it keeps the episode id, the flat row [s, a, s'] * H, the H
+    rewards and, in an (H, capacity, d) array, the row e_j of each step's
+    cell j, so that step h's design is one C-contiguous (n, d) block.
+    ``extend`` refuses a cell that is not an integer in [0, d) before it
+    changes anything, files the new episodes into arrays that double their
+    capacity when full, and re-sorts by episode (one stable argsort, from the
+    first stored episode a new one precedes, and one permutation of every
+    array) only when the new episodes break episode order. ``batches``
+    returns each step's TransitionBatch of column views and its design view,
+    valid until the next ``extend``; callers share them and must not write
+    to them.
     """
 
-    def __init__(self, d: int) -> None:
+    def __init__(self, d: int, H: int) -> None:
         self._eye = identity(d)
-        self._rows = np.empty(0, TRANSITION_ROW)
-        self._design = np.empty((0, d))
-        self._view = TransitionBatch.from_rows(self._rows, self._design)
+        self._n = 0
+        self._grow(H, 0)
+        self._batches = self._views()
 
-    def extend(self, ts: Sequence[Transition], cells: Sequence[int]) -> None:
-        """Add transitions with their cell indices j (phi = e_j), aligned."""
-        if len(ts) != len(cells):
-            raise ValueError(f"{len(ts)} transitions with {len(cells)} cell indices")
-        if not ts:
+    def _grow(self, H: int, capacity: int) -> None:
+        """Arrays for ``capacity`` episodes holding the stored ones, and each
+        step's full-capacity column views, which _views cuts to length."""
+        n, d = self._n, self._eye.shape[0]
+        episode = np.empty(capacity, np.int64)
+        rows = np.empty((capacity, 3 * H), np.int64)
+        reward = np.empty((capacity, H))
+        design = np.empty((H, capacity, d))
+        if n:
+            episode[:n], rows[:n], reward[:n] = self._episode[:n], self._rows[:n], self._reward[:n]
+            design[:, :n] = self._design[:, :n]
+        self._episode, self._rows, self._reward, self._design = episode, rows, reward, design
+        self._columns = [(rows[:, 3 * hh], rows[:, 3 * hh + 1], reward[:, hh],
+                          rows[:, 3 * hh + 2], design[hh]) for hh in range(H)]
+
+    def _views(self) -> list[TransitionBatch]:
+        n = self._n
+        episode = self._episode[:n]
+        return [TransitionBatch(episode, state[:n], action[:n], reward[:n], next_state[:n],
+                                phis[:n])
+                for state, action, reward, next_state, phis in self._columns]
+
+    def extend(self, episodes: Sequence[int], rows: Sequence[Sequence[int]],
+               rewards: Sequence[Sequence[float]], cells: Sequence[Sequence[int]]) -> None:
+        """Add episodes with their flat rows and rewards, aligned, and per
+        step h the cell index j (phi = e_j) of each episode's step h."""
+        n_new, H = len(episodes), len(self._columns)
+        if not (len(rows) == len(rewards) == n_new and len(cells) == H
+                and all(len(step_cells) == n_new for step_cells in cells)):
+            raise ValueError(f"{n_new} episodes with {len(rows)} rows, {len(rewards)} reward "
+                             f"rows and cells {[len(c) for c in cells]} for H = {H} steps")
+        if not n_new:
             return
         d = self._eye.shape[0]
-        for j in cells:  # as DiagonalPsdMatrix.add_bases checks them
+        for j in chain.from_iterable(cells):  # as DiagonalPsdMatrix.add_bases checks them
             if type(j) is not int or not 0 <= j < d:
                 _check_basis_index(j, d)  # numpy integers pass; the rest raise
-        n0 = len(self._view)
-        n = n0 + len(ts)
-        if n > len(self._rows):
-            capacity = max(n, 2 * len(self._rows))
-            grown = np.empty(capacity, TRANSITION_ROW)
-            grown[:n0] = self._rows[:n0]
-            design = np.empty((capacity, d))
-            design[:n0] = self._design[:n0]
-            self._rows, self._design = grown, design
-        rows, design = self._rows, self._design
-        # A tuple per record assignment converts the fields as a slice
-        # assignment of the list does, with equal bytes, and costs less: a
-        # third as much for one row, and less at every size measured.
-        for i, t in enumerate(ts, n0):
-            rows[i] = t
-        self._eye.take(cells, axis=0, out=design[n0:n])
-        # The order check runs on Python ints from the last stored row on: an
-        # upload usually brings a few rows, where numpy's overhead dominates.
-        ep = rows["episode"]
-        eps = ep[max(n0 - 1, 0):n].tolist()
+        n0 = self._n
+        n = n0 + n_new
+        if n > len(self._episode):
+            self._grow(H, max(n, 2 * len(self._episode)))
+        episode, design = self._episode, self._design
+        episode[n0:n] = episodes
+        self._rows[n0:n] = rows
+        self._reward[n0:n] = rewards
+        design[:, n0:n] = self._eye.take(cells, axis=0)
+        # The order check runs on Python ints from the last stored episode on:
+        # an upload usually brings a few episodes, where numpy's overhead
+        # dominates.
+        eps = episode[max(n0 - 1, 0):n].tolist()
         if any(map(operator.gt, eps, eps[1:])):
-            # A bisection over the strided field's buffer: half the time of
-            # np.searchsorted on a view of it.
-            lo = bisect_right(memoryview(ep), min(eps), 0, n0)
-            order = np.argsort(ep[lo:n], kind="stable")
-            raw = rows[lo:n].view(_RAW_ROW)
-            raw[:] = raw.take(order)
-            design[lo:n] = design[lo:n].take(order, axis=0)
-        self._view = TransitionBatch.from_rows(rows[:n], design[:n])
+            # A bisection over the column's buffer: half the time of
+            # np.searchsorted on it.
+            lo = bisect_right(memoryview(episode), min(eps), 0, n0)
+            order = np.argsort(episode[lo:n], kind="stable")
+            for column in (episode, self._rows, self._reward):
+                column[lo:n] = column[lo:n].take(order, axis=0)
+            design[:, lo:n] = design[:, lo:n].take(order, axis=1)
+        self._n = n
+        self._batches = self._views()
 
-    def batch(self) -> TransitionBatch:
-        return self._view
+    def batches(self) -> list[TransitionBatch]:
+        """Per step h, the stored transitions of step h in episode order."""
+        return self._batches
 
 
 class QParams:
@@ -177,10 +192,12 @@ class LsviAgent:
     """One agent's state and operations.
 
     Between parameter updates the Q-function is frozen, so greedy acting is a
-    pure function of (s, h). Local accumulation tracks, per step h, the cell
-    indices j (phi = e_j, mdp.LinearMdp.cell) recorded since the last update,
-    the visits per cell among them, and the trigger's statistic: cov_h is
-    ridge * I plus visit counts, so the v+1-th local visit to cell j multiplies
+    pure function of (s, h). The local delta since the last update holds
+    whole episodes: per episode its id, flat row [s, a, s'] * H and H rewards
+    (as LinearMdp.rollout returns them), and per step h the cell indices j
+    (phi = e_j, mdp.LinearMdp.cell) of those episodes' steps, the visits per
+    cell among them, and the trigger's statistic: cov_h is ridge * I plus
+    visit counts, so the v+1-th local visit to cell j multiplies
     det(cov_h + delta_h) by (c_j + v + 1) / (c_j + v), c_j = (cov_h)_jj, and
     recording adds the log of that factor.
     """
@@ -192,17 +209,22 @@ class LsviAgent:
         self.alpha = float(alpha)
         self.qparams = QParams(d, H, ridge, beta)
         self._log_ceiling = math.log1p(self.alpha) + TRIGGER_LOG_TOLERANCE
-        # Per-h local delta since last update: cell indices + aligned transitions.
+        # The local delta since the last update, one entry per episode, and
+        # per h the cells of its steps in recording order.
+        self.loc_episodes: list[int] = []
+        self.loc_rows: list[list[int]] = []
+        self.loc_rewards: list[list[float]] = []
         self.loc_cells: list[list[int]] = [[] for _ in range(H)]
-        self.loc_transitions: list[list[Transition]] = [[] for _ in range(H)]
         # Per h, visits per cell in loc_cells, and log det(cov_h + delta_h) / det cov_h.
         self._visits: list[dict[int, int]] = [{} for _ in range(H)]
         self._log_ratio = [0.0] * H
-        # Own-trajectory history per h, built and filled by own_history (read
-        # only by the no-communication refit), so it stays an empty list under
-        # the other protocols; _own_moved counts rows already moved.
-        self._own: list[TransitionStore] = []
-        self._own_moved = [0] * H
+        # The steps record_transition holds until their episode's step H.
+        self._pending: list[Transition] = []
+        # Own-trajectory history, built and filled by own_history (read only
+        # by the no-communication refit), so it stays None under the other
+        # protocols; _own_moved counts episodes of the delta already moved.
+        self._own: Optional[TransitionStore] = None
+        self._own_moved = 0
         # (H, S, A) table of the current parameters; None until first built.
         self._q: Optional[np.ndarray] = None
 
@@ -251,19 +273,64 @@ class LsviAgent:
         eye = identity(self.d)
         return [[eye[j] for j in cells] for cells in self.loc_cells]
 
+    @property
+    def loc_transitions(self) -> list[list[Transition]]:
+        """Per-h Transitions of the local delta's episodes, built on each read
+        from its records; writing to them changes nothing."""
+        return [[Transition(k, hh + 1, row[3 * hh], row[3 * hh + 1], rewards[hh],
+                            row[3 * hh + 2])
+                 for k, row, rewards in zip(self.loc_episodes, self.loc_rows, self.loc_rewards)]
+                for hh in range(self.H)]
+
+    def record_episode(self, mdp: LinearMdp, k: int, row: list[int],
+                       rewards: list[float]) -> None:
+        """Add episode k to the local delta: its flat row [s, a, s'] * H and
+        H rewards, kept as given, and each step's cell and trigger term.
+
+        A row or rewards of the wrong length, or a cell outside [0, d), is
+        refused before anything changes.
+        """
+        H, d, A = self.H, self.d, mdp.n_actions
+        if len(row) != 3 * H or len(rewards) != H:
+            raise ValueError(f"episode {k}: a row of {len(row)} entries and {len(rewards)} "
+                             f"rewards for H = {H} steps")
+        # LinearMdp.cell of each step's (s, a), inline: a call per step costs
+        # more than the product.
+        cells = [s * A + a for s, a in zip(row[0::3], row[1::3])]
+        for hh, j in enumerate(cells):
+            if not 0 <= j < d:
+                raise ValueError(f"episode {k}, step {hh + 1}: (s={row[3 * hh]}, "
+                                 f"a={row[3 * hh + 1]}) has cell {j} outside [0, {d})")
+        self.loc_episodes.append(k)
+        self.loc_rows.append(row)
+        self.loc_rewards.append(rewards)
+        loc_cells, all_visits, covs, log_ratio = (self.loc_cells, self._visits,
+                                                  self.qparams.cov, self._log_ratio)
+        for hh in range(H):
+            j = cells[hh]
+            loc_cells[hh].append(j)
+            visits = all_visits[hh]
+            v = visits.get(j, 0)
+            visits[j] = v + 1
+            log_ratio[hh] += math.log1p(1.0 / (covs[hh].diag.item(j) + v))
+
     def record_transition(self, mdp: LinearMdp, t: Transition) -> None:
+        """Record one step: the steps 1..H of an episode, given in order, are
+        held until step H, then recorded as record_episode records them. A
+        step outside [1, H] or out of order raises ValueError and changes
+        nothing; an episode refused at its last step is dropped whole."""
+        pending = self._pending
         if not 1 <= t.step <= self.H:
             raise ValueError(f"transition step {t.step} outside [1, {self.H}]")
-        hh = t.step - 1
-        j = mdp.cell(t.state, t.action)
-        if not 0 <= j < self.d:
-            raise ValueError(f"transition (s={t.state}, a={t.action}) has cell {j} "
-                             f"outside [0, {self.d})")
-        self.loc_cells[hh].append(j)
-        self.loc_transitions[hh].append(t)
-        v = self._visits[hh].get(j, 0)
-        self._visits[hh][j] = v + 1
-        self._log_ratio[hh] += math.log1p(1.0 / (self.qparams.cov[hh].diag.item(j) + v))
+        if t.step != len(pending) + 1 or (pending and t.episode != pending[0].episode):
+            raise ValueError(f"transition (episode {t.episode}, step {t.step}) does not "
+                             f"continue the {len(pending)} held steps")
+        pending.append(t)
+        if t.step == self.H:
+            self._pending = []
+            self.record_episode(mdp, t.episode,
+                                [x for p in pending for x in (p.state, p.action, p.next_state)],
+                                [p.reward for p in pending])
 
     def should_communicate(self) -> tuple[bool, Optional[int]]:
         """Determinant trigger at episode end.
@@ -280,11 +347,11 @@ class LsviAgent:
 
     def reset_local(self) -> None:
         """Clear the local delta after an update (upload consumed it)."""
+        self.loc_episodes, self.loc_rows, self.loc_rewards = [], [], []
         self.loc_cells = [[] for _ in range(self.H)]
-        self.loc_transitions = [[] for _ in range(self.H)]
         self._visits = [{} for _ in range(self.H)]
         self._log_ratio = [0.0] * self.H
-        self._own_moved = [0] * self.H
+        self._own_moved = 0
 
     def local_cov_snapshot(self) -> list[Covariance]:
         """Per-h cov_h + local delta as new matrices, the local cells added in
@@ -300,14 +367,13 @@ class LsviAgent:
         has taken, provided each local delta was read here before
         reset_local() cleared it (as the no-communication refit does); valid
         until the next call."""
-        if not self._own:
-            self._own = [TransitionStore(self.d) for _ in range(self.H)]
-        for hh, (store, ts, cells) in enumerate(zip(self._own, self.loc_transitions,
-                                                    self.loc_cells)):
-            moved = self._own_moved[hh]
-            store.extend(ts[moved:], cells[moved:])
-            self._own_moved[hh] = len(ts)
-        return [store.batch() for store in self._own]
+        if self._own is None:
+            self._own = TransitionStore(self.d, self.H)
+        moved = self._own_moved
+        self._own.extend(self.loc_episodes[moved:], self.loc_rows[moved:],
+                         self.loc_rewards[moved:], [cells[moved:] for cells in self.loc_cells])
+        self._own_moved = len(self.loc_episodes)
+        return self._own.batches()
 
     # -- the backward update --------------------------------------------------
 
@@ -335,8 +401,10 @@ class LsviAgent:
             qp.cov[hh] = cov = global_cov[hh]
             if len(batch) > 0:
                 # y = r + V_{h+1}(s'), a fresh contiguous array: the GEMV's input.
+                # The gather indexes rather than takes: the store's next-state
+                # column is strided, which take first copies.
                 y = (batch.reward.copy() if next_value is None
-                     else np.add(batch.reward, next_value.take(batch.next_state)))
+                     else np.add(batch.reward, next_value[batch.next_state]))
                 # The design is features[state, action] as one C-contiguous
                 # (n, d) matrix, kept by a store or built once for the batch.
                 cov.solve(batch.design(mdp).T @ y, out=qp.w[hh])

@@ -87,6 +87,7 @@ def expand_sweep(spec: SweepSpec) -> list[RunConfig]:
     out = []
     for combo in itertools.product(*(spec.axes[n] for n in names)):
         cfg = replace(spec.base)
+        cfg._mdp_file = spec.base._mdp_file  # no axis changes the instance
         for name, value in zip(names, combo):
             setattr(cfg, _FIELDS[_AXES[name]][0], value)
         out.append(cfg)
@@ -215,7 +216,8 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
     filled in). Constraint violations raise ConfigError carrying the
     offending line number where one is known; a swept key's error names its
     [sweep] line. A file instance is read here, so an unreadable file and a
-    fixed initial state outside its states are config errors too.
+    fixed initial state outside its states are config errors too; the config
+    carries it, and its runs use it rather than read the file again.
     """
     raw, sections = _parse_lines(text)
     cfg = RunConfig()
@@ -233,6 +235,7 @@ def parse_config(text: str) -> Union[RunConfig, SweepSpec]:
         # No sweep axis changes the instance, so its file is read once, here.
         instance = _file_instance(cfg, lines)
         _check(cfg, lines, instance)
+        cfg._mdp_file = (cfg.mdp_path, instance)  # and once for its runs
     if "sweep" not in sections:
         return cfg
 

@@ -18,8 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import mdp as mdp_mod
-from .agent import (LsviAgent, Transition, TransitionBatch, practical_beta,
-                    theoretical_beta)
+from .agent import LsviAgent, TransitionBatch, practical_beta, theoretical_beta
 from .mdp import LinearMdp, PlannerOutput
 from .psdmat import MIN_RIDGE, Covariance
 from .schedules import (INIT_STATE_KINDS, SCHEDULE_KINDS, SEEDED_SCHEDULE_KINDS,
@@ -50,17 +49,20 @@ TRAJECTORY_BLOCK = 1024
 POLICY_VALUE_CACHE_BYTES = 2 ** 20
 
 # Caps on what a run allocates, checked by RunConfig.validate. Per episode
-# step tracemalloc measures about 130 bytes (records allocated up front, the
-# stored transitions), 18 more with diagnostics, plus the one-hot design the
-# stores keep beside their rows: 199 and 412 bytes a step in all at d = 8 and
-# 32, from K = 8,000 to 16,000 without diagnostics. Per agent and step h it
-# measures 2 KB of objects plus 24 bytes per feature cell: 32-byte units with
-# the objects as AGENT_CELL_OVERHEAD cells. Each cap is about 2 GiB. Every
-# transition is held once, by the server's H stores or, without
+# step tracemalloc measures, as the growth of peak traced memory from
+# K = 8,000 to 16,000 (hard, H = 3, M = 4, without diagnostics), 196 and 484
+# bytes at d = 8 and 32 under async_trigger, 178 and 399 under no_comm, and
+# 19 more with diagnostics: the records allocated up front, the stored
+# episodes and the one-hot design the stores keep beside them, at a capacity
+# doubling, when the old and the new arrays are both held. Per agent and step
+# h it measures 2 KB of objects plus 24 bytes per feature cell: 32-byte units
+# with the objects as AGENT_CELL_OVERHEAD cells. Each cap is about 2 GiB.
+# Every episode is held once, by the server's store or, without
 # communication, by the agents' own, and a store's capacity is under twice
-# its rows, so the designs take under 16 * K * H * d bytes: MAX_DESIGN_ENTRIES
-# bounds K * H * d. The largest shipped, acceptance or benchmark run has
-# K * H = 96,000, M * H * (d + 64) = 5,280 and K * H * d = 768,000.
+# its episodes, so the designs take under 16 * K * H * d bytes, and under
+# 24 * K * H * d while one doubles: MAX_DESIGN_ENTRIES bounds K * H * d. The
+# largest shipped, acceptance or benchmark run has K * H = 96,000,
+# M * H * (d + 64) = 5,280 and K * H * d = 768,000.
 MAX_RUN_STEPS = 2 ** 23       # on K * H
 AGENT_CELL_OVERHEAD = 64
 MAX_AGENT_UNITS = 2 ** 26     # on M * H * (d + AGENT_CELL_OVERHEAD)
@@ -113,6 +115,11 @@ class RunConfig:
 
     init_state: Optional[str] = None       # fixed | uniform_random | epoch
     init_state_fixed: int = 0
+    # Not a field: (path, instance) of a file instance configio.parse_config
+    # has read and checked for this config, carried by resolved(). A run uses
+    # it while mdp_path names that path, so the file is read once per parsed
+    # config, not again per run.
+    _mdp_file = None
 
     def validate(self, instance: Optional[LinearMdp] = None) -> None:
         """Raise ConfigError, keyed to the config key at fault, on the first
@@ -225,6 +232,9 @@ class RunConfig:
         """Fill every defaulted field; the result echoes and reruns exactly."""
         self.validate()
         out = replace(self)
+        if out.mdp_path is not None:
+            out.mdp_path = str(out.mdp_path)  # what the echo writes and parses back
+        out._mdp_file = self._mdp_file
         if out.alpha is None:
             out.alpha = 1.0 / (out.M * out.M)
         if out.mdp_kind == "hard" and out.mdp_gap is None:
@@ -499,11 +509,13 @@ def built_instance(cfg: RunConfig, needs_planner: bool
                    ) -> tuple[LinearMdp, Optional[PlannerOutput]]:
     """The resolved config's instance and, if needs_planner, its exact plan:
     the shared ones when the key matches, else built, and shared in place of
-    the last unless a file instance or too large (see _shared)."""
+    the last unless a file instance or too large (see _shared). A file
+    instance is the one parse_config read for the config, or read now."""
     global _shared
     key = instance_key(cfg)
     if key is None:
-        mdp = build_mdp(cfg)
+        read = cfg._mdp_file
+        mdp = read[1] if read is not None and read[0] == cfg.mdp_path else build_mdp(cfg)
         cfg.validate(mdp)  # a file instance's sizes are known only now
         return mdp, mdp_mod.value_iteration(mdp) if needs_planner else None
     if _shared is None or _shared.key != key:
@@ -549,40 +561,32 @@ def _refit(state: RunState, agent: LsviAgent, covs: list[Covariance],
 
 def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     """Run episode k on its H trajectory uniforms, write row k-1 of
-    state.record, return its view; a bad k or len(draws) raises ValueError.
+    state.record, return its view; a bad k, a len(draws) other than H or a
+    NaN draw raises ValueError before anything is written.
 
-    The active agent acts greedily for h = 1..H under its frozen parameters,
-    step h at draws[h-1], accumulates the trajectory locally, then the protocol
-    decides whether it communicates (upload, download, backward update, local
-    reset). The regret increment compares the optimal value at the initial
+    The active agent plays the episode greedily under its frozen policy
+    table, as one LinearMdp.rollout with step h at draws[h-1], and records it
+    locally as one episode; then the protocol decides whether it communicates
+    (upload, download, backward update, local reset). The regret increment compares the optimal value at the initial
     state against the exact value of the pre-episode greedy policy (NaN under
     eval = off).
     """
     mdp = state.mdp
     if not 1 <= k <= state.config.K:
         raise ValueError(f"k={k}: episode out of [1, {state.config.K}]")
-    if len(draws) != mdp.H:
-        raise ValueError(f"draws: {len(draws)} uniforms for an episode of H = {mdp.H} steps")
-    if any(map(math.isnan, draws)):
-        raise ValueError(f"draws: {list(draws)} holds a NaN uniform")
     rec, i = state.record, k - 1
     m = state._schedule[i]
     agent = state.agents[m - 1]
     s1 = state._init_states[i]
     tables = state.agent_tables(m)
+    # The active agent's greedy episode; a bad draw raises before any write.
+    row, rewards = mdp.rollout(s1, tables.actions, draws)
+    agent.record_episode(mdp, k, row, rewards)
 
     rec.m[i] = m
     v_star = state._v_star_first
     # The float64 subtraction numpy would do, on the same two values.
     rec.regret_inc[i] = math.nan if v_star is None else v_star[s1] - tables.first_value[s1]
-
-    s = s1
-    for h, u in enumerate(draws, 1):
-        a = tables.actions[h - 1][s]
-        r, s_next = mdp.step(s, a, h, u)
-        # Positional, in field order: keywords double the cost of building it.
-        agent.record_transition(mdp, Transition(k, h, s, a, r, s_next))
-        s = s_next
 
     # The episode's cells, one per step, read before a refit's reset_local.
     cells = [loc[-1] for loc in agent.loc_cells] if state.config.diagnostics else None
@@ -609,7 +613,7 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
         rec.optimism_slack[i] = min(q.item(hh * d + j) - q_star.item(hh * d + j)
                                     for hh, j in enumerate(cells))
         rec.agent_logdet[i] = [c.logdet for c in agent.qparams.cov]
-    # Positional, in field order, as the Transition above.
+    # Positional, in field order: keywords double the cost of building it.
     return EpisodeView(k, m, mdp, agent, state.agents, state.server, trig, trig_h, decision)
 
 

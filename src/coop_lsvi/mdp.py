@@ -17,7 +17,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class LinearMdp:
     d: int = field(init=False)
     features: np.ndarray = field(init=False, repr=False)
     _cum_rows: np.ndarray = field(init=False, repr=False)
-    # Flat memoryviews of _cum_rows and rewards, read by step.
+    # Flat memoryviews of _cum_rows and rewards, read by _walk.
     _cum_flat: memoryview = field(init=False, repr=False)
     _reward_flat: memoryview = field(init=False, repr=False)
 
@@ -115,17 +115,10 @@ class LinearMdp:
     def step(self, s: int, a: int, h: int, u: float) -> tuple[float, int]:
         """One environment step at its uniform u; the reward depends on (s, a, h).
 
-        The next state is the inverse CDF of the transition row at u, so the
-        step is a pure function of (mdp, s, a, h, u). An index out of range
-        raises ValueError rather than wrapping to another row, and so does a
-        NaN u rather than landing on state S - 1.
-
-        The state is searchsorted(row, u, side="right") clamped to S - 1, with
-        no array view or numpy call per step: bisect_right over the row's span
-        of the flat cumulative table probes the same midpoints, (lo + hi) // 2,
-        and moves the same way, x < row[mid] being not row[mid] <= x for
-        non-NaN values. So it picks the same state on any row, even one that
-        a negative entry within PROB_NEG_TOL makes non-monotone.
+        The next state is the inverse CDF of the transition row at u (_walk),
+        so the step is a pure function of (mdp, s, a, h, u). An index out of
+        range raises ValueError rather than wrapping to another row, and so
+        does a NaN u rather than landing on state S - 1.
         """
         if not 0 <= s < self.n_states:
             raise ValueError(f"s={s}: state out of [0, {self.n_states})")
@@ -135,13 +128,62 @@ class LinearMdp:
             raise ValueError(f"h={h}: step out of [1, {self.H}]")
         if u != u:
             raise ValueError(f"u={u}: the step's uniform is NaN")
-        S = self.n_states
-        i = ((h - 1) * S + s) * self.n_actions + a
-        lo = i * S
-        nxt = bisect_right(self._cum_flat, u, lo, lo + S) - lo
-        if nxt >= S:
-            nxt = S - 1
-        return self._reward_flat[i], nxt
+        row, rewards = self._walk(s, h - 1, ({s: a},), (u,))
+        return rewards[0], row[2]
+
+    def rollout(self, s: int, actions: Sequence[Sequence[int]],
+                draws: Sequence[float]) -> tuple[list[int], list[float]]:
+        """One episode from state s under an (H, S) action table, step h at
+        draws[h-1]: the flat row [s, a, s'] * H and the H rewards.
+
+        Step h takes action actions[h-1][s] and picks its next state as step
+        does at the same (s, a, h, u), so the episode is the one H step calls
+        would give. A bad s, action or number of draws, or a NaN draw, raises
+        ValueError.
+        """
+        if not 0 <= s < self.n_states:
+            raise ValueError(f"s={s}: state out of [0, {self.n_states})")
+        if len(draws) != self.H:
+            raise ValueError(f"draws: {len(draws)} uniforms for an episode of H = {self.H} steps")
+        if len(actions) != self.H:
+            raise ValueError(f"actions: {len(actions)} rows for an episode of H = {self.H} steps")
+        return self._walk(s, 0, actions, draws)
+
+    def _walk(self, s: int, hh: int, actions: Sequence, draws: Sequence[float]
+              ) -> tuple[list[int], list[float]]:
+        """Steps hh + 1, hh + 2, ... from state s, the t-th taking action
+        actions[t][s] at draws[t]: the flat row [s, a, s'] per step and the
+        rewards. The one inverse CDF of step and rollout.
+
+        Each next state is searchsorted(row, u, side="right") clamped to
+        S - 1, with no array view or numpy call: bisect_right over the row's
+        span of the flat cumulative table probes the same midpoints,
+        (lo + hi) // 2, and moves the same way, x < row[mid] being not
+        row[mid] <= x for non-NaN values. So it picks the same state on any
+        row, even one that a negative entry within PROB_NEG_TOL makes
+        non-monotone.
+        """
+        S, A = self.n_states, self.n_actions
+        cum, reward = self._cum_flat, self._reward_flat
+        row: list[int] = []
+        rewards: list[float] = []
+        base = hh * S  # (h - 1) * S
+        for acts, u in zip(actions, draws):
+            a = acts[s]
+            if not 0 <= a < A:
+                raise ValueError(f"a={a}: action out of [0, {A})")
+            if u != u:
+                raise ValueError(f"draws: {list(draws)} holds a NaN uniform")
+            i = (base + s) * A + a
+            lo = i * S
+            nxt = bisect_right(cum, u, lo, lo + S) - lo
+            if nxt >= S:
+                nxt = S - 1
+            row += (s, a, nxt)
+            rewards.append(reward[i])
+            s = nxt
+            base += S
+        return row, rewards
 
 
 @dataclass(frozen=True, eq=False)

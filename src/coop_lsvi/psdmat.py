@@ -243,7 +243,9 @@ class DiagonalPsdMatrix:
                 if type(j) is not int or not 0 <= j < dim:
                     _check_basis_index(j, dim)  # numpy integers pass; the rest raise
                 q = inv.item(j)
-                diag[j] += 1.0
+                # The sum on a Python float: the bits of diag[j] += 1.0, without
+                # a numpy scalar per update.
+                diag[j] = diag.item(j) + 1.0
                 inv[j] = q - q * q / (1.0 + q)
                 logdet += math.log1p(q)
                 n += 1

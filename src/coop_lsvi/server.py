@@ -1,8 +1,8 @@
 """Central server state and the communication protocols.
 
 The server aggregates, per step h, a covariance matrix (initialized to
-ridge * I so a refit can adopt a downloaded copy wholesale) and a
-deduplicated, episode-ordered global transition store. One
+ridge * I so a refit can adopt a downloaded copy wholesale), and one
+deduplicated, episode-ordered global store of whole episodes. One
 communication round is one paired upload + download by a single agent.
 """
 
@@ -43,7 +43,7 @@ class Decision(Enum):
 
 
 class ProtocolViolation(RuntimeError):
-    """A duplicate (episode, step) upload; indicates a harness bug."""
+    """A duplicate episode upload; indicates a harness bug."""
 
 
 class CentralServer:
@@ -54,34 +54,33 @@ class CentralServer:
         self.H = H
         self.ridge = ridge
         self.cov: list[Covariance] = [DiagonalPsdMatrix(d, ridge) for _ in range(H)]
-        # Per h: the global store plus the set of its episode keys.
-        self._store = [TransitionStore(d) for _ in range(H)]
-        self._episodes: list[set[int]] = [set() for _ in range(H)]
+        # The global store plus the set of its episode keys.
+        self._store = TransitionStore(d, H)
+        self._episodes: set[int] = set()
 
     def upload(self, agent: "LsviAgent") -> None:
         """Absorb the agent's buffered local delta (buffer is not cleared here).
 
-        Each buffered transition adds e_j e_j^T for its cell index j to the
-        covariance, in buffer order, and is inserted under its episode key.
-        Every episode is uploaded by exactly one agent exactly once, so a key
-        collision, with the store or within the buffer, is fatal. It is found,
-        like a cell index the store refuses (ValueError), before step h
-        changes, and names the first colliding transition.
+        Each buffered episode is inserted under its episode key, and each of
+        its steps adds e_j e_j^T for its cell index j to that step's
+        covariance, in buffer order. Every episode is uploaded by exactly one
+        agent exactly once, so a key collision, with the store or within the
+        buffer, is fatal. It is found, like a cell index the store refuses
+        (ValueError), before anything changes, and names the first colliding
+        episode.
         """
-        for hh in range(self.H):
-            ts = agent.loc_transitions[hh]
-            episodes = self._episodes[hh]
-            new = {t.episode for t in ts}
-            if len(new) < len(ts) or not episodes.isdisjoint(new):
-                seen = set()
-                for t in ts:
-                    if t.episode in episodes or t.episode in seen:
-                        raise ProtocolViolation(
-                            f"duplicate upload for episode {t.episode}, step {t.step}")
-                    seen.add(t.episode)
-            self._store[hh].extend(ts, agent.loc_cells[hh])
-            episodes |= new
-            self.cov[hh].add_bases(agent.loc_cells[hh])
+        episodes = agent.loc_episodes
+        new = set(episodes)
+        if len(new) < len(episodes) or not self._episodes.isdisjoint(new):
+            seen = set()
+            for k in episodes:
+                if k in self._episodes or k in seen:
+                    raise ProtocolViolation(f"duplicate upload for episode {k}")
+                seen.add(k)
+        self._store.extend(episodes, agent.loc_rows, agent.loc_rewards, agent.loc_cells)
+        self._episodes |= new
+        for cov, cells in zip(self.cov, agent.loc_cells):
+            cov.add_bases(cells)
 
     def download(self) -> tuple[list[Covariance], list[TransitionBatch]]:
         """Per-h covariance snapshots and the full global store.
@@ -90,7 +89,7 @@ class CentralServer:
         installs them as the agent's covariance); the batches are sorted by
         episode, ready for that update, and stay valid until the next upload.
         """
-        return [c.copy() for c in self.cov], [store.batch() for store in self._store]
+        return [c.copy() for c in self.cov], self._store.batches()
 
 
 def protocol_decide(kind: ProtocolKind, trigger_fired: bool) -> Decision:

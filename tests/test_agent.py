@@ -112,8 +112,9 @@ class TestRecordTransition:
         m = random_tabular(0, 2, 2, 2)
         ag = fresh_agent(m)
         rng = np.random.default_rng(0)
-        ag.record_transition(m, make_transition(m, 1, 1, 0, 0, rng))
-        assert sum(map(len, ag.loc_transitions)) == 1
+        for h in (1, 2):
+            ag.record_transition(m, make_transition(m, 1, h, 0, 0, rng))
+        assert [len(ts) for ts in ag.loc_transitions] == [1, 1]
         trace = sum(float(v @ v) for v in ag.loc_features[0])
         assert trace == pytest.approx(1.0)  # one-hot norm
 
@@ -137,12 +138,89 @@ class TestRecordTransition:
         m = random_tabular(0, 2, 2, 2)
         ag = fresh_agent(m)
         rng = np.random.default_rng(0)
-        ag.record_transition(m, make_transition(m, 1, 1, 0, 0, rng))
+        for h in (1, 2):
+            ag.record_transition(m, make_transition(m, 1, h, 0, 0, rng))
+        assert ag.loc_episodes == [1]
         covs = ag.local_cov_snapshot()
         ag.lsvi_backward_update(m, ag.own_history(), covs)
         ag.reset_local()
         assert all(not ts for ts in ag.loc_transitions)
         assert all(not fs for fs in ag.loc_features)
+        assert ag.loc_episodes == ag.loc_rows == ag.loc_rewards == []
+
+    def test_steps_are_held_until_the_episode_ends(self):
+        """The one-step form files nothing until step H, then files what
+        record_episode files for the same episode."""
+        m = random_tabular(1, 3, 2, 3)
+        by_step, whole = fresh_agent(m), fresh_agent(m)
+        rng = np.random.default_rng(2)
+        for k in (1, 2, 3):
+            ts = [make_transition(m, k, h, int(rng.integers(3)), int(rng.integers(2)), rng)
+                  for h in range(1, 4)]
+            for t in ts[:-1]:
+                by_step.record_transition(m, t)
+            assert by_step.loc_episodes == whole.loc_episodes
+            by_step.record_transition(m, ts[-1])
+            whole.record_episode(m, k, [x for t in ts for x in (t.state, t.action, t.next_state)],
+                                 [t.reward for t in ts])
+        for name in ("loc_episodes", "loc_rows", "loc_rewards", "loc_cells", "loc_transitions",
+                     "_visits"):
+            assert getattr(by_step, name) == getattr(whole, name), name
+        assert by_step._log_ratio == whole._log_ratio
+
+    @pytest.mark.parametrize("k, step", [(1, 3), (2, 2), (1, 1)], ids=["skip", "other", "repeat"])
+    def test_a_step_out_of_order_is_refused(self, k, step):
+        m = random_tabular(0, 2, 2, 3)
+        ag = fresh_agent(m)
+        ag.record_transition(m, Transition(1, 1, 0, 0, 0.0, 0))
+        with pytest.raises(ValueError, match=rf"^transition \(episode {k}, step {step}\) does "
+                                             r"not continue the 1 held steps$"):
+            ag.record_transition(m, Transition(k, step, 0, 0, 0.0, 0))
+        ag.record_transition(m, Transition(1, 2, 0, 0, 0.0, 0))
+        assert ag.loc_episodes == []
+        ag.record_transition(m, Transition(1, 3, 0, 0, 0.0, 0))
+        assert ag.loc_episodes == [1]
+
+
+class TestRecordEpisode:
+    def test_rows_rewards_and_cells_are_filed_per_episode(self):
+        m = random_tabular(0, 3, 2, 2)  # d = 6
+        ag = fresh_agent(m)
+        ag.record_episode(m, 4, [2, 1, 0, 0, 1, 1], [0.25, 0.5])
+        ag.record_episode(m, 9, [1, 0, 2, 2, 0, 0], [0.75, 1.0])
+        assert ag.loc_episodes == [4, 9]
+        assert ag.loc_rows == [[2, 1, 0, 0, 1, 1], [1, 0, 2, 2, 0, 0]]
+        assert ag.loc_rewards == [[0.25, 0.5], [0.75, 1.0]]
+        assert ag.loc_cells == [[m.cell(2, 1), m.cell(1, 0)], [m.cell(0, 1), m.cell(2, 0)]]
+        assert ag.loc_transitions == [[Transition(4, 1, 2, 1, 0.25, 0), Transition(9, 1, 1, 0, 0.75, 2)],
+                                      [Transition(4, 2, 0, 1, 0.5, 1), Transition(9, 2, 2, 0, 1.0, 0)]]
+
+    @pytest.mark.parametrize("row, rewards", [
+        ([0, 0, 0, 3, 0, 0], [0.0, 0.0]),     # cell 3 * 2 + 0 = 6 at step 2
+        ([-1, 0, 0, 0, 0, 0], [0.0, 0.0]),    # cell -2 at step 1
+        ([0, 0, 0, 0, 0, 0, 0], [0.0, 0.0]),  # a row of 7 entries
+        ([0, 0, 0, 0, 0, 0], [0.0]),          # one reward
+    ], ids=["cell-past-d", "negative-cell", "long-row", "short-rewards"])
+    def test_a_bad_episode_is_refused_before_anything_changes(self, row, rewards):
+        m = random_tabular(0, 3, 2, 2)  # d = 6
+        ag = fresh_agent(m)
+        ag.record_episode(m, 1, [1, 1, 0, 0, 0, 2], [0.5, 0.5])
+
+        def state():
+            return repr((ag.loc_episodes, ag.loc_rows, ag.loc_rewards, ag.loc_cells,
+                         ag._visits, ag._log_ratio))
+
+        before = state()
+        with pytest.raises(ValueError, match=r"^episode 2"):
+            ag.record_episode(m, 2, row, rewards)
+        assert state() == before
+
+    def test_loc_transitions_is_a_view_built_on_read(self):
+        m = random_tabular(0, 2, 2, 2)
+        ag = fresh_agent(m)
+        ag.record_episode(m, 1, [0, 1, 1, 1, 0, 0], [0.5, 0.25])
+        ag.loc_transitions[0].clear()
+        assert [len(ts) for ts in ag.loc_transitions] == [1, 1]
 
 
 def assert_batches_equal(got, want):
@@ -151,121 +229,158 @@ def assert_batches_equal(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
-def random_transitions(episodes, seed):
+# random_episodes' cells: 5 states by 3 actions, over STORE_H steps.
+STORE_D, STORE_H = 15, 2
+
+
+def random_episodes(episodes, seed):
+    """Per episode k, its STORE_H Transitions at random (s, a, r, s')."""
     rng = np.random.default_rng(seed)
-    return [Transition(int(k), 1, int(rng.integers(5)), int(rng.integers(3)),
-                       float(rng.random()), int(rng.integers(5))) for k in episodes]
-
-
-# random_transitions' cells: 5 states by 3 actions.
-STORE_D = 15
+    return [[Transition(int(k), h, int(rng.integers(5)), int(rng.integers(3)),
+                        float(rng.random()), int(rng.integers(5)))
+             for h in range(1, STORE_H + 1)] for k in episodes]
 
 
 def cells_of(ts):
     return [t.state * 3 + t.action for t in ts]
 
 
+def store_args(eps, cell=cells_of):
+    """TransitionStore.extend's arguments for episodes given as lists of
+    their Transitions: episode ids, flat rows, rewards and per-step cells."""
+    H = len(eps[0]) if eps else STORE_H
+    return ([ts[0].episode for ts in eps],
+            [[x for t in ts for x in (t.state, t.action, t.next_state)] for ts in eps],
+            [[t.reward for t in ts] for ts in eps],
+            [cell([ts[hh] for ts in eps]) for hh in range(H)])
+
+
+def assert_store_holds(store, eps):
+    """Step h's batch is the step-h Transitions of eps in episode order."""
+    ordered = sorted(eps, key=lambda ts: ts[0].episode)
+    batches = store.batches()
+    assert len(batches) == STORE_H
+    for hh, got in enumerate(batches):
+        assert_batches_equal(got, TransitionBatch.from_transitions([ts[hh] for ts in ordered]))
+
+
 class TestTransitionStore:
     def test_interleaved_adds_come_out_sorted(self):
         rng = np.random.default_rng(4)
-        ts = random_transitions(rng.permutation(np.arange(1, 61)), seed=4)
-        store, added = TransitionStore(STORE_D), []
+        eps = random_episodes(rng.permutation(np.arange(1, 61)), seed=4)
+        store = TransitionStore(STORE_D, STORE_H)
         for lo, hi in [(0, 5), (5, 6), (6, 20), (20, 21), (21, 45), (45, 60)]:
-            store.extend(ts[lo:hi], cells_of(ts[lo:hi]))
-            added += ts[lo:hi]
-            want = TransitionBatch.from_transitions(sorted(added, key=lambda t: t.episode))
-            assert_batches_equal(store.batch(), want)
+            store.extend(*store_args(eps[lo:hi]))
+            assert_store_holds(store, eps[:hi])
 
     def test_growth_keeps_every_row(self):
-        ts = random_transitions(range(1, 70), seed=1)
-        store = TransitionStore(STORE_D)
-        for i, t in enumerate(ts):
-            store.extend([t], cells_of([t]))
+        eps = random_episodes(range(1, 70), seed=1)
+        store = TransitionStore(STORE_D, STORE_H)
+        for i, ep in enumerate(eps):
+            store.extend(*store_args([ep]))
             if i % 3 == 0:  # batch at irregular sizes around each doubling
-                assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts[:i + 1]))
-        assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts))
+                assert_store_holds(store, eps[:i + 1])
+        assert_store_holds(store, eps)
 
     def test_repeat_batch_without_adds_is_equal(self):
-        store = TransitionStore(STORE_D)
-        ts = random_transitions([3, 1, 2], seed=2)
-        store.extend(ts, cells_of(ts))
-        first = store.batch()
-        snapshot = TransitionBatch(*(c.copy() for c in (
-            first.episode, first.state, first.action, first.reward, first.next_state)))
-        assert_batches_equal(store.batch(), snapshot)
-        assert list(snapshot.episode) == [1, 2, 3]
+        store = TransitionStore(STORE_D, STORE_H)
+        eps = random_episodes([3, 1, 2], seed=2)
+        store.extend(*store_args(eps))
+        snapshots = [TransitionBatch(*(c.copy() for c in (
+            b.episode, b.state, b.action, b.reward, b.next_state))) for b in store.batches()]
+        for got, snapshot in zip(store.batches(), snapshots):
+            assert_batches_equal(got, snapshot)
+            assert list(snapshot.episode) == [1, 2, 3]
 
     def test_empty_store(self):
-        assert_batches_equal(TransitionStore(STORE_D).batch(),
-                             TransitionBatch.from_transitions([]))
+        store = TransitionStore(STORE_D, STORE_H)
+        store.extend(*store_args([]))
+        for got in store.batches():
+            assert_batches_equal(got, TransitionBatch.from_transitions([]))
+            assert got.phis.shape == (0, STORE_D)
 
     @pytest.mark.parametrize("bad", [-1, STORE_D, 1.5])
     def test_out_of_range_cell_is_refused_before_any_change(self, bad):
         """A cell of -1 would file the identity's last row as its design, one
-        of d would break the store at its next read, and 1.5 would file e_1."""
-        ts = random_transitions([2, 1, 3], seed=3)
-        store = TransitionStore(STORE_D)
-        store.extend(ts[:1], cells_of(ts[:1]))
+        of d would break the store at its next read, and 1.5 would file e_1.
+        The bad cell sits at the last step, so no earlier step may change."""
+        eps = random_episodes([2, 1, 3], seed=3)
+        store = TransitionStore(STORE_D, STORE_H)
+        store.extend(*store_args(eps[:1]))
+        args = store_args(eps[1:])
+        args[3][-1][-1] = bad
         with pytest.raises(ValueError, match=rf"^basis index {bad} outside \[0, {STORE_D}\)$"):
-            store.extend(ts[1:], [cells_of(ts[1:2])[0], bad])
-        assert_batches_equal(store.batch(), TransitionBatch.from_transitions(ts[:1]))
-        store.extend(ts[1:], cells_of(ts[1:]))
-        ordered = sorted(ts, key=lambda t: t.episode)
-        got = store.batch()
-        assert_batches_equal(got, TransitionBatch.from_transitions(ordered))
-        assert got.phis.tobytes() == np.eye(STORE_D)[cells_of(ordered)].tobytes()
+            store.extend(*args)
+        assert_store_holds(store, eps[:1])
+        store.extend(*store_args(eps[1:]))
+        assert_store_holds(store, eps)
+        ordered = sorted(eps, key=lambda ts: ts[0].episode)
+        for hh, got in enumerate(store.batches()):
+            want = np.eye(STORE_D)[cells_of([ts[hh] for ts in ordered])]
+            assert got.phis.tobytes() == want.tobytes()
+
+    def test_misaligned_arguments_are_refused(self):
+        store = TransitionStore(STORE_D, STORE_H)
+        episodes, rows, rewards, cells = store_args(random_episodes([1, 2], seed=5))
+        for args in [(episodes[:1], rows, rewards, cells), (episodes, rows, rewards[:1], cells),
+                     (episodes, rows, rewards, cells[:1]),
+                     (episodes, rows, rewards, [cells[0], cells[1][:1]])]:
+            with pytest.raises(ValueError, match="for H = 2 steps$"):
+                store.extend(*args)
+        assert all(len(b) == 0 for b in store.batches())
 
     def test_design_is_the_feature_rows_through_re_sorts_and_growth(self):
-        m = random_tabular(0, 5, 3, 1)  # d = 15: random_transitions' cells
-        ts = random_transitions(np.random.default_rng(8).permutation(np.arange(1, 200)), seed=8)
-        store, lo, capacities = TransitionStore(m.d), 0, set()
+        m = random_tabular(0, 5, 3, STORE_H)  # d = 15: random_episodes' cells
+        eps = random_episodes(np.random.default_rng(8).permutation(np.arange(1, 200)), seed=8)
+        store, lo, capacities = TransitionStore(m.d, m.H), 0, set()
         for size in [1, 1, 3, 7, 2, 30, 1, 64, 90]:
             # Two extends per batch, each out of episode order.
-            for part in (ts[lo:lo + size // 2], ts[lo + size // 2:lo + size]):
-                store.extend(part, cells_of(part))
+            for part in (eps[lo:lo + size // 2], eps[lo + size // 2:lo + size]):
+                store.extend(*store_args(part))
             lo += size
-            got = store.batch()
-            capacities.add(len(store._design))
-            assert got.phis is not None  # the store's kept design, not built here
-            phis = got.design(m)
-            assert phis.dtype == np.float64 and phis.flags.c_contiguous
-            assert phis.tobytes() == m.features[got.state, got.action].tobytes()
-            assert_batches_equal(got, TransitionBatch.from_transitions(
-                sorted(ts[:lo], key=lambda t: t.episode)))
-        assert lo == len(ts) and len(capacities) > 3
+            capacities.add(store._design.shape[1])
+            for got in store.batches():
+                assert got.phis is not None  # the store's kept design, not built here
+                phis = got.design(m)
+                assert phis.dtype == np.float64 and phis.flags.c_contiguous
+                assert phis.tobytes() == m.features[got.state, got.action].tobytes()
+            assert_store_holds(store, eps[:lo])
+        assert lo == len(eps) and len(capacities) > 3
 
     @staticmethod
     def refit_inputs(m, n_episodes, seed, cov_cls):
-        """Per-h transitions of random episodes, stores fed them in shuffled
+        """Per-h transitions of random episodes, a store fed them in shuffled
         chunks (as uploads arrive), and the matching covariances."""
         rng = np.random.default_rng(seed)
-        per_h = [[] for _ in range(m.H)]
+        eps = []
         for k in rng.permutation(np.arange(1, n_episodes + 1)).tolist():
-            s = int(rng.integers(m.n_states))
+            s, ts = int(rng.integers(m.n_states)), []
             for h in range(1, m.H + 1):
-                t = make_transition(m, k, h, s, int(rng.integers(m.n_actions)), rng)
-                per_h[h - 1].append(t)
-                s = t.next_state
-        stores = [TransitionStore(m.d) for _ in range(m.H)]
+                ts.append(make_transition(m, k, h, s, int(rng.integers(m.n_actions)), rng))
+                s = ts[-1].next_state
+            eps.append(ts)
+        def cells(ts):
+            return [int(m.cell(t.state, t.action)) for t in ts]
+
+        per_h = [[ts[hh] for ts in eps] for hh in range(m.H)]
+        store = TransitionStore(m.d, m.H)
         covs = [cov_cls(m.d, 1.0) for _ in range(m.H)]
-        for store, cov, ts in zip(stores, covs, per_h):
-            cells = [int(m.cell(t.state, t.action)) for t in ts]
-            cov.add_bases(cells)
-            for lo in range(0, len(ts), 7):
-                store.extend(ts[lo:lo + 7], cells[lo:lo + 7])
-                if lo % 3 == 0:
-                    store.batch()
-        return per_h, stores, covs
+        for cov, ts in zip(covs, per_h):
+            cov.add_bases(cells(ts))
+        for lo in range(0, len(eps), 7):
+            store.extend(*store_args(eps[lo:lo + 7], cells))
+            if lo % 3 == 0:
+                store.batches()
+        return per_h, store, covs
 
     @pytest.mark.parametrize("cov_cls", [PsdMatrix, DiagonalPsdMatrix])
     def test_refit_from_a_store_equals_refit_from_transitions(self, cov_cls):
         m = random_tabular(3, 5, 3, 3)  # d = 15
-        per_h, stores, covs = self.refit_inputs(m, 120, 9, cov_cls)
+        per_h, store, covs = self.refit_inputs(m, 120, 9, cov_cls)
         listed = [TransitionBatch.from_transitions(sorted(ts, key=lambda t: t.episode))
                   for ts in per_h]
         from_store, from_list = (LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4) for _ in range(2))
-        from_store.lsvi_backward_update(m, [s.batch() for s in stores],
-                                        [c.copy() for c in covs])
+        from_store.lsvi_backward_update(m, store.batches(), [c.copy() for c in covs])
         from_list.lsvi_backward_update(m, listed, [c.copy() for c in covs])
         assert np.any(from_store.qparams.w != 0.0)
         assert from_store.qparams.w.tobytes() == from_list.qparams.w.tobytes()
@@ -276,8 +391,8 @@ class TestTransitionStore:
         step allocates less than its (n, d) float64 design would take."""
         m = hard_instance(8, 3, 0.1)
         n = 4000
-        _, stores, covs = self.refit_inputs(m, n, 10, DiagonalPsdMatrix)
-        batches = [s.batch() for s in stores]
+        _, store, covs = self.refit_inputs(m, n, 10, DiagonalPsdMatrix)
+        batches = store.batches()
         ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 0.4)
         tracemalloc.start()
         try:
@@ -370,8 +485,9 @@ class TestShouldCommunicate:
     def test_smallest_h_reported(self):
         m = random_tabular(0, 1, 2, 3)  # H = 3
         ag = fresh_agent(m, alpha=0.5)
-        for h in (2, 3):
-            ag.record_transition(m, Transition(1, h, 0, 0, 0.0, 0))
+        # Ten earlier visits at step 1: its ratio 12/11 stays below 1.5.
+        ag.qparams.cov[0].add_bases([m.cell(0, 0)] * 10)
+        ag.record_episode(m, 1, [0, 0, 0] * 3, [0.0] * 3)
         trig, h = ag.should_communicate()
         assert trig and h == 2
 

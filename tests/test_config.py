@@ -215,13 +215,16 @@ seed = 77
     def test_file_path_round_trip(self, tmp_path):
         """A file instance's resolved config echoes, and the echo reruns the
         same file; a space inside the path is carried, and a path object is
-        checked as the text the echo writes."""
+        checked, and resolved, as the text the echo writes."""
         path = tmp_path / "a b" / "h.mdp"
         path.parent.mkdir()
         write_mdp(random_tabular(0, 3, 2, 2), str(path))
         resolved = RunConfig(mdp_kind="file", mdp_path=str(path), M=2, K=5).resolved()
         assert parse_config(emit_config(resolved)) == resolved
-        assert RunConfig(mdp_kind="file", mdp_path=path, M=2, K=5).resolved().mdp_path == path
+        from_path = RunConfig(mdp_kind="file", mdp_path=path, M=2, K=5).resolved()
+        assert from_path.mdp_path == str(path) and type(from_path.mdp_path) is str
+        assert parse_config(emit_config(from_path)) == from_path == resolved
+        assert from_path.resolved() == from_path
         with pytest.raises(ConfigError, match="cannot carry"):
             RunConfig(mdp_kind="file", mdp_path=tmp_path / "p#q.mdp", M=2, K=5).resolved()
 

@@ -368,7 +368,9 @@ class TestCellIndexPath:
 class TestTracedBoundaries:
     """The run loop crosses each boundary that perfbench/tracer.py wraps as
     often as the protocol implies, so that inlining one out of the tracer's
-    sight fails here."""
+    sight fails here. An episode is one rollout and one record: the one-step
+    LinearMdp.step and LsviAgent.record_transition, which the tracer still
+    wraps, are off the run path."""
 
     @pytest.mark.parametrize("diagnostics", [False, True])
     @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
@@ -385,6 +387,7 @@ class TestTracedBoundaries:
             monkeypatch.setattr(owner, name, counted)
 
         for owner, name in [(LinearMdp, "step"), (LsviAgent, "record_transition"),
+                            (LinearMdp, "rollout"), (LsviAgent, "record_episode"),
                             (LsviAgent, "should_communicate"),
                             (LsviAgent, "lsvi_backward_update"), (CentralServer, "upload"),
                             (CentralServer, "download"), (harness, "run_episode")]:
@@ -393,7 +396,8 @@ class TestTracedBoundaries:
         rec = run_experiment(RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=H, M=3, K=K,
                                        protocol=protocol, schedule="uniform_random",
                                        master_seed=2, diagnostics=diagnostics))
-        assert calls["step"] == calls["record_transition"] == K * H
+        assert calls["step"] == calls["record_transition"] == 0
+        assert calls["rollout"] == calls["record_episode"] == K
         assert calls["should_communicate"] == calls["run_episode"] == K
         assert calls["lsvi_backward_update"] == rec.total_switches > 0
         assert calls["upload"] == calls["download"] == rec.total_comm
@@ -405,11 +409,11 @@ class TestDiagnosticsKeepNoCovariance:
     def test_same_covariance_work_with_and_without(self, monkeypatch, protocol):
         """Diagnostics read the run's visit record: they build, update and
         copy no covariance that the same run without them does not, and the
-        step loop computes no cell and takes no step of its own for them."""
+        episode computes no cell and takes no step of its own for them."""
         calls = collections.Counter()
         for owner, name in ((DiagonalPsdMatrix, "__init__"), (DiagonalPsdMatrix, "add_bases"),
                             (DiagonalPsdMatrix, "copy"), (LinearMdp, "cell"),
-                            (LinearMdp, "step")):
+                            (LinearMdp, "step"), (LinearMdp, "rollout")):
             original = vars(owner)[name]
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -426,7 +430,7 @@ class TestDiagnosticsKeepNoCovariance:
             counts[diagnostics] = dict(calls)
         assert counts[True] == counts[False]
         assert counts[False]["add_bases"] > 0
-        assert counts[False]["cell"] >= counts[False]["step"] == 300 * 3
+        assert counts[False]["rollout"] == 300
 
 
 class TestAccounting:
@@ -464,7 +468,7 @@ class TestAccounting:
                              episode_hook=views.append)
         assert rec.total_comm > 0
         for agent in views[-1].agents:
-            assert all(len(store.batch()) == 0 for store in agent._own)
+            assert agent._own is None
 
     @pytest.mark.parametrize("protocol", ["async_trigger", "full_sync", "no_comm"])
     def test_own_history_stores_built_on_first_read(self, protocol):
@@ -473,7 +477,7 @@ class TestAccounting:
                                  schedule="uniform_random", master_seed=1),
                        episode_hook=views.append)
         for agent in views[-1].agents:
-            assert len(agent._own) == (agent.H if protocol == "no_comm" else 0)
+            assert (agent._own is not None) == (protocol == "no_comm")
 
 
 class TestOneQTable:
@@ -1024,6 +1028,55 @@ class TestSharedInstance:
                                   mdp_mod.random_tabular(seed, 3, 2, 2).transitions)
         assert reads == [str(path)] * 2
         assert harness._shared is None
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """Every read_mdp call, through configio's name and the module's."""
+        from coop_lsvi import configio
+        reads, read_mdp = [], mdp_mod.read_mdp
+
+        def counted(path):
+            reads.append(path)
+            return read_mdp(path)
+
+        monkeypatch.setattr(mdp_mod, "read_mdp", counted)
+        monkeypatch.setattr(configio, "read_mdp", counted)
+        return reads
+
+    def test_parsed_file_instance_is_read_once(self, tmp_path, monkeypatch, cold):
+        """parse_config reads and checks the file; the run, through resolved()
+        and the CLI's --seed, and every run of a sweep, use what it read."""
+        from coop_lsvi import cli
+        reads = self.count_reads(monkeypatch)
+        path = tmp_path / "inst.mdp"
+        mdp_mod.write_mdp(mdp_mod.random_tabular(0, 3, 2, 2), str(path))
+        text = f"[mdp]\nkind = file\npath = {path}\n\n[run]\nM = 2\nK = 20\n"
+        cfg = parse_config(text)
+        want = run_experiment(RunConfig(mdp_kind="file", mdp_path=str(path), M=2, K=20))
+        reads.clear()
+        cfg = parse_config(text)
+        got = run_experiment(cfg)
+        assert reads == [str(path)]
+        assert metrics_csv_text(got) == metrics_csv_text(want)
+        (tmp_path / "run.cfg").write_text(text)
+        (tmp_path / "sweep.cfg").write_text(text + "\n[sweep]\nseeds = 1, 2, 3\n")
+        for argv in (["run", "--config", str(tmp_path / "run.cfg"), "--seed", "4"],
+                     ["sweep", "--config", str(tmp_path / "sweep.cfg")]):
+            reads.clear()
+            assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+            assert reads == [str(path)]
+
+    def test_a_changed_path_is_read(self, tmp_path, monkeypatch, cold):
+        """The carried instance serves only the path it was read from."""
+        reads = self.count_reads(monkeypatch)
+        paths = [tmp_path / "a.mdp", tmp_path / "b.mdp"]
+        for seed, path in enumerate(paths):
+            mdp_mod.write_mdp(mdp_mod.random_tabular(seed, 3, 2, 2), str(path))
+        cfg = parse_config(f"[mdp]\nkind = file\npath = {paths[0]}\n\n[run]\nM = 2\nK = 5\n")
+        cfg.mdp_path = paths[1]
+        assert np.array_equal(build_run_state(cfg).mdp.transitions,
+                              mdp_mod.random_tabular(1, 3, 2, 2).transitions)
+        assert reads == [str(paths[0]), str(paths[1])]
 
     @pytest.mark.parametrize("change,key", [
         (dict(K=5_000_000), ("run", "K")),

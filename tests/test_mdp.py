@@ -85,7 +85,7 @@ class TestLinearMdp:
     def test_features_are_a_view_of_the_shared_identity(self):
         m = hard_instance(8, 3, 0.1)
         assert np.shares_memory(m.features, mdp_mod.identity(m.d))
-        assert np.shares_memory(m.features, TransitionStore(m.d)._eye)
+        assert np.shares_memory(m.features, TransitionStore(m.d, m.H)._eye)
 
     def test_copies_the_tables_as_read_only_float64(self):
         P = np.ones((1, 2, 1, 2), dtype=np.int64)
@@ -288,13 +288,16 @@ def _rough_rows(rng, H, S, A):
     return P
 
 
+def searchsorted_state(m, s, a, h, u):
+    """The next state by its definition: searchsorted on the cumulative row,
+    clamped to S - 1."""
+    row = m._cum_rows[h - 1, s, a]
+    return min(int(np.searchsorted(row, u, side="right")), m.n_states - 1)
+
+
 class TestStepSampler:
     """step draws searchsorted(row, u, side="right") clamped to S - 1, exactly,
     without calling numpy."""
-
-    def expected(self, m, s, a, h, u):
-        row = m._cum_rows[h - 1, s, a]
-        return min(int(np.searchsorted(row, u, side="right")), m.n_states - 1)
 
     @pytest.mark.parametrize("S", [1, 2, 4, 40])
     def test_matches_searchsorted(self, S):
@@ -313,7 +316,7 @@ class TestStepSampler:
                         us |= {c, float(np.nextafter(c, -1.0)), float(np.nextafter(c, 2.0))}
                     for u in sorted(us):
                         reward, nxt = m.step(s, a, h, u)
-                        assert nxt == self.expected(m, s, a, h, u)
+                        assert nxt == searchsorted_state(m, s, a, h, u)
                         assert type(nxt) is int and type(reward) is float
                         assert reward == m.rewards[h - 1, s, a]
 
@@ -324,7 +327,7 @@ class TestStepSampler:
         P = np.array([[[[0.5, -1e-12, 0.5 + 1e-12]]] * 3])
         m = LinearMdp(P, np.zeros((1, 3, 1)))
         u = 0.5 - 5e-13
-        assert self.expected(m, 0, 0, 1, u) == 2
+        assert searchsorted_state(m, 0, 0, 1, u) == 2
         assert m.step(0, 0, 1, u)[1] == 2
 
     def test_last_entry_below_one_clamps(self):
@@ -339,6 +342,59 @@ class TestStepSampler:
         assert twin.rewards.tobytes() == m.rewards.tobytes()
         assert ([twin.step(2, 1, 2, np.random.default_rng(k).random()) for k in range(20)]
                 == [m.step(2, 1, 2, np.random.default_rng(k).random()) for k in range(20)])
+
+
+class TestRollout:
+    """rollout picks, at every step, the state step picks at the same
+    (s, a, h, u): on rough rows, at u = 1.0, past a row's last entry (the
+    clamp to S - 1) and at every cumulative entry and its neighbours."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), S=st.sampled_from([1, 2, 3, 5, 12]),
+           A=st.integers(1, 3), H=st.integers(1, 4), data=st.data())
+    def test_follows_step_at_every_step(self, seed, S, A, H, data):
+        rng = np.random.default_rng(seed)
+        P = _rough_rows(rng, H, S, A)
+        if data.draw(st.booleans()):
+            P[..., 0] -= 1e-11  # rows ending below 1, within PROB_ROW_TOL: the clamp
+        m = build_tabular_as_linear(P, rng.random((H, S, A)))
+        actions = rng.integers(0, A, size=(H, S)).tolist()
+        s1 = data.draw(st.integers(0, S - 1))
+        draws = []
+        for hh in range(H):
+            cum = m._cum_rows[hh].reshape(-1).tolist()
+            c = data.draw(st.sampled_from(cum))
+            draws.append(data.draw(st.sampled_from(
+                [0.0, 1.0, float(rng.random()), c, float(np.nextafter(c, -1.0)),
+                 float(np.nextafter(c, 2.0))])))
+        row, rewards = m.rollout(s1, actions, draws)
+        assert len(row) == 3 * H and len(rewards) == H
+        s = s1
+        for h, u in enumerate(draws, 1):
+            a = actions[h - 1][s]
+            reward, nxt = m.step(s, a, h, u)
+            assert row[3 * h - 3:3 * h] == [s, a, nxt]
+            assert type(rewards[h - 1]) is float and rewards[h - 1] == reward
+            assert nxt == searchsorted_state(m, s, a, h, u)
+            s = nxt
+
+    def test_clamps_past_the_last_entry(self):
+        P = np.array([[[[0.25, 0.75 - 1e-11]]] * 2] * 2)
+        m = LinearMdp(P, np.zeros((2, 2, 1)))
+        assert m.rollout(0, [[0, 0]] * 2, [1.0, 1.0 - 1e-12]) == ([0, 0, 1, 1, 0, 1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("s1, actions, draws, match", [
+        (4, [[0] * 4] * 3, [0.5] * 3, r"^s=4: state out of \[0, 4\)$"),
+        (-1, [[0] * 4] * 3, [0.5] * 3, r"^s=-1: state"),
+        (0, [[0] * 4] * 3, [0.5] * 2, r"^draws: 2 uniforms for an episode of H = 3 steps$"),
+        (0, [[0] * 4] * 2, [0.5] * 3, r"^actions: 2 rows for an episode of H = 3 steps$"),
+        (0, [[0] * 4, [2] * 4, [0] * 4], [0.5] * 3, r"^a=2: action out of \[0, 2\)$"),
+        (0, [[0] * 4] * 3, [0.5, 0.5, math.nan], r"^draws: \[0.5, 0.5, nan\] holds a NaN"),
+    ], ids=["s-past-S", "s-negative", "short-draws", "short-actions", "bad-action", "nan"])
+    def test_bad_inputs_raise(self, s1, actions, draws, match):
+        m = hard_instance(8, 3, 0.1)
+        with pytest.raises(ValueError, match=match):
+            m.rollout(s1, actions, draws)
 
 
 class TestSerialization:

@@ -25,6 +25,18 @@ def agent_with_rollout(mdp, agent_id, episodes, seed, alpha=0.5):
     return ag
 
 
+def server_state(server):
+    """The bytes of everything a server holds: every step's covariance and
+    batch, and its episode keys."""
+    covs, batches = server.download()
+    return ([(c.diag.tobytes(), c.inv_diag.tobytes(), c.logdet, c.updates_since_refresh)
+             for c in covs],
+            [tuple(getattr(b, name).tobytes() for name in
+                   ("episode", "state", "action", "reward", "next_state", "phis"))
+             for b in batches],
+            sorted(server._episodes))
+
+
 def reconstruct_cov(server, mdp, hh):
     total = server.ridge * np.eye(server.d)
     _, data = server.download()
@@ -75,18 +87,29 @@ class TestUpload:
             srv.upload(ag)  # same buffered episode again
 
     def test_duplicate_within_one_buffer_fatal(self):
-        """The same episode twice at one step of one buffer collides with
-        itself: the message names it, and that step is left as it was."""
+        """The same episode twice in one buffer collides with itself: the
+        message names it, and the whole server is left as it was."""
         m = random_tabular(0, 2, 2, 2)
         srv = CentralServer(m.d, m.H, 1.0)
         ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 1.0)
         for k in (4, 7, 4):
-            ag.record_transition(m, Transition(k, 2, 1, 0, 0.5, 1))
-        before = srv.cov[1].logdet
-        with pytest.raises(ProtocolViolation, match=r"episode 4, step 2$"):
+            ag.record_episode(m, k, [1, 0, 1, 1, 0, 1], [0.5, 0.5])
+        before = server_state(srv)
+        with pytest.raises(ProtocolViolation, match=r"^duplicate upload for episode 4$"):
             srv.upload(ag)
-        assert srv.cov[1].logdet == before
-        assert len(srv.download()[1][1]) == 0
+        assert server_state(srv) == before
+
+    def test_duplicate_against_the_store_leaves_the_server_as_it_was(self):
+        m = random_tabular(0, 2, 2, 2)
+        srv = CentralServer(m.d, m.H, 1.0)
+        srv.upload(agent_with_rollout(m, 1, [3, 5], seed=0))
+        before = server_state(srv)
+        ag = agent_with_rollout(m, 2, [4, 5, 6], seed=1)
+        with pytest.raises(ProtocolViolation, match=r"^duplicate upload for episode 5$"):
+            srv.upload(ag)
+        assert server_state(srv) == before
+        srv.upload(agent_with_rollout(m, 2, [4, 6], seed=1))
+        assert list(srv.download()[1][0].episode) == [3, 4, 5, 6]
 
     def test_duplicate_names_the_first_collision_in_buffer_order(self):
         m = random_tabular(0, 2, 2, 2)
@@ -94,29 +117,32 @@ class TestUpload:
         srv.upload(agent_with_rollout(m, 1, [3], seed=0))
         ag = LsviAgent(2, m.d, m.H, 0.5, 1.0, 1.0)
         for k in (5, 6, 5, 3):
-            ag.record_transition(m, Transition(k, 1, 0, 1, 0.0, 0))
-        with pytest.raises(ProtocolViolation, match=r"episode 5, step 1$"):
+            ag.record_episode(m, k, [0, 1, 0, 0, 1, 0], [0.0, 0.0])
+        with pytest.raises(ProtocolViolation, match=r"^duplicate upload for episode 5$"):
             srv.upload(ag)
 
     @pytest.mark.parametrize("bad", [-1, 4, 7, 1.5])
     def test_out_of_range_cell_leaves_the_step_as_it_was(self, bad):
-        """A refused cell changes neither the step's store, covariance nor
-        episode keys, so the corrected buffer uploads afterwards."""
+        """A refused cell, here at the last step, changes no step's store or
+        covariance and no episode key, so the corrected buffer uploads
+        afterwards."""
         m = random_tabular(0, 2, 2, 2)  # d = 4
         srv = CentralServer(m.d, m.H, 1.0)
         ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 1.0)
-        ag.loc_transitions[0].append(Transition(1, 1, 0, 1, 0.5, 1))
-        ag.loc_cells[0].append(bad)
+        ag.record_episode(m, 1, [0, 1, 1, 1, 0, 0], [0.5, 0.25])
+        ag.loc_cells[1][0] = bad  # as a corrupted buffer would bring it
+        before = server_state(srv)
         with pytest.raises(ValueError, match=rf"^basis index {bad} outside \[0, 4\)$"):
             srv.upload(ag)
-        assert srv.cov[0].diag.tolist() == [1.0] * 4
-        assert (srv.cov[0].logdet, srv.cov[0].updates_since_refresh) == (0.0, 0)
-        assert len(srv.download()[1][0]) == 0
-        ag.loc_cells[0][0] = m.cell(0, 1)
+        assert server_state(srv) == before
+        assert all(c.diag.tolist() == [1.0] * 4 for c in srv.cov)
+        ag.loc_cells[1][0] = m.cell(1, 0)
         srv.upload(ag)
         covs, data = srv.download()
         assert list(data[0].episode) == [1] and list(data[0].action) == [1]
+        assert list(data[1].state) == [1] and list(data[1].reward) == [0.25]
         assert covs[0].diag.tolist() == [1.0, 2.0, 1.0, 1.0]
+        assert covs[1].diag.tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_logdet_monotone_across_uploads(self):
         m = random_tabular(1, 3, 2, 2)
