@@ -99,15 +99,16 @@ class TransitionStore:
     changes anything, files the new episodes into arrays that double their
     capacity when full, and re-sorts by episode (one stable argsort, from the
     first stored episode a new one precedes, and one permutation of every
-    array) only when the new episodes break episode order. ``batches``
-    returns each step's TransitionBatch of column views and its design view,
-    valid until the next ``extend``; callers share them and must not write
-    to them.
+    array) only when the given episodes or the last stored one break episode
+    order. ``batches`` returns each step's TransitionBatch of column views and
+    its design view, valid until the next ``extend``; callers share them and
+    must not write to them.
     """
 
     def __init__(self, d: int, H: int) -> None:
         self._eye = identity(d)
         self._n = 0
+        self._last = 0  # the last stored episode, once there is one
         self._grow(H, 0)
         self._batches = self._views()
 
@@ -157,19 +158,18 @@ class TransitionStore:
         self._rows[n0:n] = rows
         self._reward[n0:n] = rewards
         design[:, n0:n] = self._eye.take(cells, axis=0)
-        # The order check runs on Python ints from the last stored episode on:
-        # an upload usually brings a few episodes, where numpy's overhead
-        # dominates.
-        eps = episode[max(n0 - 1, 0):n].tolist()
-        if any(map(operator.gt, eps, eps[1:])):
+        # The order check runs on the given episodes, not on a numpy slice: an
+        # upload usually brings a few episodes, where numpy's overhead dominates.
+        if n0 and self._last > episodes[0] or any(map(operator.gt, episodes, episodes[1:])):
             # A bisection over the column's buffer: half the time of
             # np.searchsorted on it.
-            lo = bisect_right(memoryview(episode), min(eps), 0, n0)
+            lo = bisect_right(memoryview(episode), min(episodes), 0, n0)
             order = np.argsort(episode[lo:n], kind="stable")
             for column in (episode, self._rows, self._reward):
                 column[lo:n] = column[lo:n].take(order, axis=0)
             design[:, lo:n] = design[:, lo:n].take(order, axis=1)
         self._n = n
+        self._last = episode.item(n - 1)
         self._batches = self._views()
 
     def batches(self) -> list[TransitionBatch]:
@@ -230,9 +230,11 @@ class LsviAgent:
 
     # -- read-only evaluation ------------------------------------------------
 
-    def _clipped_q(self, hh: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def _clipped_q(self, hh: int, out: Optional[np.ndarray] = None,
+                   bonus: Optional[np.ndarray] = None) -> np.ndarray:
         """(d,) truncated optimistic Q estimates of every cell j at 0-based
         step hh, in ``out`` if given; the one place the Q-function is evaluated.
+        ``bonus``, if given, is beta * sqrt(diag(cov_h^-1)), computed by the caller.
 
         For phi(s, a) = e_j (mdp.LinearMdp.cell) the formula above is
         w_h[j] + beta * sqrt((cov_h^-1)_jj) for any SPD cov_h. The feature
@@ -240,7 +242,9 @@ class LsviAgent:
         exact zeros to those two, for dense covariances too: same bits.
         """
         qp = self.qparams
-        raw = np.add(qp.w[hh], qp.beta * np.sqrt(qp.cov[hh].inv_diag), out=out)
+        if bonus is None:
+            bonus = qp.beta * np.sqrt(qp.cov[hh].inv_diag)
+        raw = np.add(qp.w[hh], bonus, out=out)
         # The ufunc np.clip and ndarray.clip end in; unlike np.maximum and
         # np.minimum, it keeps a -0.0 inside the bounds.
         return _clip(raw, 0.0, self.H - hh, out=raw)
@@ -349,14 +353,15 @@ class LsviAgent:
         """Clear the local delta after an update (upload consumed it)."""
         self.loc_episodes, self.loc_rows, self.loc_rewards = [], [], []
         self.loc_cells = [[] for _ in range(self.H)]
-        self._visits = [{} for _ in range(self.H)]
+        for visits in self._visits:
+            visits.clear()
         self._log_ratio = [0.0] * self.H
         self._own_moved = 0
 
     def local_cov_snapshot(self) -> list[Covariance]:
         """Per-h cov_h + local delta as new matrices, the local cells added in
-        recording order: what a no-communication learner adopts when its
-        trigger fires."""
+        recording order: the reference for a no-communication local update,
+        which the run loop makes in place on cov_h, copying nothing."""
         snapshot = [cov.copy() for cov in self.qparams.cov]
         for cov, cells in zip(snapshot, self.loc_cells):
             cov.add_bases(cells)
@@ -365,13 +370,15 @@ class LsviAgent:
     def own_history(self) -> list[TransitionBatch]:
         """Per-h batches, in episode order, of every transition this agent
         has taken, provided each local delta was read here before
-        reset_local() cleared it (as the no-communication refit does); valid
-        until the next call."""
+        reset_local() cleared it, as the no-communication refit does after
+        adding the delta's cells to cov_h in place; valid until the next call."""
         if self._own is None:
             self._own = TransitionStore(self.d, self.H)
         moved = self._own_moved
-        self._own.extend(self.loc_episodes[moved:], self.loc_rows[moved:],
-                         self.loc_rewards[moved:], [cells[moved:] for cells in self.loc_cells])
+        columns = [self.loc_episodes, self.loc_rows, self.loc_rewards, *self.loc_cells]
+        if moved:  # a repeat read of one delta files only its new episodes
+            columns = [column[moved:] for column in columns]
+        self._own.extend(*columns[:3], columns[3:])
         self._own_moved = len(self.loc_episodes)
         return self._own.batches()
 
@@ -393,6 +400,8 @@ class LsviAgent:
         """
         qp = self.qparams
         S, A = mdp.n_states, mdp.n_actions
+        # Every step's bonus row in one sqrt: elementwise, so the same bits.
+        bonus = qp.beta * np.sqrt(np.array([cov.inv_diag for cov in global_cov]))
         q = np.empty((self.H, S, A))
         q_cells = q.reshape(self.H, self.d)  # a view: Q_h is written in place
         next_value = None  # value table for step h+1, None means zero
@@ -412,7 +421,7 @@ class LsviAgent:
                 qp.w[hh] = 0.0
             # Value table V_h(s) = max_a Q_h(s, a) for the step below.
             next_value = np.maximum.reduce(
-                self._clipped_q(hh, out=q_cells[hh]).reshape(S, A), axis=1)
+                self._clipped_q(hh, out=q_cells[hh], bonus=bonus[hh]).reshape(S, A), axis=1)
         self._q = q
         return qp
 

@@ -567,9 +567,11 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     The active agent plays the episode greedily under its frozen policy
     table, as one LinearMdp.rollout with step h at draws[h-1], and records it
     locally as one episode; then the protocol decides whether it communicates
-    (upload, download, backward update, local reset). The regret increment compares the optimal value at the initial
-    state against the exact value of the pre-episode greedy policy (NaN under
-    eval = off).
+    (upload, download, backward update, local reset); a no-communication
+    local update adds the local cells to the agent's own covariances in place,
+    copying none, and refits from them. The regret increment compares the
+    optimal value at the initial state against the exact value of the
+    pre-episode greedy policy (NaN under eval = off).
     """
     mdp = state.mdp
     if not 1 <= k <= state.config.K:
@@ -593,7 +595,9 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     trig, trig_h = agent.should_communicate()
     decision = state._decisions[trig]
     if decision is Decision.LOCAL_UPDATE:
-        _refit(state, agent, agent.local_cov_snapshot(), agent.own_history())
+        for cov, loc in zip(agent.qparams.cov, agent.loc_cells):
+            cov.add_bases(loc)
+        _refit(state, agent, agent.qparams.cov, agent.own_history())
     elif decision is not Decision.NONE:
         group = state.agents if decision is Decision.SYNC_ALL else [agent]
         for member in group:

@@ -292,6 +292,27 @@ class TestTransitionStore:
             assert_batches_equal(got, snapshot)
             assert list(snapshot.episode) == [1, 2, 3]
 
+    @pytest.mark.parametrize("stored, upload, follow_up", [
+        ([], [5, 7], [6]),            # the first upload into an empty store
+        ([], [7, 5], [6]),            # ... out of its own order
+        ([1, 2, 7], [5, 8], [6]),     # its first episode precedes the last stored
+        ([1, 2, 5], [6, 8], [7]),     # its first episode is the last stored plus one
+        ([1, 2, 5], [8, 6, 9], [7]),  # its own episodes out of order
+    ])
+    def test_order_check_edges(self, stored, upload, follow_up):
+        """The order check reads the upload and the last stored episode; a
+        follow-up that falls between stored episodes needs that last one
+        kept right through the upload."""
+        eps = random_episodes(stored + upload + follow_up, seed=6)
+        store = TransitionStore(STORE_D, STORE_H)
+        n_stored, n = len(stored), len(stored) + len(upload)
+        if stored:
+            store.extend(*store_args(eps[:n_stored]))
+        store.extend(*store_args(eps[n_stored:n]))
+        assert_store_holds(store, eps[:n])
+        store.extend(*store_args(eps[n:]))
+        assert_store_holds(store, eps)
+
     def test_empty_store(self):
         store = TransitionStore(STORE_D, STORE_H)
         store.extend(*store_args([]))

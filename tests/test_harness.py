@@ -30,9 +30,10 @@ from coop_lsvi.harness import (TAG_SCHEDULE, ConfigError, RunConfig, build_run_s
                                metrics_csv_text, mix_seed, per_epoch_counts,
                                run_experiment)
 from coop_lsvi.mdp import LinearMdp, g17, value_iteration
-from coop_lsvi.psdmat import MIN_RIDGE, DiagonalPsdMatrix, PsdMatrix, det_ratio
+from coop_lsvi.psdmat import MIN_RIDGE, REFRESH_PERIOD, DiagonalPsdMatrix, PsdMatrix, det_ratio
 from coop_lsvi.schedules import make_initial_states, make_schedule
-from coop_lsvi.server import CentralServer, Decision, ProtocolKind
+from coop_lsvi.server import CentralServer, Decision, ProtocolKind, protocol_decide
+from test_golden_trajectories import TRIGGER_CORNERS, TRIGGER_INSTANCES
 
 
 class TestMixSeed:
@@ -230,13 +231,24 @@ class TestDeterminism:
         assert metrics_csv_text(a) == metrics_csv_text(b)
 
     def test_single_agent_nocomm_equals_async(self):
-        base = dict(mdp_kind="hard", M=1, K=500, schedule="round_robin",
-                    master_seed=2)
+        """With one agent the server holds exactly the agent's data, so the
+        async downloads and the no_comm local updates refit alike, past
+        REFRESH_PERIOD updates of each covariance: only cum_comm differs."""
+        base = dict(mdp_kind="hard", M=1, K=1200, schedule="round_robin",
+                    master_seed=2, diagnostics=True)
         a = run_experiment(RunConfig(**base, protocol="async_trigger"))
-        b = run_experiment(RunConfig(**base, protocol="no_comm"))
-        assert np.array_equal(a.regret_inc, b.regret_inc)
+        seen = {}
+        b = run_experiment(RunConfig(**base, protocol="no_comm"),
+                           episode_hook=lambda view: seen.setdefault("agent", view.agent))
         assert b.total_comm == 0
         assert a.total_comm == a.total_switches == b.total_switches
+        assert _diagnostic_bytes(dataclasses.replace(a, cum_comm=b.cum_comm)) == \
+            _diagnostic_bytes(b)
+        # Each episode adds one update per step: fewer since the last refresh
+        # than the episodes absorbed means the agent's covariances refreshed.
+        agent = seen["agent"]
+        absorbed = base["K"] - len(agent.loc_episodes)
+        assert all(cov.updates_since_refresh < absorbed for cov in agent.qparams.cov)
 
 
 def _diagnostic_bytes(rec):
@@ -370,7 +382,8 @@ class TestTracedBoundaries:
     often as the protocol implies, so that inlining one out of the tracer's
     sight fails here. An episode is one rollout and one record: the one-step
     LinearMdp.step and LsviAgent.record_transition, which the tracer still
-    wraps, are off the run path."""
+    wraps, are off the run path, and so is LsviAgent.local_cov_snapshot, since
+    a no_comm local update grows the agent's covariances in place."""
 
     @pytest.mark.parametrize("diagnostics", [False, True])
     @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
@@ -390,7 +403,9 @@ class TestTracedBoundaries:
                             (LinearMdp, "rollout"), (LsviAgent, "record_episode"),
                             (LsviAgent, "should_communicate"),
                             (LsviAgent, "lsvi_backward_update"), (CentralServer, "upload"),
-                            (CentralServer, "download"), (harness, "run_episode")]:
+                            (CentralServer, "download"), (harness, "run_episode"),
+                            (harness.RunState, "agent_tables"), (LsviAgent, "own_history"),
+                            (LsviAgent, "local_cov_snapshot")]:
             count(owner, name)
         K, H = 300, 3
         rec = run_experiment(RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=H, M=3, K=K,
@@ -399,9 +414,13 @@ class TestTracedBoundaries:
         assert calls["step"] == calls["record_transition"] == 0
         assert calls["rollout"] == calls["record_episode"] == K
         assert calls["should_communicate"] == calls["run_episode"] == K
+        # One per episode, and one in build_run_state for the shared initial tables.
+        assert calls["agent_tables"] == K + 1
         assert calls["lsvi_backward_update"] == rec.total_switches > 0
         assert calls["upload"] == calls["download"] == rec.total_comm
         assert (rec.total_comm > 0) == (protocol != "no_comm")
+        assert calls["own_history"] == (rec.total_switches if protocol == "no_comm" else 0)
+        assert calls["local_cov_snapshot"] == 0
 
 
 class TestDiagnosticsKeepNoCovariance:
@@ -681,11 +700,12 @@ class TestTriggerSoundness:
 
 
     @pytest.mark.parametrize("workload, copies", [("hard_async", 1182),
-                                                   ("hard_no_comm", 2973)])
+                                                   ("hard_no_comm", 0)])
     def test_the_trigger_copies_no_covariance(self, monkeypatch, workload, copies):
-        """The benchmark's hard runs at seed 0 copy a covariance only to refit,
-        H per switch (a download, or the no_comm local snapshot): deciding the
-        trigger copies none."""
+        """The benchmark's hard runs at seed 0 copy a covariance only to adopt
+        a download, H per communication round: deciding the trigger copies
+        none, and a no_comm local update grows the agent's own covariances in
+        place."""
         path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
         workloads = importlib.util.module_from_spec(spec)
@@ -700,9 +720,123 @@ class TestTriggerSoundness:
         monkeypatch.setattr(DiagonalPsdMatrix, "copy", counted)
         cfg = parse_config(workloads.WORKLOADS[workload].config(0))
         record = run_experiment(cfg)
-        assert made[0] == cfg.resolved().mdp_horizon * record.total_switches == copies
-        if workload == "hard_async":
-            assert record.total_comm == 394
+        assert made[0] == cfg.resolved().mdp_horizon * record.total_comm == copies
+        assert record.total_switches == {"hard_async": 394, "hard_no_comm": 991}[workload]
+
+    @pytest.mark.parametrize("instance", sorted(TRIGGER_INSTANCES))
+    def test_local_update_in_place_equals_the_snapshot(self, monkeypatch, instance):
+        """After every no_comm local update the agent's covariances hold the
+        bytes local_cov_snapshot() gave for the same delta, across refreshes."""
+        snapshots = {}
+        decide = LsviAgent.should_communicate
+
+        def snapshot_then_decide(agent):
+            # The delta is complete when the trigger is decided.
+            snapshots[agent.agent_id] = agent.local_cov_snapshot()
+            return decide(agent)
+
+        monkeypatch.setattr(LsviAgent, "should_communicate", snapshot_then_decide)
+        updates, refreshed = [0], [False]
+
+        def hook(view):
+            if view.decision is not Decision.LOCAL_UPDATE:
+                return
+            updates[0] += 1
+            for got, want in zip(view.agent.qparams.cov, snapshots[view.agent.agent_id]):
+                assert got is not want
+                assert got.diag.tobytes() == want.diag.tobytes()
+                assert got.inv_diag.tobytes() == want.inv_diag.tobytes()
+                assert (got.logdet, got.updates_since_refresh) == \
+                    (want.logdet, want.updates_since_refresh)
+                refreshed[0] |= got.diag.sum() - got.dim * got.ridge > REFRESH_PERIOD
+        cfg = RunConfig(protocol="no_comm", M=2, K=1500, schedule="uniform_random",
+                        master_seed=5, **TRIGGER_INSTANCES[instance])
+        record = run_experiment(cfg, episode_hook=hook)
+        assert updates[0] == record.total_switches > 0
+        assert refreshed[0]
+
+
+def domination_ratio(cfg, record):
+    """The largest (ridge + n_all,j) / (ridge + n_server,j) over every episode
+    end, step and cell of a diagnostics-on run, as an exact Fraction, and the
+    per-step counts n_server at the run's end.
+
+    Replays the run's visit record (cells, m, triggered) in integers: n_all
+    counts every visit so far, n_server the visits uploaded, which the
+    protocol's decision of each episode fixes. A cell's ratio grows only in
+    an episode that visits it, so its maximum over cells at an episode end is
+    reached at a cell of that episode.
+    """
+    H, cfg = record.cells.shape[1], cfg.resolved()
+    kind, ridge = ProtocolKind(cfg.protocol), Fraction(cfg.ridge)
+    n_all = [collections.Counter() for _ in range(H)]
+    n_server = [collections.Counter() for _ in range(H)]
+    unsynced = [[] for _ in range(cfg.M)]  # per agent, its (h, cell) visits not uploaded
+    worst = Fraction(1)
+    for m, fired, cells in zip(record.m.tolist(), record.triggered.tolist(),
+                               record.cells.tolist()):
+        visits = list(enumerate(cells))
+        unsynced[m - 1].extend(visits)
+        for hh, j in visits:
+            n_all[hh][j] += 1
+        decision = protocol_decide(kind, fired)
+        uploads = {Decision.SYNC_ALL: unsynced,
+                   Decision.COMMUNICATE: [unsynced[m - 1]]}.get(decision, [])
+        for pending in uploads:
+            for hh, j in pending:
+                n_server[hh][j] += 1
+            pending.clear()
+        worst = max(worst, *((ridge + n_all[hh][j]) / (ridge + n_server[hh][j])
+                             for hh, j in visits))
+    return worst, n_server
+
+
+class TestCovarianceDomination:
+    """The asynchronous analysis's covariance domination, from counts: each
+    agent's trigger keeps its unsynced visits v_j <= alpha * c_j against its
+    last download c, which the server dominates, so summed over the M agents
+    ridge + n_all,j <= (1 + M alpha)(ridge + n_server,j) at every episode
+    end, step and cell."""
+
+    @staticmethod
+    def bound(cfg):
+        return 1 + cfg.M * Fraction(cfg.resolved().alpha)
+
+    @pytest.mark.parametrize("protocol", ["async_trigger", "sync_round_robin"])
+    @pytest.mark.parametrize("corner", sorted(TRIGGER_CORNERS))
+    @pytest.mark.parametrize("instance", sorted(TRIGGER_INSTANCES))
+    def test_trigger_corners(self, instance, corner, protocol):
+        alpha, ridge = TRIGGER_CORNERS[corner]
+        cfg = RunConfig(protocol=protocol, schedule="uniform_random", master_seed=5, M=2,
+                        K=1200, alpha=alpha, ridge=ridge, diagnostics=True,
+                        **TRIGGER_INSTANCES[instance])
+        assert domination_ratio(cfg, run_experiment(cfg))[0] <= self.bound(cfg)
+
+    @pytest.mark.parametrize("protocol", ["async_trigger", "sync_round_robin"])
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_hard_grid_config(self, M, protocol):
+        """The acceptance grid's hard instance at K = 8000; at M = 2 seed 0
+        the bound is met with equality, so the check must be exact."""
+        cfg = RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=3, M=M, K=8000,
+                        protocol=protocol, schedule="uniform_random", master_seed=0,
+                        diagnostics=True)
+        seen = {}
+        record = run_experiment(cfg, episode_hook=lambda view: seen.setdefault("server",
+                                                                               view.server))
+        ratio, n_server = domination_ratio(cfg, record)
+        # The replay uploads what the run did: the server's diagonals are ridge
+        # plus its counts.
+        for cov, counts in zip(seen["server"].cov, n_server):
+            assert cov.diag.tolist() == [cov.ridge + counts[j] for j in range(cov.dim)]
+        assert ratio <= self.bound(cfg)
+        if M == 2:
+            assert ratio == self.bound(cfg)
+
+    def test_full_sync_keeps_the_server_complete(self):
+        cfg = RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=3, M=4, K=2000,
+                        protocol="full_sync", schedule="uniform_random", master_seed=0,
+                        diagnostics=True)
+        assert domination_ratio(cfg, run_experiment(cfg))[0] == 1
 
 
 class TestUniversalTracking:
