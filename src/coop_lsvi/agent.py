@@ -305,12 +305,18 @@ class LsviAgent:
             if not 0 <= j < d:
                 raise ValueError(f"episode {k}, step {hh + 1}: (s={row[3 * hh]}, "
                                  f"a={row[3 * hh + 1]}) has cell {j} outside [0, {d})")
+        self._file_episode(k, row, rewards, cells)
+
+    def _file_episode(self, k: int, row: list[int], rewards: list[float],
+                      cells: list[int]) -> None:
+        """File episode k with the H cells of its steps, each in [0, d): the
+        run loop passes those LinearMdp.rollout returned, checked by its walk."""
         self.loc_episodes.append(k)
         self.loc_rows.append(row)
         self.loc_rewards.append(rewards)
         loc_cells, all_visits, covs, log_ratio = (self.loc_cells, self._visits,
                                                   self.qparams.cov, self._log_ratio)
-        for hh in range(H):
+        for hh in range(self.H):
             j = cells[hh]
             loc_cells[hh].append(j)
             visits = all_visits[hh]

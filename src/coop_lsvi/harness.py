@@ -565,13 +565,14 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     NaN draw raises ValueError before anything is written.
 
     The active agent plays the episode greedily under its frozen policy
-    table, as one LinearMdp.rollout with step h at draws[h-1], and records it
-    locally as one episode; then the protocol decides whether it communicates
-    (upload, download, backward update, local reset); a no-communication
-    local update adds the local cells to the agent's own covariances in place,
-    copying none, and refits from them. The regret increment compares the
-    optimal value at the initial state against the exact value of the
-    pre-episode greedy policy (NaN under eval = off).
+    table, as one LinearMdp.rollout with step h at draws[h-1], and files it
+    with the cells its walk checked (LsviAgent._file_episode); then the
+    protocol decides whether it communicates (upload, download, backward
+    update, local reset); a no-communication local update adds the local
+    cells to the agent's own covariances in place, copying none, and refits
+    from them. The regret increment compares the optimal value at the
+    initial state against the exact value of the pre-episode greedy policy
+    (NaN under eval = off).
     """
     mdp = state.mdp
     if not 1 <= k <= state.config.K:
@@ -582,16 +583,14 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     s1 = state._init_states[i]
     tables = state.agent_tables(m)
     # The active agent's greedy episode; a bad draw raises before any write.
-    row, rewards = mdp.rollout(s1, tables.actions, draws)
-    agent.record_episode(mdp, k, row, rewards)
+    row, rewards, cells = mdp.rollout(s1, tables.actions, draws)
+    agent._file_episode(k, row, rewards, cells)
 
     rec.m[i] = m
     v_star = state._v_star_first
     # The float64 subtraction numpy would do, on the same two values.
     rec.regret_inc[i] = math.nan if v_star is None else v_star[s1] - tables.first_value[s1]
 
-    # The episode's cells, one per step, read before a refit's reset_local.
-    cells = [loc[-1] for loc in agent.loc_cells] if state.config.diagnostics else None
     trig, trig_h = agent.should_communicate()
     decision = state._decisions[trig]
     if decision is Decision.LOCAL_UPDATE:
@@ -610,7 +609,7 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     rec.trigger_h[i] = trig_h or 0
     rec.cum_comm[i] = state.cum_comm
     rec.cum_switch[i] = state.cum_switch
-    if cells is not None:
+    if state.config.diagnostics:
         rec.cells[i] = cells
         # The pre-episode table's Q-hat minus Q* at each (h, cell), as floats.
         q, q_star, d = tables.q, state.planner.q_star, mdp.d

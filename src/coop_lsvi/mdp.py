@@ -128,18 +128,18 @@ class LinearMdp:
             raise ValueError(f"h={h}: step out of [1, {self.H}]")
         if u != u:
             raise ValueError(f"u={u}: the step's uniform is NaN")
-        row, rewards = self._walk(s, h - 1, ({s: a},), (u,))
+        row, rewards, _ = self._walk(s, h - 1, ({s: a},), (u,))
         return rewards[0], row[2]
 
-    def rollout(self, s: int, actions: Sequence[Sequence[int]],
-                draws: Sequence[float]) -> tuple[list[int], list[float]]:
+    def rollout(self, s: int, actions: Sequence[Sequence[int]], draws: Sequence[float]
+                ) -> tuple[list[int], list[float], list[int]]:
         """One episode from state s under an (H, S) action table, step h at
-        draws[h-1]: the flat row [s, a, s'] * H and the H rewards.
+        draws[h-1]: the flat row [s, a, s'] * H, the H rewards and H cells.
 
         Step h takes action actions[h-1][s] and picks its next state as step
         does at the same (s, a, h, u), so the episode is the one H step calls
         would give. A bad s, action or number of draws, or a NaN draw, raises
-        ValueError.
+        ValueError, so every cell(s, a) returned is in [0, d).
         """
         if not 0 <= s < self.n_states:
             raise ValueError(f"s={s}: state out of [0, {self.n_states})")
@@ -150,10 +150,10 @@ class LinearMdp:
         return self._walk(s, 0, actions, draws)
 
     def _walk(self, s: int, hh: int, actions: Sequence, draws: Sequence[float]
-              ) -> tuple[list[int], list[float]]:
+              ) -> tuple[list[int], list[float], list[int]]:
         """Steps hh + 1, hh + 2, ... from state s, the t-th taking action
-        actions[t][s] at draws[t]: the flat row [s, a, s'] per step and the
-        rewards. The one inverse CDF of step and rollout.
+        actions[t][s] at draws[t]: the flat row [s, a, s'] per step, the
+        rewards and the cells. The one inverse CDF of step and rollout.
 
         Each next state is searchsorted(row, u, side="right") clamped to
         S - 1, with no array view or numpy call: bisect_right over the row's
@@ -163,27 +163,30 @@ class LinearMdp:
         row, even one that a negative entry within PROB_NEG_TOL makes
         non-monotone.
         """
-        S, A = self.n_states, self.n_actions
+        S, A, d = self.n_states, self.n_actions, self.d
         cum, reward = self._cum_flat, self._reward_flat
         row: list[int] = []
         rewards: list[float] = []
-        base = hh * S  # (h - 1) * S
+        cells: list[int] = []  # cell(s, a), which indexes step h's table rows
+        base = hh * d  # flat index of step h's cell 0, (h - 1) * S * A
         for acts, u in zip(actions, draws):
             a = acts[s]
             if not 0 <= a < A:
                 raise ValueError(f"a={a}: action out of [0, {A})")
             if u != u:
                 raise ValueError(f"draws: {list(draws)} holds a NaN uniform")
-            i = (base + s) * A + a
+            j = s * A + a
+            i = base + j
             lo = i * S
             nxt = bisect_right(cum, u, lo, lo + S) - lo
             if nxt >= S:
                 nxt = S - 1
             row += (s, a, nxt)
             rewards.append(reward[i])
+            cells.append(j)
             s = nxt
-            base += S
-        return row, rewards
+            base += d
+        return row, rewards, cells
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,9 @@ def make_schedule(cfg: RunConfig, d: int) -> np.ndarray:
         return np.arange(K) % epoch_len * M // epoch_len + 1
     if cfg.schedule == "uniform_random":
         return default_rng_integers(cfg.schedule_seed, 1, M + 1, K)
-    block = cfg.schedule_block  # bursty
+    # bursty. A block of K or more episodes is one block: the same draws and
+    # schedule, and a divisor that fits numpy's int64 however large block_len is.
+    block = min(cfg.schedule_block, K)
     blocks = default_rng_integers(cfg.schedule_seed, 1, M + 1, -(-K // block))
     return blocks[np.arange(K) // block]  # O(K), however long a block is
 

@@ -215,6 +215,34 @@ class TestRecordEpisode:
             ag.record_episode(m, 2, row, rewards)
         assert state() == before
 
+    @pytest.mark.parametrize("m", [hard_instance(8, 3, 0.1), random_tabular(3, 5, 3, 4)],
+                             ids=["hard", "random"])
+    def test_run_path_files_the_bytes_record_episode_files(self, m):
+        """run_episode files a rollout with the cells the walk returned;
+        record_episode derives and checks them from the row. Both file the
+        same delta and trigger statistic, bit for bit, across local updates
+        that move cov_h off ridge * I."""
+        run_path, public = fresh_agent(m, alpha=0.2), fresh_agent(m, alpha=0.2)
+        rng = np.random.default_rng(11)
+        updates = 0
+        for k in range(1, 400):
+            actions = rng.integers(0, m.n_actions, size=(m.H, m.n_states)).tolist()
+            row, rewards, cells = m.rollout(int(rng.integers(m.n_states)), actions,
+                                            rng.random(m.H).tolist())
+            run_path._file_episode(k, row, rewards, cells)
+            public.record_episode(m, k, list(row), list(rewards))
+            for name in ("loc_episodes", "loc_rows", "loc_rewards", "loc_cells", "_visits"):
+                assert getattr(run_path, name) == getattr(public, name), (k, name)
+            assert ([x.hex() for x in run_path._log_ratio]
+                    == [x.hex() for x in public._log_ratio]), k
+            if run_path.should_communicate()[0]:
+                updates += 1
+                for ag in (run_path, public):
+                    for cov, loc in zip(ag.qparams.cov, ag.loc_cells):
+                        cov.add_bases(loc)
+                    ag.reset_local()
+        assert updates > 3
+
     def test_loc_transitions_is_a_view_built_on_read(self):
         m = random_tabular(0, 2, 2, 2)
         ag = fresh_agent(m)

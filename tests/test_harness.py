@@ -343,6 +343,39 @@ class TestTrajectoryBlocks:
             run_episode(state, 1, draws)
         assert snapshot() == before
 
+    @pytest.mark.parametrize("bad", ["nan-draw", "action-past-A"])
+    def test_refused_rollout_leaves_the_agent_as_it_was(self, bad):
+        """The run path files the cells its rollout returned, unchecked by the
+        agent: a rollout the walk refuses at step 2 files nothing, on an agent
+        whose delta and covariances are no longer fresh."""
+        from coop_lsvi.harness import run_episode
+        state = build_run_state(RunConfig(mdp_kind="hard", mdp_d=8, M=2, K=60,
+                                          schedule="single_agent", schedule_agent=1))
+        rng = np.random.default_rng(4)
+        for k in range(1, 50):
+            run_episode(state, k, rng.random(state.mdp.H).tolist())
+        agent = state.agents[0]
+        assert agent.loc_episodes and state.cum_switch > 0
+
+        def snapshot():
+            return (repr((agent.loc_episodes, agent.loc_rows, agent.loc_rewards,
+                          agent.loc_cells, agent._visits, agent._log_ratio)),
+                    [c.diag.tobytes() for c in agent.qparams.cov],
+                    state.record.m.tobytes(), state.cum_comm, state.cum_switch)
+
+        draws = [0.5] * state.mdp.H
+        if bad == "nan-draw":
+            draws[1] = math.nan
+        else:
+            tables = state.agent_tables(1)
+            actions = [list(acts) for acts in tables.actions]
+            actions[1] = [state.mdp.n_actions] * state.mdp.n_states
+            state.tables[0] = tables._replace(actions=actions)
+        before = snapshot()
+        with pytest.raises(ValueError, match=r"^draws: .* NaN|^a=2: action out of \[0, 2\)$"):
+            run_episode(state, 50, draws)
+        assert snapshot() == before
+
 
 class TestCellIndexPath:
     """The run loop adds e_j by the cell index j of phi(s, a), never by vector."""
@@ -380,10 +413,11 @@ class TestCellIndexPath:
 class TestTracedBoundaries:
     """The run loop crosses each boundary that perfbench/tracer.py wraps as
     often as the protocol implies, so that inlining one out of the tracer's
-    sight fails here. An episode is one rollout and one record: the one-step
-    LinearMdp.step and LsviAgent.record_transition, which the tracer still
-    wraps, are off the run path, and so is LsviAgent.local_cov_snapshot, since
-    a no_comm local update grows the agent's covariances in place."""
+    sight fails here. An episode is one rollout, whose cells the agent files
+    without record_episode's checks: the one-step LinearMdp.step and
+    LsviAgent.record_transition, which the tracer still wraps, are off the run
+    path, and so is LsviAgent.local_cov_snapshot, since a no_comm local update
+    grows the agent's covariances in place."""
 
     @pytest.mark.parametrize("diagnostics", [False, True])
     @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
@@ -412,7 +446,7 @@ class TestTracedBoundaries:
                                        protocol=protocol, schedule="uniform_random",
                                        master_seed=2, diagnostics=diagnostics))
         assert calls["step"] == calls["record_transition"] == 0
-        assert calls["rollout"] == calls["record_episode"] == K
+        assert calls["rollout"] == K and calls["record_episode"] == 0
         assert calls["should_communicate"] == calls["run_episode"] == K
         # One per episode, and one in build_run_state for the shared initial tables.
         assert calls["agent_tables"] == K + 1

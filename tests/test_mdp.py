@@ -346,8 +346,9 @@ class TestStepSampler:
 
 class TestRollout:
     """rollout picks, at every step, the state step picks at the same
-    (s, a, h, u): on rough rows, at u = 1.0, past a row's last entry (the
-    clamp to S - 1) and at every cumulative entry and its neighbours."""
+    (s, a, h, u), and returns the step's cell(s, a): on rough rows, at
+    u = 1.0, past a row's last entry (the clamp to S - 1) and at every
+    cumulative entry and its neighbours."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), S=st.sampled_from([1, 2, 3, 5, 12]),
@@ -367,13 +368,14 @@ class TestRollout:
             draws.append(data.draw(st.sampled_from(
                 [0.0, 1.0, float(rng.random()), c, float(np.nextafter(c, -1.0)),
                  float(np.nextafter(c, 2.0))])))
-        row, rewards = m.rollout(s1, actions, draws)
-        assert len(row) == 3 * H and len(rewards) == H
+        row, rewards, cells = m.rollout(s1, actions, draws)
+        assert len(row) == 3 * H and len(rewards) == len(cells) == H
         s = s1
         for h, u in enumerate(draws, 1):
             a = actions[h - 1][s]
             reward, nxt = m.step(s, a, h, u)
             assert row[3 * h - 3:3 * h] == [s, a, nxt]
+            assert type(cells[h - 1]) is int and cells[h - 1] == m.cell(s, a)
             assert type(rewards[h - 1]) is float and rewards[h - 1] == reward
             assert nxt == searchsorted_state(m, s, a, h, u)
             s = nxt
@@ -381,7 +383,8 @@ class TestRollout:
     def test_clamps_past_the_last_entry(self):
         P = np.array([[[[0.25, 0.75 - 1e-11]]] * 2] * 2)
         m = LinearMdp(P, np.zeros((2, 2, 1)))
-        assert m.rollout(0, [[0, 0]] * 2, [1.0, 1.0 - 1e-12]) == ([0, 0, 1, 1, 0, 1], [0.0, 0.0])
+        assert m.rollout(0, [[0, 0]] * 2, [1.0, 1.0 - 1e-12]) == ([0, 0, 1, 1, 0, 1],
+                                                                 [0.0, 0.0], [0, 1])
 
     @pytest.mark.parametrize("s1, actions, draws, match", [
         (4, [[0] * 4] * 3, [0.5] * 3, r"^s=4: state out of \[0, 4\)$"),

@@ -225,6 +225,18 @@ class TestCliRun:
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("block_len", [2 ** 63, 2 ** 64], ids=["2**63", "2**64"])
+    def test_bursty_block_past_int64_is_one_block(self, tmp_path, block_len):
+        # A block of K = 10 or more episodes is the whole run, however long.
+        runs = {}
+        for block in (block_len, 10):
+            cfg = self._write(tmp_path, RUN_CFG + f"\n[schedule]\nkind = bursty\n"
+                                                  f"seed = 5\nblock_len = {block}\n")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / str(block))]) == 0
+            runs[block] = (tmp_path / str(block) / "metrics.csv").read_text()
+        assert runs[block_len] == runs[10]
+        assert len({row.split(",")[1] for row in runs[10].splitlines()[1:]}) == 1
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = self._write(tmp_path, RUN_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
