@@ -139,8 +139,9 @@ class RunConfig:
             if "#" in path or path != path.strip() or path.splitlines() != [path]:
                 bad(f"mdp path {path!r} has a '#', a line break, or leading or trailing "
                     "whitespace, which a config file cannot carry", ("mdp", "path"))
-        if self.mdp_seed < 0:
-            bad(f"mdp seed must be >= 0, got {self.mdp_seed}", ("mdp", "seed"))
+        if not 0 <= self.mdp_seed < 2 ** 64:
+            # random_tabular draws through streams.default_rng_random.
+            bad(f"mdp seed must lie in [0, 2**64), got {self.mdp_seed}", ("mdp", "seed"))
         if not 0 <= self.master_seed < 2 ** 64:
             # mix_seed reads it mod 2**64, so any other seed aliases one inside.
             bad(f"master_seed must lie in [0, 2**64), got {self.master_seed}",

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .psdmat import MAX_DIM
+from .streams import default_rng_random
 
 PROB_ROW_TOL = 1e-10     # probability rows must sum to 1 within this
 PROB_NEG_TOL = 1e-12     # entries may dip this far below zero from rounding
@@ -239,13 +240,22 @@ def check_random_sizes(n_states: int, n_actions: int, H: int) -> int:
 
 
 def random_tabular(seed: int, n_states: int, n_actions: int, H: int) -> LinearMdp:
-    """Random tabular instance, deterministic in the seed."""
+    """Random tabular instance, deterministic in the seed, which must lie in
+    [0, 2**64) (ValueError otherwise).
+
+    The tables are bit-equal to those ``rng = np.random.default_rng(seed)``
+    gives as ``rng.random((H, S, A, S)) + 1e-3``, normalised over s', then
+    ``rng.random((H, S, A))``: one stream of ``streams.default_rng_random``,
+    so building one does not import ``numpy.random``.
+    """
     check_random_sizes(n_states, n_actions, H)
-    rng = np.random.default_rng(seed)
-    P = rng.random((H, n_states, n_actions, n_states)) + 1e-3
+    S, A = n_states, n_actions
+    n_p = H * S * A * S
+    u = default_rng_random(seed, n_p + H * S * A)
+    P = u[:n_p].reshape(H, S, A, S)
+    P += 1e-3
     P /= P.sum(axis=-1, keepdims=True)
-    r = rng.random((H, n_states, n_actions))
-    return build_tabular_as_linear(P, r)
+    return build_tabular_as_linear(P, u[n_p:].reshape(H, S, A))
 
 
 def default_hard_gap(d: int, M: int, K: int) -> float:

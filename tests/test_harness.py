@@ -118,7 +118,7 @@ class TestConfigValidation:
         dict(beta_mode="theoretical", alpha=5e-324, ridge=0.5),
         dict(beta_mode="practical", beta_value=1e308),
         dict(beta_mode="theoretical", beta_value=1.0, alpha=math.inf),
-        dict(master_seed=-1), dict(master_seed=2 ** 64),
+        dict(master_seed=-1), dict(master_seed=2 ** 64), dict(mdp_seed=2 ** 64),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):

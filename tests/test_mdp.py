@@ -127,6 +127,30 @@ class TestRandomTabular:
         m = random_tabular(3, 1, 2, 2)
         assert np.allclose(m.transitions, 1.0)
 
+    # (seed, n_states, n_actions, H): the benchmark's d = 200 instance at the
+    # default and held-out seeds, then sizes from c02's ranges and edge seeds.
+    @pytest.mark.parametrize("seed,S,A,H", [
+        (0, 40, 5, 5), (20231, 40, 5, 5), (1_402_386_283, 2, 2, 1), (7, 6, 3, 4),
+        (2 ** 31 - 1, 5, 2, 3), (2 ** 64 - 1, 3, 3, 2), (2 ** 32, 4, 2, 1)])
+    def test_tables_equal_numpy_default_rng_bytes(self, seed, S, A, H):
+        """The tables are those numpy's generator draws, byte for byte: two
+        ``random`` calls on one ``default_rng(seed)``, P first."""
+        rng = np.random.default_rng(seed)
+        P = rng.random((H, S, A, S)) + 1e-3
+        P /= P.sum(axis=-1, keepdims=True)
+        r = rng.random((H, S, A))
+        m = random_tabular(seed, S, A, H)
+        assert m.transitions.tobytes() == P.tobytes()
+        assert m.rewards.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, np.int64(-1), np.int64(-2 ** 63)],
+                             ids=["minus_one", "two_pow_64", "two_pow_70", "np_minus_one",
+                                  "np_int64_min"])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # A negative numpy integer would wrap silently in a uint64 array.
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            random_tabular(seed, 3, 2, 2)
+
 
 class TestHardInstance:
     def test_initial_state_value_closed_form(self):

@@ -19,6 +19,7 @@ from coop_lsvi.agent import LsviAgent, QParams
 from coop_lsvi.cli import build_parser
 from coop_lsvi.configio import config_hash, parse_config
 from coop_lsvi.psdmat import DiagonalPsdMatrix
+from coop_lsvi.schedules import INIT_STATE_KINDS
 from coop_lsvi.server import CentralServer
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -159,6 +160,8 @@ def test_private_state_is_read():
 # cache is a reviewed decision: an entry here.
 PROCESS_STATE = {
     "mdp.identity": "one read-only eye(d), a function of d alone",
+    "streams._jump_tables": "PCG64's read-only jump-ahead tables of up to 64 entries, "
+                            "constants of the generator (2 KB in all)",
     "harness._shared": "the last hard or random instance of at most 2**20 table "
                        "entries and its plan, frozen and read-only, keyed on every "
                        "[mdp] field build_mdp reads",
@@ -239,13 +242,10 @@ def _random_calls(node: ast.AST, function=None):
 @pytest.mark.parametrize("name", ["harness.py", "agent.py", "server.py", "mdp.py"])
 def test_run_path_draws_no_random_numbers(name):
     """The run path's randomness enters only as the arrays ``streams``
-    precomputes: a step reads its uniform, it draws none. Only building a
-    random instance draws, in mdp.random_tabular."""
-    allowed = {"random_tabular"} if name == "mdp.py" else set()
+    precomputes: a step reads its uniform, it draws none, and
+    mdp.random_tabular takes its tables from streams.default_rng_random."""
     tree = ast.parse((ROOT / "src" / "coop_lsvi" / name).read_text())
-    calls = list(_random_calls(tree))
-    assert [(fn, line) for fn, line in calls if fn not in allowed] == []
-    assert bool(calls) == bool(allowed)
+    assert list(_random_calls(tree)) == []
 
 
 def test_test_imports_are_declared():
@@ -300,28 +300,38 @@ def test_run_path_imports_no_scipy(tmp_path):
     assert report == {"codes": [0, 0], "logdet": 0.0, "scipy": False}
 
 
-# Runs in a fresh interpreter: the hard instance through the benchmark's
-# pipeline under every protocol, schedule kind and initial-state kind, with
-# diagnostics on and off, then config_hash of the config text in argv[1] once
-# the modules are counted.
-_HARD_RUN_PROBE = textwrap.dedent("""
+# Runs in a fresh interpreter: the instance whose [mdp] section is argv[2]
+# through the benchmark's pipeline under every protocol and schedule kind, the
+# initial-state kinds named in argv[3], and diagnostics on and off, then
+# config_hash of the config text in argv[1] once the modules are counted. Run i
+# fills the section's {seed}, so a random instance is drawn anew for each run.
+_INSTANCE_RUN_PROBE = textwrap.dedent("""
     import itertools, json, sys
     from coop_lsvi.configio import config_hash, parse_config
     from coop_lsvi.harness import metrics_csv_text, run_experiment
-    from coop_lsvi.schedules import INIT_STATE_KINDS, SCHEDULE_KINDS
+    from coop_lsvi.schedules import SCHEDULE_KINDS
     from coop_lsvi.server import ProtocolKind
 
+    hashed, mdp, inits = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
     complete = 0
-    for p, kind, init, diag in itertools.product(
-            ProtocolKind, SCHEDULE_KINDS, INIT_STATE_KINDS, ("on", "off")):
-        cfg = parse_config(f"[mdp]\\nkind = hard\\nd = 8\\nH = 3\\n[run]\\nM = 3\\nK = 12\\n"
+    for i, (p, kind, init, diag) in enumerate(itertools.product(
+            ProtocolKind, SCHEDULE_KINDS, inits, ("on", "off"))):
+        cfg = parse_config(mdp.format(seed=i) + f"[run]\\nM = 3\\nK = 12\\n"
                            f"protocol = {p.value}\\ndiagnostics = {diag}\\n"
                            f"[schedule]\\nkind = {kind}\\n[init_state]\\nkind = {init}\\n")
         complete += metrics_csv_text(run_experiment(cfg)).count("\\n") == 1 + 12
     loaded = sorted({"numpy.random", "_hashlib"} & set(sys.modules))
     print(json.dumps({"complete": complete, "loaded": loaded,
-                      "hash": config_hash(parse_config(sys.argv[1]).resolved())}))
+                      "hash": config_hash(parse_config(hashed).resolved())}))
 """)
+
+
+def _instance_run_probe(hashed: str, mdp: str, inits: tuple[str, ...]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _INSTANCE_RUN_PROBE, hashed, mdp,
+                           ",".join(inits)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
@@ -331,11 +341,21 @@ def test_hard_runs_import_neither_numpy_random_nor_openssl():
     streams.default_rng_integers and hashes no config, so it loads neither
     numpy.random nor hashlib's OpenSSL module (about 6 MB and 14 ms)."""
     hashed = "[mdp]\nkind = hard\n[run]\nM = 4\n[schedule]\nkind = bursty\n"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _HARD_RUN_PROBE, hashed], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = _instance_run_probe(hashed, "[mdp]\nkind = hard\nd = 8\nH = 3\n", INIT_STATE_KINDS)
     assert report == {"complete": 4 * 5 * 3 * 2, "loaded": [],
+                      "hash": config_hash(parse_config(hashed).resolved())}
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1.x imports numpy.random with numpy itself")
+def test_random_runs_import_neither_numpy_random_nor_openssl():
+    """A random instance draws its tables through streams.default_rng_random,
+    so its runs load neither numpy.random nor OpenSSL either. ``epoch``
+    initial states are refused on a random instance."""
+    hashed = "[mdp]\nkind = random\nseed = 5\n[run]\nM = 4\n[schedule]\nkind = bursty\n"
+    mdp = "[mdp]\nkind = random\nn_states = 5\nn_actions = 3\nH = 3\nseed = {seed}\n"
+    report = _instance_run_probe(hashed, mdp, ("fixed", "uniform_random"))
+    assert report == {"complete": 4 * 5 * 2 * 2, "loaded": [],
                       "hash": config_hash(parse_config(hashed).resolved())}
 
 

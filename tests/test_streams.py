@@ -1,4 +1,5 @@
-"""The stream kernels against numpy's own generators, with exact equality.
+"""The stream kernel's entry points against numpy's own generators, with
+exact equality.
 
 These are the guard should a numpy release ever change SeedSequence, PCG64 or
 the bounded draw of ``integers``.
@@ -7,19 +8,25 @@ the bounded draw of ``integers``.
 import numpy as np
 import pytest
 
+from coop_lsvi import streams
 from coop_lsvi.harness import TAG_INIT, TAG_SCHEDULE, TAG_TRAJECTORY, RunConfig, build_mdp
 from coop_lsvi.schedules import SEEDED_SCHEDULE_KINDS, make_initial_states, make_schedule
-from coop_lsvi.streams import default_rng_integers, default_rng_uniforms, mix_seed, mix_seeds
+from coop_lsvi.streams import (default_rng_integers, default_rng_random, default_rng_uniforms,
+                               mix_seed, mix_seeds)
 
 EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 DRAWS = [1, 3, 5, 12]
 # Lemire's method rejects about half the 32-bit words at span 2**31 + 1 and a
 # quarter at 3 * 2**30.
 SPANS = [1, 2, 3, 4, 5, 40, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1]
-SIZES = [0, 1, 2, 3, 2049, 4001]
+# The kernel's longest jump-ahead block.
+BLOCK = 2 ** streams._MAX_PASSES
+# The last size's first refill of 2 * BLOCK + 2 outputs crosses two block
+# boundaries, and at the rejection-heavy spans more refills follow.
+SIZES = [0, 1, 2, 3, 2049, 4001, 4 * BLOCK + 3]
 
 
-@pytest.mark.parametrize("n", DRAWS)
+@pytest.mark.parametrize("n", DRAWS + [BLOCK + 5])
 def test_edge_seeds_match_default_rng(n):
     got = default_rng_uniforms(np.array(EDGE_SEEDS, np.uint64), n)
     assert got.shape == (len(EDGE_SEEDS), n)
@@ -34,6 +41,15 @@ def test_trajectory_seeds_match_default_rng(master, n):
     got = default_rng_uniforms(np.array(seeds, np.uint64), n)
     for seed, row in zip(seeds, got):
         assert row.tolist() == np.random.default_rng(seed).random(n).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_one_stream_matches_default_rng(n):
+    """One seed, any length: the stream crosses 0 to 3 block boundaries."""
+    for seed in EDGE_SEEDS + [20231]:
+        got = default_rng_random(seed, n)
+        assert got.shape == (n,)
+        assert got.tolist() == np.random.default_rng(seed).random(n).tolist()
 
 
 @pytest.mark.parametrize("master", [0, 7, 20231, -5, 2 ** 64 - 1])

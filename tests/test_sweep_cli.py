@@ -273,13 +273,14 @@ class TestCliRun:
         (RUN_CFG + "beta = practical:0.1\ndelta = 1e-320\n", 14),
         (RUN_CFG.replace("master_seed = 3", "master_seed = -1"), 12),
         (RUN_CFG.replace("master_seed = 3", f"master_seed = {2 ** 64 + 5}"), 12),
+        (f"[mdp]\nkind = random\nn_states = 3\nn_actions = 2\nH = 2\nseed = {2 ** 64}\n", 6),
     ], ids=["hard_d", "hard_H", "hard_gap", "random_n_states", "random_H",
             "fixed_state", "bursty_block_len", "beta_nan", "beta_negative",
             "beta_inf", "theoretical_beta_negative", "ridge_inf", "mdp_seed_negative",
             "schedule_seed_negative", "schedule_seed_over_64_bits",
             "practical_beta_resolves_inf", "theoretical_beta_resolves_inf",
             "delta_overflows_beta", "delta_overflows_beta_after_beta_line",
-            "master_seed_negative", "master_seed_over_64_bits"])
+            "master_seed_negative", "master_seed_over_64_bits", "mdp_seed_over_64_bits"])
     def test_instance_and_schedule_errors_name_their_line(self, tmp_path, capsys,
                                                           text, bad_line):
         cfg = self._write(tmp_path, text)
