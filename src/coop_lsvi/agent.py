@@ -102,7 +102,8 @@ class TransitionStore:
     array) only when the given episodes or the last stored one break episode
     order. ``batches`` returns each step's TransitionBatch of column views and
     its design view, valid until the next ``extend``; callers share them and
-    must not write to them.
+    must not write to them. The H batches are built with the store; each
+    ``extend`` refreshes them in place, re-slicing their fields.
     """
 
     def __init__(self, d: int, H: int) -> None:
@@ -110,11 +111,12 @@ class TransitionStore:
         self._n = 0
         self._last = 0  # the last stored episode, once there is one
         self._grow(H, 0)
-        self._batches = self._views()
+        # At capacity 0 the full-capacity views are the empty batches.
+        self._batches = [TransitionBatch(self._episode, *columns) for columns in self._columns]
 
     def _grow(self, H: int, capacity: int) -> None:
         """Arrays for ``capacity`` episodes holding the stored ones, and each
-        step's full-capacity column views, which _views cuts to length."""
+        step's full-capacity column views, which _refresh cuts to length."""
         n, d = self._n, self._eye.shape[0]
         episode = np.empty(capacity, np.int64)
         rows = np.empty((capacity, 3 * H), np.int64)
@@ -127,12 +129,13 @@ class TransitionStore:
         self._columns = [(rows[:, 3 * hh], rows[:, 3 * hh + 1], reward[:, hh],
                           rows[:, 3 * hh + 2], design[hh]) for hh in range(H)]
 
-    def _views(self) -> list[TransitionBatch]:
+    def _refresh(self) -> None:
+        """Cut each step's batch to the stored episodes, in place, from the current arrays."""
         n = self._n
         episode = self._episode[:n]
-        return [TransitionBatch(episode, state[:n], action[:n], reward[:n], next_state[:n],
-                                phis[:n])
-                for state, action, reward, next_state, phis in self._columns]
+        for batch, (state, action, reward, next_state, phis) in zip(self._batches, self._columns):
+            batch.episode, batch.state, batch.action = episode, state[:n], action[:n]
+            batch.reward, batch.next_state, batch.phis = reward[:n], next_state[:n], phis[:n]
 
     def extend(self, episodes: Sequence[int], rows: Sequence[Sequence[int]],
                rewards: Sequence[Sequence[float]], cells: Sequence[Sequence[int]]) -> None:
@@ -140,7 +143,7 @@ class TransitionStore:
         step h the cell index j (phi = e_j) of each episode's step h."""
         n_new, H = len(episodes), len(self._columns)
         if not (len(rows) == len(rewards) == n_new and len(cells) == H
-                and all(len(step_cells) == n_new for step_cells in cells)):
+                and set(map(len, cells)) == {n_new}):
             raise ValueError(f"{n_new} episodes with {len(rows)} rows, {len(rewards)} reward "
                              f"rows and cells {[len(c) for c in cells]} for H = {H} steps")
         if not n_new:
@@ -170,7 +173,7 @@ class TransitionStore:
             design[:, lo:n] = design[:, lo:n].take(order, axis=1)
         self._n = n
         self._last = episode.item(n - 1)
-        self._batches = self._views()
+        self._refresh()
 
     def batches(self) -> list[TransitionBatch]:
         """Per step h, the stored transitions of step h in episode order."""
@@ -401,8 +404,8 @@ class LsviAgent:
         against global_cov[h], which must equal ridge*I plus the sum of
         feature outer products over global_data[h]. The covariance snapshots
         are adopted as the agent's new cov_h, and the Q-table built on the
-        way becomes the agent's q_table. Callers reset the local delta
-        afterwards.
+        way becomes the agent's q_table; V_1, which no step reads, is not
+        computed. Callers reset the local delta afterwards.
         """
         qp = self.qparams
         S, A = mdp.n_states, mdp.n_actions
@@ -414,7 +417,7 @@ class LsviAgent:
         for hh in range(self.H - 1, -1, -1):
             batch = global_data[hh]
             qp.cov[hh] = cov = global_cov[hh]
-            if len(batch) > 0:
+            if batch.reward.shape[0]:
                 # y = r + V_{h+1}(s'), a fresh contiguous array: the GEMV's input.
                 # The gather indexes rather than takes: the store's next-state
                 # column is strided, which take first copies.
@@ -422,12 +425,14 @@ class LsviAgent:
                      else np.add(batch.reward, next_value[batch.next_state]))
                 # The design is features[state, action] as one C-contiguous
                 # (n, d) matrix, kept by a store or built once for the batch.
-                cov.solve(batch.design(mdp).T @ y, out=qp.w[hh])
+                # The GEMV gives a float64 (d,) vector: solve's checks would pass.
+                phis = batch.phis if batch.phis is not None else batch.design(mdp)
+                cov._solve_into(phis.T @ y, qp.w[hh])
             else:
                 qp.w[hh] = 0.0
-            # Value table V_h(s) = max_a Q_h(s, a) for the step below.
-            next_value = np.maximum.reduce(
-                self._clipped_q(hh, out=q_cells[hh], bonus=bonus[hh]).reshape(S, A), axis=1)
+            q_h = self._clipped_q(hh, out=q_cells[hh], bonus=bonus[hh])
+            if hh:  # V_h(s) = max_a Q_h(s, a) for the step below; no step reads V_1
+                next_value = np.maximum.reduce(q_h.reshape(S, A), axis=1)
         self._q = q
         return qp
 

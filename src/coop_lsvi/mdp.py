@@ -30,9 +30,9 @@ PROB_NEG_TOL = 1e-12     # entries may dip this far below zero from rounding
 # only forgives rounding in tables computed elsewhere: thousands of ulps at 1.
 REWARD_RANGE_TOL = 1e-12
 # Most entries H*S*A*S of a transition table. One table at the cap is 1 GiB of
-# float64, and building an instance holds three (the parsed or drawn table,
-# the instance's copy and its cumulative rows), so the cap keeps an instance
-# within a few GiB; the largest any shipped config builds has 40,000 entries.
+# float64. An instance keeps two (the table and its cumulative rows), and a
+# third while it copies a caller's table, so the cap keeps an instance within
+# a few GiB; the largest any shipped config builds has 40,000 entries.
 MAX_TABLE_ENTRIES = 2 ** 27
 
 
@@ -83,8 +83,16 @@ class LinearMdp:
     _reward_flat: memoryview = field(init=False, repr=False)
 
     def __post_init__(self):
-        P = np.array(self.transitions, dtype=np.float64)
-        r = np.array(self.rewards, dtype=np.float64)
+        self._set_tables(*(np.array(t, np.float64) for t in (self.transitions, self.rewards)))
+
+    @classmethod
+    def _adopt(cls, P: np.ndarray, r: np.ndarray) -> "LinearMdp":
+        """An instance of float64 tables built here and shared with no one, not copied."""
+        mdp = object.__new__(cls)
+        mdp._set_tables(P, r)
+        return mdp
+
+    def _set_tables(self, P: np.ndarray, r: np.ndarray) -> None:
         if P.ndim != 4 or P.shape[3] != P.shape[1] or r.shape != P.shape[:3]:
             raise InvalidMdpError(f"inconsistent table shapes P{P.shape} r{r.shape}")
         H, S, A = P.shape[:3]
@@ -255,7 +263,7 @@ def random_tabular(seed: int, n_states: int, n_actions: int, H: int) -> LinearMd
     P = u[:n_p].reshape(H, S, A, S)
     P += 1e-3
     P /= P.sum(axis=-1, keepdims=True)
-    return build_tabular_as_linear(P, u[n_p:].reshape(H, S, A))
+    return require_valid(LinearMdp._adopt(P, u[n_p:].reshape(H, S, A)))
 
 
 def default_hard_gap(d: int, M: int, K: int) -> float:
@@ -302,7 +310,7 @@ def hard_instance(d: int, H: int, gap: float) -> LinearMdp:
         P[h, good, :, good] = 1.0
         P[h, bad, :, bad] = 1.0
         r[h, good, :] = 1.0
-    return build_tabular_as_linear(P, r)
+    return require_valid(LinearMdp._adopt(P, r))
 
 
 def hard_num_initial_states(mdp: LinearMdp) -> int:
@@ -514,4 +522,4 @@ def read_mdp(path: str) -> LinearMdp:
             raise InvalidMdpError(
                 f"line {lineno}: reward section {idx[0]} must have {S} rows of {A} entries")
         r[idx[0]] = rows
-    return LinearMdp(P, r)
+    return LinearMdp._adopt(P, r)

@@ -144,7 +144,10 @@ class PsdMatrix:
     def solve(self, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve mat x = b via the cached inverse plus one refinement step,
         into ``out`` if given."""
-        b = np.asarray(b, dtype=np.float64)
+        return self._solve_into(np.asarray(b, dtype=np.float64), out)
+
+    def _solve_into(self, b: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """solve without its conversion, for a float64 b; the refit's entry."""
         x = np.matmul(self.inv, b, out=out)
         # One step of iterative refinement squares the inverse-drift error,
         # keeping the residual at machine precision between refreshes.
@@ -269,6 +272,10 @@ class DiagonalPsdMatrix:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.dim,):
             raise ValueError(f"right-hand side shape {b.shape} != ({self.dim},)")
+        return self._solve_into(b, out)
+
+    def _solve_into(self, b: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """solve without its checks, for a float64 (dim,) b; the refit's entry."""
         x = np.multiply(self.inv_diag, b, out=out)
         x += self.inv_diag * (b - self.diag * x)
         return x

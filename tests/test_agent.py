@@ -320,6 +320,27 @@ class TestTransitionStore:
             assert_batches_equal(got, snapshot)
             assert list(snapshot.episode) == [1, 2, 3]
 
+    def test_held_batches_are_refreshed_in_place(self):
+        """A batch list taken before extends reads each extend's contents,
+        design included, across capacity doublings and out-of-order re-sorts:
+        growth rebinds the arrays, and the refresh re-slices from the new ones."""
+        eps = random_episodes([4, 9, 2, 3, 11, 1, 10, 5, 8, 6, 7, 12, 14, 13], seed=7)
+        store = TransitionStore(STORE_D, STORE_H)
+        held = store.batches()
+        capacities, hi = [], 0
+        for size in (1, 2, 1, 3, 4, 3):  # each extend after the first re-sorts
+            capacity_before, hi = len(store._episode), hi + size
+            store.extend(*store_args(eps[hi - size:hi]))
+            capacities.append((capacity_before, len(store._episode)))
+            assert store.batches() is held
+            assert_store_holds(store, eps[:hi])
+            ordered = sorted(eps[:hi], key=lambda ts: ts[0].episode)
+            for hh, got in enumerate(held):
+                assert np.shares_memory(got.phis, store._design)
+                want = np.eye(STORE_D)[cells_of([ts[hh] for ts in ordered])]
+                assert got.phis.tobytes() == want.tobytes()
+        assert sum(before < after for before, after in capacities) >= 3
+
     @pytest.mark.parametrize("stored, upload, follow_up", [
         ([], [5, 7], [6]),            # the first upload into an empty store
         ([], [7, 5], [6]),            # ... out of its own order

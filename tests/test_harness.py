@@ -417,22 +417,29 @@ class TestTracedBoundaries:
     without record_episode's checks: the one-step LinearMdp.step and
     LsviAgent.record_transition, which the tracer still wraps, are off the run
     path, and so is LsviAgent.local_cov_snapshot, since a no_comm local update
-    grows the agent's covariances in place."""
+    grows the agent's covariances in place. The refit enters each covariance
+    through its unchecked _solve_into, never the checked solve, and a store
+    builds its H TransitionBatch objects once, refreshing them in place."""
 
     @pytest.mark.parametrize("diagnostics", [False, True])
     @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
     def test_call_counts(self, monkeypatch, protocol, diagnostics):
         calls = collections.Counter()
 
-        def count(owner, name):
+        def count(owner, name, key=None):
             original = vars(owner)[name]
 
             def counted(*args, **kwargs):
-                calls[name] += 1
+                calls[key or name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
 
+        for cls in (PsdMatrix, DiagonalPsdMatrix):
+            for name in ("solve", "_solve_into"):
+                count(cls, name, f"{cls.__name__}.{name}")
+        count(agent_mod.TransitionBatch, "__init__", "TransitionBatch")
+        count(agent_mod.TransitionStore, "__init__", "TransitionStore")
         for owner, name in [(LinearMdp, "step"), (LsviAgent, "record_transition"),
                             (LinearMdp, "rollout"), (LsviAgent, "record_episode"),
                             (LsviAgent, "should_communicate"),
@@ -455,6 +462,18 @@ class TestTracedBoundaries:
         assert (rec.total_comm > 0) == (protocol != "no_comm")
         assert calls["own_history"] == (rec.total_switches if protocol == "no_comm" else 0)
         assert calls["local_cov_snapshot"] == 0
+        # A refit reads at least one whole episode, so it solves at every
+        # step, on the diagonal class, unchecked.
+        assert calls["DiagonalPsdMatrix._solve_into"] == H * rec.total_switches
+        assert calls["PsdMatrix._solve_into"] == 0
+        assert calls["PsdMatrix.solve"] == calls["DiagonalPsdMatrix.solve"] == 0
+        # The server's store, and under no_comm one per agent that refits
+        # (on its trigger); H batches each, none per extend.
+        refitting = {m for m, fired in zip(rec.m.tolist(), rec.triggered.tolist()) if fired}
+        stores = 1 + (len(refitting) if protocol == "no_comm" else 0)
+        assert calls["TransitionStore"] == stores
+        assert stores > 1 or protocol != "no_comm"
+        assert calls["TransitionBatch"] == H * stores
 
 
 class TestDiagnosticsKeepNoCovariance:

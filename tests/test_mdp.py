@@ -5,6 +5,7 @@ import os
 import pickle
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ class TestLinearMdp:
         for arr in (m.transitions, m.rewards, m.features, m._cum_rows):
             assert arr.dtype == np.float64 and not arr.flags.writeable
 
+    def test_copies_float64_tables_too(self):
+        """Only the module's own builders hand their tables over uncopied."""
+        P, r = np.full((1, 2, 1, 2), 0.5), np.zeros((1, 2, 1))
+        m = LinearMdp(P, r)
+        P[0, 0, 0] = [1.0, 0.0]
+        assert m.transitions[0, 0, 0, 0] == 0.5 and not np.shares_memory(m.transitions, P)
+        assert P.flags.writeable and r.flags.writeable
+
     def test_compares_and_hashes_by_identity(self):
         a, b = hard_instance(8, 3, 0.1), hard_instance(8, 3, 0.1)
         assert (a == b) is False
@@ -150,6 +159,40 @@ class TestRandomTabular:
         # A negative numpy integer would wrap silently in a uint64 array.
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             random_tabular(seed, 3, 2, 2)
+
+
+class TestBuildersAdoptTheirTables:
+    """random_tabular and hard_instance hand the tables they build to the
+    instance uncopied; LinearMdp(P, r) copies a caller's (TestLinearMdp)."""
+
+    @pytest.mark.parametrize("build", [lambda: random_tabular(5, 64, 4, 64),
+                                       lambda: hard_instance(128, 64, 0.1)],
+                             ids=["random", "hard"])
+    def test_build_holds_the_transition_table_once(self, build):
+        """At H*S*A*S = 2**20 (2**19 for hard) the peak stays within 10% of
+        what the instance keeps: P and its cumulative rows, not a copy of P."""
+        build()  # warm caches (the identity, the jump tables) out of the count
+        tracemalloc.start()
+        try:
+            m = build()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= 2 * m.transitions.nbytes
+        assert peak <= 1.1 * kept
+
+    @pytest.mark.parametrize("build", [lambda: random_tabular(5, 64, 4, 64),
+                                       lambda: random_tabular(2 ** 40, 7, 3, 5),
+                                       lambda: hard_instance(12, 4, 0.2)],
+                             ids=["random", "random_small", "hard"])
+    def test_tables_equal_the_copying_path(self, build):
+        m = build()
+        copied = build_tabular_as_linear(m.transitions, m.rewards)
+        assert not np.shares_memory(copied.transitions, m.transitions)
+        for name in ("transitions", "rewards", "_cum_rows"):
+            got, want = getattr(m, name), getattr(copied, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
 class TestHardInstance:

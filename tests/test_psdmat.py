@@ -216,6 +216,34 @@ class TestSolve:
             x = m.solve(b)
             assert np.linalg.norm(m.mat @ x - b) <= 1e-8 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    def test_unchecked_entry_equals_solve(self, cls):
+        """The refit's _solve_into, into a row of an (H, d) weight array,
+        gives solve's bits, before and after a refresh."""
+        rng = np.random.default_rng(11)
+        d, H = 6, 3
+        m = cls(d, 0.7)
+        for n_updates in (40, REFRESH_PERIOD - 40 + 3):
+            m.add_bases(rng.integers(0, d, size=n_updates).tolist())
+            w = np.zeros((H, d))
+            for hh in range(H):
+                b = rng.standard_normal(d)
+                x = m._solve_into(b, w[hh])
+                assert x.base is w and np.shares_memory(x, w[hh])
+                assert w[hh].tobytes() == m.solve(b).tobytes()
+                assert w[hh].tobytes() == m.solve(b, out=np.empty(d)).tobytes()
+            assert not np.any(w == 0.0)
+        assert m.updates_since_refresh == 3
+
+    @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_solve_refuses_a_right_hand_side_of_the_wrong_length(self, cls, length):
+        """The checks stay in solve; a (d, k) right-hand side, which the
+        dense class solves column by column, is refused by the diagonal one
+        (TestDiagonalInvariants)."""
+        with pytest.raises(ValueError):
+            cls(4, 1.0).solve(np.ones(length))
+
 
 class TestDetRatio:
     def test_single_one_hot(self):
