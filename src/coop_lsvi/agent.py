@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
@@ -88,21 +88,27 @@ class TransitionBatch:
                    np.array(reward, np.float64), np.array(next_state, np.int64))
 
 
+class ProtocolViolation(RuntimeError):
+    """An episode filed twice into one store; indicates a harness bug."""
+
+
 class TransitionStore:
     """Every episode ever stored, in episode order, as one H-wide record,
-    with the one-hot design of its steps.
+    with the one-hot design of its steps; the one place a delta is filed.
 
     Per episode it keeps the episode id, the flat row [s, a, s'] * H, the H
     rewards and, in an (H, capacity, d) array, the row e_j of each step's
     cell j, so that step h's design is one C-contiguous (n, d) block.
-    ``extend`` refuses a cell that is not an integer in [0, d) before it
-    changes anything, files the new episodes into arrays that double their
-    capacity when full, and re-sorts by episode (one stable argsort, from the
-    first stored episode a new one precedes, and one permutation of every
-    array) only when the given episodes or the last stored one break episode
-    order. ``batches`` returns each step's TransitionBatch of column views and
-    its design view, valid until the next ``extend``; callers share them and
-    must not write to them. The H batches are built with the store; each
+    ``extend`` files the new episodes into arrays that double their capacity
+    when full, and re-sorts by episode (one stable argsort, from the first
+    stored episode a new one precedes, and one permutation of every array)
+    only when the given episodes or the last stored one break strict episode
+    order. Before a stored episode or batch changes, it refuses a cell that is
+    not an integer in [0, d) and an episode it holds or the call repeats
+    (ProtocolViolation), which the re-sort brings next to its twin.
+    ``batches`` returns each step's TransitionBatch of column views and its
+    design view, valid until the next ``extend``; callers share them and must
+    not write to them. The H batches are built with the store; each
     ``extend`` refreshes them in place, re-slicing their fields.
     """
 
@@ -148,11 +154,16 @@ class TransitionStore:
                              f"rows and cells {[len(c) for c in cells]} for H = {H} steps")
         if not n_new:
             return
+        n0 = self._n
+        # Only episodes out of strict order, or reaching back to the last stored
+        # one, can repeat one, and only they are re-sorted. The test reads the
+        # given episodes, not a numpy slice: an upload brings a few, where
+        # numpy's overhead dominates.
+        resort = n0 and self._last >= episodes[0] or any(map(operator.ge, episodes, episodes[1:]))
         d = self._eye.shape[0]
         for j in chain.from_iterable(cells):  # as DiagonalPsdMatrix.add_bases checks them
             if type(j) is not int or not 0 <= j < d:
                 _check_basis_index(j, d)  # numpy integers pass; the rest raise
-        n0 = self._n
         n = n0 + n_new
         if n > len(self._episode):
             self._grow(H, max(n, 2 * len(self._episode)))
@@ -161,19 +172,35 @@ class TransitionStore:
         self._rows[n0:n] = rows
         self._reward[n0:n] = rewards
         design[:, n0:n] = self._eye.take(cells, axis=0)
-        # The order check runs on the given episodes, not on a numpy slice: an
-        # upload usually brings a few episodes, where numpy's overhead dominates.
-        if n0 and self._last > episodes[0] or any(map(operator.gt, episodes, episodes[1:])):
-            # A bisection over the column's buffer: half the time of
-            # np.searchsorted on it.
-            lo = bisect_right(memoryview(episode), min(episodes), 0, n0)
+        if resort:
+            # Only stored episodes from the call's earliest on can collide, and
+            # the re-sort starts there. A bisection over the column's buffer:
+            # half the time of np.searchsorted on it.
+            lo = bisect_left(memoryview(episode), min(episodes), 0, n0)
             order = np.argsort(episode[lo:n], kind="stable")
-            for column in (episode, self._rows, self._reward):
+            ordered = episode[lo:n].take(order)
+            # A repeat sorts next to what it repeats. Rows past n0 are free
+            # space, so the stored episodes and the batches are still intact.
+            if np.count_nonzero(ordered[1:] == ordered[:-1]):
+                seen = set(episode[lo:n0].tolist())
+                for k in episodes:
+                    if k in seen:
+                        raise ProtocolViolation(f"duplicate upload for episode {k}")
+                    seen.add(k)
+            episode[lo:n] = ordered
+            for column in (self._rows, self._reward):
                 column[lo:n] = column[lo:n].take(order, axis=0)
             design[:, lo:n] = design[:, lo:n].take(order, axis=1)
         self._n = n
         self._last = episode.item(n - 1)
         self._refresh()
+
+    def absorb(self, agent: "LsviAgent", covs: Sequence[Covariance]) -> None:
+        """Extend with the agent's local delta (not cleared here), then add
+        each step's cells to covs[h] in recording order."""
+        self.extend(agent.loc_episodes, agent.loc_rows, agent.loc_rewards, agent.loc_cells)
+        for cov, cells in zip(covs, agent.loc_cells):
+            cov.add_bases(cells)
 
     def batches(self) -> list[TransitionBatch]:
         """Per step h, the stored transitions of step h in episode order."""
@@ -225,9 +252,8 @@ class LsviAgent:
         self._pending: list[Transition] = []
         # Own-trajectory history, built and filled by own_history (read only
         # by the no-communication refit), so it stays None under the other
-        # protocols; _own_moved counts episodes of the delta already moved.
+        # protocols.
         self._own: Optional[TransitionStore] = None
-        self._own_moved = 0
         # (H, S, A) table of the current parameters; None until first built.
         self._q: Optional[np.ndarray] = None
 
@@ -365,30 +391,24 @@ class LsviAgent:
         for visits in self._visits:
             visits.clear()
         self._log_ratio = [0.0] * self.H
-        self._own_moved = 0
 
     def local_cov_snapshot(self) -> list[Covariance]:
         """Per-h cov_h + local delta as new matrices, the local cells added in
         recording order: the reference for a no-communication local update,
-        which the run loop makes in place on cov_h, copying nothing."""
+        which own_history makes in place on cov_h, copying nothing."""
         snapshot = [cov.copy() for cov in self.qparams.cov]
         for cov, cells in zip(snapshot, self.loc_cells):
             cov.add_bases(cells)
         return snapshot
 
     def own_history(self) -> list[TransitionBatch]:
-        """Per-h batches, in episode order, of every transition this agent
-        has taken, provided each local delta was read here before
-        reset_local() cleared it, as the no-communication refit does after
-        adding the delta's cells to cov_h in place; valid until the next call."""
+        """Absorb the local delta into this agent's own store and cov_h in
+        place, once per delta (a second read before reset_local() is refused),
+        and return the per-h batches, in episode order, of every transition
+        this agent has taken; valid until the next call."""
         if self._own is None:
             self._own = TransitionStore(self.d, self.H)
-        moved = self._own_moved
-        columns = [self.loc_episodes, self.loc_rows, self.loc_rewards, *self.loc_cells]
-        if moved:  # a repeat read of one delta files only its new episodes
-            columns = [column[moved:] for column in columns]
-        self._own.extend(*columns[:3], columns[3:])
-        self._own_moved = len(self.loc_episodes)
+        self._own.absorb(self, self.qparams.cov)
         return self._own.batches()
 
     # -- the backward update --------------------------------------------------
@@ -426,8 +446,7 @@ class LsviAgent:
                 # The design is features[state, action] as one C-contiguous
                 # (n, d) matrix, kept by a store or built once for the batch.
                 # The GEMV gives a float64 (d,) vector: solve's checks would pass.
-                phis = batch.phis if batch.phis is not None else batch.design(mdp)
-                cov._solve_into(phis.T @ y, qp.w[hh])
+                cov._solve_into(batch.design(mdp).T @ y, qp.w[hh])
             else:
                 qp.w[hh] = 0.0
             q_h = self._clipped_q(hh, out=q_cells[hh], bonus=bonus[hh])

@@ -569,11 +569,11 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     table, as one LinearMdp.rollout with step h at draws[h-1], and files it
     with the cells its walk checked (LsviAgent._file_episode); then the
     protocol decides whether it communicates (upload, download, backward
-    update, local reset); a no-communication local update adds the local
-    cells to the agent's own covariances in place, copying none, and refits
-    from them. The regret increment compares the optimal value at the
-    initial state against the exact value of the pre-episode greedy policy
-    (NaN under eval = off).
+    update, local reset); a no-communication local update files the local
+    delta into the agent's own store and covariances in place, copying none
+    (LsviAgent.own_history), and refits from them. The regret increment
+    compares the optimal value at the initial state against the exact value
+    of the pre-episode greedy policy (NaN under eval = off).
     """
     mdp = state.mdp
     if not 1 <= k <= state.config.K:
@@ -595,8 +595,6 @@ def run_episode(state: RunState, k: int, draws: Sequence[float]) -> EpisodeView:
     trig, trig_h = agent.should_communicate()
     decision = state._decisions[trig]
     if decision is Decision.LOCAL_UPDATE:
-        for cov, loc in zip(agent.qparams.cov, agent.loc_cells):
-            cov.add_bases(loc)
         _refit(state, agent, agent.qparams.cov, agent.own_history())
     elif decision is not Decision.NONE:
         group = state.agents if decision is Decision.SYNC_ALL else [agent]

@@ -86,9 +86,7 @@ class PsdMatrix:
 
     def rank_one_update(self, v: np.ndarray) -> None:
         """Add vv^T in place; requires ||v|| <= 1 (feature-norm bound)."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector shape {v.shape} != ({self.dim},)")
+        v = _dim_vector(v, self.dim, "vector")
         sq_norm = float(v @ v)
         if not sq_norm <= (1.0 + FEATURE_NORM_SLACK) ** 2:
             raise ValueError(f"feature norm {math.sqrt(sq_norm):.6g} exceeds 1")
@@ -143,11 +141,11 @@ class PsdMatrix:
 
     def solve(self, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve mat x = b via the cached inverse plus one refinement step,
-        into ``out`` if given."""
-        return self._solve_into(np.asarray(b, dtype=np.float64), out)
+        into ``out`` if given; b must have shape (dim,)."""
+        return self._solve_into(_dim_vector(b, self.dim, "right-hand side"), out)
 
     def _solve_into(self, b: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        """solve without its conversion, for a float64 b; the refit's entry."""
+        """solve without its checks, for a float64 (dim,) b; the refit's entry."""
         x = np.matmul(self.inv, b, out=out)
         # One step of iterative refinement squares the inverse-drift error,
         # keeping the residual at machine precision between refreshes.
@@ -166,6 +164,14 @@ def _checked_shape(dim: int, ridge: float) -> tuple[int, float]:
     if not ridge >= MIN_RIDGE:
         raise ValueError(f"ridge {ridge!r} is below MIN_RIDGE={MIN_RIDGE:g}")
     return int(dim), float(ridge)
+
+
+def _dim_vector(x: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """x as a float64 array, or ValueError naming ``what`` unless its shape is (dim,)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dim,):
+        raise ValueError(f"{what} shape {x.shape} != ({dim},)")
+    return x
 
 
 def _check_basis_index(j: int, dim: int) -> None:
@@ -218,9 +224,7 @@ class DiagonalPsdMatrix:
 
     def rank_one_update(self, v: np.ndarray) -> None:
         """Add e_j e_j^T in place; v must be a standard basis vector."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector shape {v.shape} != ({self.dim},)")
+        v = _dim_vector(v, self.dim, "vector")
         nonzero = v.nonzero()[0].tolist()
         if len(nonzero) != 1 or v.item(nonzero[0]) != 1.0:
             norm = float(np.linalg.norm(v))
@@ -269,10 +273,7 @@ class DiagonalPsdMatrix:
     def solve(self, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve mat x = b with PsdMatrix.solve's refinement, elementwise,
         into ``out`` if given."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.dim,):
-            raise ValueError(f"right-hand side shape {b.shape} != ({self.dim},)")
-        return self._solve_into(b, out)
+        return self._solve_into(_dim_vector(b, self.dim, "right-hand side"), out)
 
     def _solve_into(self, b: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         """solve without its checks, for a float64 (dim,) b; the refit's entry."""

@@ -2,7 +2,7 @@
 
 The server aggregates, per step h, a covariance matrix (initialized to
 ridge * I so a refit can adopt a downloaded copy wholesale), and one
-deduplicated, episode-ordered global store of whole episodes. One
+episode-ordered global store of whole episodes that refuses any repeat. One
 communication round is one paired upload + download by a single agent.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .agent import TransitionBatch, TransitionStore
+from .agent import ProtocolViolation, TransitionBatch, TransitionStore
 from .psdmat import Covariance, DiagonalPsdMatrix
 
 if TYPE_CHECKING:
@@ -42,10 +42,6 @@ class Decision(Enum):
     SYNC_ALL = "sync_all"
 
 
-class ProtocolViolation(RuntimeError):
-    """A duplicate episode upload; indicates a harness bug."""
-
-
 class CentralServer:
     """Aggregated covariance and transition store, mutated strictly in turn."""
 
@@ -54,33 +50,14 @@ class CentralServer:
         self.H = H
         self.ridge = ridge
         self.cov: list[Covariance] = [DiagonalPsdMatrix(d, ridge) for _ in range(H)]
-        # The global store plus the set of its episode keys.
         self._store = TransitionStore(d, H)
-        self._episodes: set[int] = set()
 
     def upload(self, agent: "LsviAgent") -> None:
-        """Absorb the agent's buffered local delta (buffer is not cleared here).
-
-        Each buffered episode is inserted under its episode key, and each of
-        its steps adds e_j e_j^T for its cell index j to that step's
-        covariance, in buffer order. Every episode is uploaded by exactly one
-        agent exactly once, so a key collision, with the store or within the
-        buffer, is fatal. It is found, like a cell index the store refuses
-        (ValueError), before anything changes, and names the first colliding
-        episode.
-        """
-        episodes = agent.loc_episodes
-        new = set(episodes)
-        if len(new) < len(episodes) or not self._episodes.isdisjoint(new):
-            seen = set()
-            for k in episodes:
-                if k in self._episodes or k in seen:
-                    raise ProtocolViolation(f"duplicate upload for episode {k}")
-                seen.add(k)
-        self._store.extend(episodes, agent.loc_rows, agent.loc_rewards, agent.loc_cells)
-        self._episodes |= new
-        for cov, cells in zip(self.cov, agent.loc_cells):
-            cov.add_bases(cells)
+        """Absorb the agent's buffered local delta (buffer is not cleared
+        here) into the store and covariances (TransitionStore.absorb). Every
+        episode is uploaded by exactly one agent exactly once, so a repeat is
+        fatal: the store refuses it (ProtocolViolation) before any change."""
+        self._store.absorb(agent, self.cov)
 
     def download(self) -> tuple[list[Covariance], list[TransitionBatch]]:
         """Per-h covariance snapshots and the full global store.

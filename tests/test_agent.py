@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coop_lsvi.agent import (TRIGGER_LOG_TOLERANCE, LsviAgent, Transition, TransitionBatch,
-                             TransitionStore, practical_beta, theoretical_beta)
+from coop_lsvi.agent import (TRIGGER_LOG_TOLERANCE, LsviAgent, ProtocolViolation, Transition,
+                             TransitionBatch, TransitionStore, practical_beta, theoretical_beta)
 from coop_lsvi.mdp import hard_instance, random_tabular
 from coop_lsvi.psdmat import MIN_RIDGE, REFRESH_PERIOD, DiagonalPsdMatrix, PsdMatrix
 
@@ -399,6 +399,43 @@ class TestTransitionStore:
                 store.extend(*args)
         assert all(len(b) == 0 for b in store.batches())
 
+    @staticmethod
+    def store_bytes(store):
+        """The stored columns and design, and the bytes of every field of the
+        batches held before, read through the held list itself. A refused
+        call may have grown the store's capacity, which holds no episode."""
+        n = store._n
+        return ((n, store._last)
+                + tuple(a[:n].tobytes() for a in (store._episode, store._rows, store._reward))
+                + (store._design[:, :n].tobytes(),)
+                + tuple(getattr(b, name).tobytes() for b in store.batches() for name in
+                        ("episode", "state", "action", "reward", "next_state", "phis")))
+
+    @pytest.mark.parametrize("stored, new, named", [
+        ([1, 2, 3], [3], 3),              # equal to the last stored: a '>' test misses it
+        ([1, 2, 3], [4, 3], 3),           # ... after a new one
+        ([], [4, 4], 4),                  # repeated within one call, into an empty store
+        ([1, 2, 3], [5, 4, 5], 5),        # ... out of order
+        ([2, 4, 6, 8], [9, 5, 4, 2], 4),  # stored ones, out of order: the first in call order
+        ([2, 4, 6, 8], [7, 9, 7, 2], 7),  # a repeat ahead of a stored one
+        ([2, 4, 6, 8], [9, 5, 2], 2),     # the call's earliest is stored
+    ])
+    def test_a_repeated_episode_is_refused_before_any_change(self, stored, new, named):
+        eps = random_episodes(stored + new, seed=12)
+        store = TransitionStore(STORE_D, STORE_H)
+        if stored:
+            store.extend(*store_args(eps[:len(stored)]))
+        held = store.batches()
+        before = self.store_bytes(store)
+        with pytest.raises(ProtocolViolation, match=rf"^duplicate upload for episode {named}$"):
+            store.extend(*store_args(eps[len(stored):]))
+        assert store.batches() is held
+        assert self.store_bytes(store) == before
+        assert_store_holds(store, eps[:len(stored)])
+        fresh = [k for k in dict.fromkeys(new) if k not in stored]
+        store.extend(*store_args(random_episodes(fresh, seed=13)))
+        assert list(held[0].episode) == sorted(stored + fresh)
+
     def test_design_is_the_feature_rows_through_re_sorts_and_growth(self):
         m = random_tabular(0, 5, 3, STORE_H)  # d = 15: random_episodes' cells
         eps = random_episodes(np.random.default_rng(8).permutation(np.arange(1, 200)), seed=8)
@@ -484,9 +521,10 @@ class TestTransitionStore:
                 ag.record_transition(m, t)
                 recorded[h - 1].append(t)
                 s = t.next_state
-            if k % 7 == 0:
+            if k % 7 == 0:  # read once per delta, as the no-communication refit does
                 for got, ts in zip(ag.own_history(), recorded):
                     assert_batches_equal(got, TransitionBatch.from_transitions(ts))
+                ag.reset_local()
         for got, ts in zip(ag.own_history(), recorded):
             assert_batches_equal(got, TransitionBatch.from_transitions(ts))
 
@@ -503,8 +541,13 @@ def roll_out(m, ag, episodes, rng, recorded):
             s = t.next_state
 
 
+def covs_bytes(covs):
+    return [cov_bytes(cov) for cov in covs]
+
+
 class TestOwnHistory:
     def test_repeat_call_is_equal(self):
+        """A read after reset_local(), with no new delta, files nothing."""
         m = random_tabular(2, 3, 2, 3)
         ag = fresh_agent(m)
         recorded = [[] for _ in range(m.H)]
@@ -512,8 +555,43 @@ class TestOwnHistory:
         first = [TransitionBatch(b.episode.copy(), b.state.copy(), b.action.copy(),
                                  b.reward.copy(), b.next_state.copy())
                  for b in ag.own_history()]
+        ag.reset_local()
+        covs = covs_bytes(ag.qparams.cov)
         for got, want, ts in zip(ag.own_history(), first, recorded):
             assert_batches_equal(got, want)
+            assert_batches_equal(got, TransitionBatch.from_transitions(ts))
+        assert covs_bytes(ag.qparams.cov) == covs
+
+    def test_each_delta_is_absorbed_once(self):
+        """A read adds the delta's cells to cov_h in place, as
+        local_cov_snapshot adds them to copies; a second read of the same
+        delta is refused and leaves the own store and cov_h as they were."""
+        m = random_tabular(2, 3, 2, 3)
+        ag = fresh_agent(m)
+        rng = np.random.default_rng(7)
+        recorded = [[] for _ in range(m.H)]
+        roll_out(m, ag, range(1, 6), rng, recorded)
+        ag.own_history()
+        ag.reset_local()
+        roll_out(m, ag, range(6, 10), rng, recorded)
+        want = covs_bytes(ag.local_cov_snapshot())
+        covs = list(ag.qparams.cov)
+        ag.own_history()
+        assert [a is b for a, b in zip(ag.qparams.cov, covs)] == [True] * m.H
+        assert covs_bytes(covs) == want
+
+        def own_state():
+            return (covs_bytes(ag.qparams.cov),
+                    [tuple(getattr(b, name).tobytes() for name in
+                           ("episode", "state", "action", "reward", "next_state", "phis"))
+                     for b in ag._own.batches()])
+
+        before = own_state()
+        with pytest.raises(ProtocolViolation, match=r"^duplicate upload for episode 6$"):
+            ag.own_history()
+        assert own_state() == before
+        ag.reset_local()
+        for got, ts in zip(ag.own_history(), recorded):
             assert_batches_equal(got, TransitionBatch.from_transitions(ts))
 
     def test_kept_across_reset_local(self):

@@ -419,7 +419,9 @@ class TestTracedBoundaries:
     path, and so is LsviAgent.local_cov_snapshot, since a no_comm local update
     grows the agent's covariances in place. The refit enters each covariance
     through its unchecked _solve_into, never the checked solve, and a store
-    builds its H TransitionBatch objects once, refreshing them in place."""
+    builds its H TransitionBatch objects once, refreshing them in place.
+    Every delta is filed through TransitionStore.absorb, by an upload or a
+    no_comm read of the own history, and only absorb grows a covariance."""
 
     @pytest.mark.parametrize("diagnostics", [False, True])
     @pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
@@ -440,6 +442,8 @@ class TestTracedBoundaries:
                 count(cls, name, f"{cls.__name__}.{name}")
         count(agent_mod.TransitionBatch, "__init__", "TransitionBatch")
         count(agent_mod.TransitionStore, "__init__", "TransitionStore")
+        count(agent_mod.TransitionStore, "absorb")
+        count(DiagonalPsdMatrix, "add_bases")
         for owner, name in [(LinearMdp, "step"), (LsviAgent, "record_transition"),
                             (LinearMdp, "rollout"), (LsviAgent, "record_episode"),
                             (LsviAgent, "should_communicate"),
@@ -462,6 +466,8 @@ class TestTracedBoundaries:
         assert (rec.total_comm > 0) == (protocol != "no_comm")
         assert calls["own_history"] == (rec.total_switches if protocol == "no_comm" else 0)
         assert calls["local_cov_snapshot"] == 0
+        assert calls["absorb"] == calls["upload"] + calls["own_history"] > 0
+        assert calls["add_bases"] == H * calls["absorb"]
         # A refit reads at least one whole episode, so it solves at every
         # step, on the diagonal class, unchecked.
         assert calls["DiagonalPsdMatrix._solve_into"] == H * rec.total_switches

@@ -1,6 +1,7 @@
 """Unit and property tests for the SPD rank-one update kernel."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,13 +237,15 @@ class TestSolve:
         assert m.updates_since_refresh == 3
 
     @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
-    @pytest.mark.parametrize("length", [3, 5])
-    def test_solve_refuses_a_right_hand_side_of_the_wrong_length(self, cls, length):
-        """The checks stay in solve; a (d, k) right-hand side, which the
-        dense class solves column by column, is refused by the diagonal one
-        (TestDiagonalInvariants)."""
-        with pytest.raises(ValueError):
-            cls(4, 1.0).solve(np.ones(length))
+    @pytest.mark.parametrize("shape", [3, 5, (4, 2), (4, 1), (1, 4), ()], ids=str)
+    def test_solve_refuses_a_right_hand_side_of_the_wrong_length(self, cls, shape):
+        """The checks stay in solve: both covariance classes refuse, with one
+        message, any right-hand side but (dim,), a (d, k) one too, which
+        np.matmul would solve column by column."""
+        b = np.ones(shape)
+        with pytest.raises(ValueError, match=rf"^right-hand side shape "
+                                             rf"{re.escape(str(b.shape))} != \(4,\)$"):
+            cls(4, 1.0).solve(b)
 
 
 class TestDetRatio:

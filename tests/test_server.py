@@ -27,14 +27,13 @@ def agent_with_rollout(mdp, agent_id, episodes, seed, alpha=0.5):
 
 def server_state(server):
     """The bytes of everything a server holds: every step's covariance and
-    batch, and its episode keys."""
+    batch, whose episode column carries the stored episodes."""
     covs, batches = server.download()
     return ([(c.diag.tobytes(), c.inv_diag.tobytes(), c.logdet, c.updates_since_refresh)
              for c in covs],
             [tuple(getattr(b, name).tobytes() for name in
                    ("episode", "state", "action", "reward", "next_state", "phis"))
-             for b in batches],
-            sorted(server._episodes))
+             for b in batches])
 
 
 def reconstruct_cov(server, mdp, hh):
@@ -124,8 +123,7 @@ class TestUpload:
     @pytest.mark.parametrize("bad", [-1, 4, 7, 1.5])
     def test_out_of_range_cell_leaves_the_step_as_it_was(self, bad):
         """A refused cell, here at the last step, changes no step's store or
-        covariance and no episode key, so the corrected buffer uploads
-        afterwards."""
+        covariance, so the corrected buffer uploads afterwards."""
         m = random_tabular(0, 2, 2, 2)  # d = 4
         srv = CentralServer(m.d, m.H, 1.0)
         ag = LsviAgent(1, m.d, m.H, 0.5, 1.0, 1.0)

@@ -61,6 +61,34 @@ def test_traced_names_exist():
     assert missing == []
 
 
+def test_protocol_violation_is_raised_at_one_site():
+    """The transition store is the one owner of filing: it alone refuses an
+    episode filed twice, for the server and the own history alike, and the
+    server re-exports its exception."""
+    sites = []
+
+    class Finder(ast.NodeVisitor):
+        scope: list[str] = []
+
+        def visit_scope(self, node):
+            self.scope = [*self.scope, node.name]
+            self.generic_visit(node)
+            self.scope = self.scope[:-1]
+
+        visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+        def visit_Raise(self, node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "ProtocolViolation":
+                sites.append(f"{path.name}:{'.'.join(self.scope)}")
+
+    for path in SRC:
+        Finder().visit(ast.parse(path.read_text(), filename=str(path)))
+    assert sites == ["agent.py:TransitionStore.extend"]
+    assert coop_lsvi.ProtocolViolation is coop_lsvi.server.ProtocolViolation
+    assert coop_lsvi.ProtocolViolation is coop_lsvi.agent.ProtocolViolation
+
+
 def test_only_psdmat_names_the_dense_class():
     """Agents and servers build diagonal covariances themselves; the dense
     reference is defined and exported, and put in by tests on purpose."""
