@@ -115,7 +115,6 @@ class TransitionStore:
     def __init__(self, d: int, H: int) -> None:
         self._eye = identity(d)
         self._n = 0
-        self._last = 0  # the last stored episode, once there is one
         self._grow(H, 0)
         # At capacity 0 the full-capacity views are the empty batches.
         self._batches = [TransitionBatch(self._episode, *columns) for columns in self._columns]
@@ -159,7 +158,8 @@ class TransitionStore:
         # one, can repeat one, and only they are re-sorted. The test reads the
         # given episodes, not a numpy slice: an upload brings a few, where
         # numpy's overhead dominates.
-        resort = n0 and self._last >= episodes[0] or any(map(operator.ge, episodes, episodes[1:]))
+        resort = (n0 and self._episode.item(n0 - 1) >= episodes[0]
+                  or any(map(operator.ge, episodes, episodes[1:])))
         d = self._eye.shape[0]
         for j in chain.from_iterable(cells):  # as DiagonalPsdMatrix.add_bases checks them
             if type(j) is not int or not 0 <= j < d:
@@ -192,7 +192,6 @@ class TransitionStore:
                 column[lo:n] = column[lo:n].take(order, axis=0)
             design[:, lo:n] = design[:, lo:n].take(order, axis=1)
         self._n = n
-        self._last = episode.item(n - 1)
         self._refresh()
 
     def absorb(self, agent: "LsviAgent", covs: Sequence[Covariance]) -> None:
@@ -437,18 +436,16 @@ class LsviAgent:
         for hh in range(self.H - 1, -1, -1):
             batch = global_data[hh]
             qp.cov[hh] = cov = global_cov[hh]
-            if batch.reward.shape[0]:
-                # y = r + V_{h+1}(s'), a fresh contiguous array: the GEMV's input.
-                # The gather indexes rather than takes: the store's next-state
-                # column is strided, which take first copies.
-                y = (batch.reward.copy() if next_value is None
-                     else np.add(batch.reward, next_value[batch.next_state]))
-                # The design is features[state, action] as one C-contiguous
-                # (n, d) matrix, kept by a store or built once for the batch.
-                # The GEMV gives a float64 (d,) vector: solve's checks would pass.
-                cov._solve_into(batch.design(mdp).T @ y, qp.w[hh])
-            else:
-                qp.w[hh] = 0.0
+            # y = r + V_{h+1}(s'), a fresh contiguous array: the GEMV's input.
+            # The gather indexes rather than takes: the store's next-state
+            # column is strided, which take first copies.
+            y = (batch.reward.copy() if next_value is None
+                 else np.add(batch.reward, next_value[batch.next_state]))
+            # The design is features[state, action] as one C-contiguous
+            # (n, d) matrix, kept by a store or built once for the batch.
+            # The GEMV gives a float64 (d,) vector: solve's checks would pass.
+            # An empty batch gives zeros(d), which both classes solve to +0.0.
+            cov._solve_into(batch.design(mdp).T @ y, qp.w[hh])
             q_h = self._clipped_q(hh, out=q_cells[hh], bonus=bonus[hh])
             if hh:  # V_h(s) = max_a Q_h(s, a) for the step below; no step reads V_1
                 next_value = np.maximum.reduce(q_h.reshape(S, A), axis=1)

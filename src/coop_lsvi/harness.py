@@ -395,7 +395,6 @@ class RunState:
     planner: Optional[PlannerOutput]
     agents: list[LsviAgent]
     server: CentralServer
-    protocol: ProtocolKind
     schedule: np.ndarray
     init_states: np.ndarray
     record: RunRecord
@@ -407,12 +406,13 @@ class RunState:
 
     def __post_init__(self) -> None:
         # What run_episode reads per episode, as Python objects: the schedule
-        # and initial states, protocol_decide's outcome without and with a
-        # trigger, and, under exact evaluation, the optimal first-step values.
+        # and initial states, protocol_decide's outcome for config.protocol
+        # without and with a trigger, and, under exact evaluation, the optimal
+        # first-step values.
         self._schedule: list[int] = self.schedule.tolist()
         self._init_states: list[int] = self.init_states.tolist()
-        self._decisions = (protocol_decide(self.protocol, False),
-                           protocol_decide(self.protocol, True))
+        protocol = ProtocolKind(self.config.protocol)
+        self._decisions = (protocol_decide(protocol, False), protocol_decide(protocol, True))
         self._v_star_first: Optional[list[float]] = (
             self.planner.v_star[0].tolist() if self.config.eval_mode == "exact" else None)
 
@@ -539,7 +539,6 @@ def build_run_state(cfg: RunConfig) -> RunState:
               for m in range(1, cfg.M + 1)]
     state = RunState(config=cfg, mdp=mdp, planner=planner, agents=agents,
                      server=CentralServer(mdp.d, mdp.H, cfg.ridge),
-                     protocol=ProtocolKind(cfg.protocol),
                      schedule=make_schedule(cfg, mdp.d),
                      init_states=make_initial_states(
                          cfg, mdp, mix_seed(cfg.master_seed, TAG_INIT)),

@@ -99,17 +99,14 @@ class PsdMatrix:
         if self.updates_since_refresh >= REFRESH_PERIOD:
             self.refresh()
 
-    def add_basis(self, j: int) -> None:
-        """Add e_j e_j^T in place: rank_one_update of the j-th basis vector."""
-        _check_basis_index(j, self.dim)
-        e_j = np.zeros(self.dim)
-        e_j[j] = 1.0
-        self.rank_one_update(e_j)
-
     def add_bases(self, cells: Iterable[int]) -> None:
-        """add_basis(j) for each j of cells, in order."""
+        """rank_one_update(e_j) for each j of cells, in order. A bad j raises
+        before it is used, with the cells before it applied."""
         for j in cells:
-            self.add_basis(j)
+            _check_basis_index(j, self.dim)
+            e_j = np.zeros(self.dim)
+            e_j[j] = 1.0
+            self.rank_one_update(e_j)
 
     def refresh(self) -> None:
         """Recompute inverse and logdet from scratch via Cholesky: mat = L L^T,
@@ -231,11 +228,7 @@ class DiagonalPsdMatrix:
             if not norm <= 1.0 + FEATURE_NORM_SLACK:
                 raise ValueError(f"feature norm {norm:.6g} exceeds 1")
             raise ValueError("a diagonal covariance takes only standard basis vectors")
-        self.add_basis(nonzero[0])
-
-    def add_basis(self, j: int) -> None:
-        """Add e_j e_j^T in place, in O(1)."""
-        self.add_bases((j,))
+        self.add_bases(nonzero)
 
     def add_bases(self, cells: Iterable[int]) -> None:
         """Add e_j e_j^T for each j of cells, in order, in O(1) each; the run

@@ -405,7 +405,7 @@ class TestTransitionStore:
         batches held before, read through the held list itself. A refused
         call may have grown the store's capacity, which holds no episode."""
         n = store._n
-        return ((n, store._last)
+        return ((n,)
                 + tuple(a[:n].tobytes() for a in (store._episode, store._rows, store._reward))
                 + (store._design[:, :n].tobytes(),)
                 + tuple(getattr(b, name).tobytes() for b in store.batches() for name in
@@ -724,12 +724,12 @@ class TestTriggerBound:
             assert fired == exact_trigger(ag, covs)
             if fired[0] or k == len(episodes):
                 # The snapshot holds the bytes of adding the cells one
-                # add_basis at a time.
+                # add_bases([j]) at a time.
                 snapshot = ag.local_cov_snapshot()
                 for cov, hh_cells, got in zip(covs, cells, snapshot):
                     ref = cov.copy()
                     for j in hh_cells:
-                        ref.add_basis(j)
+                        ref.add_bases([j])
                     assert cov_bytes(got) == cov_bytes(ref)
                 ag.qparams.cov = snapshot
                 ag.reset_local()
@@ -825,15 +825,22 @@ def batches_from_rollout(mdp, n_episodes, seed):
 
 class TestBackwardUpdate:
     def test_empty_data_gives_pure_bonus(self):
+        """Empty batches, built from no transitions or read from an empty
+        store, refit every w_h to +0.0 under either covariance class."""
         m = random_tabular(0, 2, 2, 2)
-        ag = fresh_agent(m, beta=0.7)
-        covs = [PsdMatrix(m.d, 1.0) for _ in range(m.H)]
-        ag.lsvi_backward_update(m, [TransitionBatch.from_transitions([])] * m.H, covs)
-        assert np.all(ag.qparams.w == 0.0)
-        for s in range(m.n_states):
-            for a in range(m.n_actions):
-                expected = min(0.7 * math.sqrt(float(m.features[s, a] @ m.features[s, a])), 2.0)
-                assert ag.action_values(m, s, 1)[a] == pytest.approx(expected)
+        for cov_cls in (PsdMatrix, DiagonalPsdMatrix):
+            for data in ([TransitionBatch.from_transitions([])] * m.H,
+                         TransitionStore(m.d, m.H).batches()):
+                ag = fresh_agent(m, beta=0.7)
+                ag.qparams.w[:] = -0.0  # the refit, not the initial state, writes +0.0
+                covs = [cov_cls(m.d, 1.0) for _ in range(m.H)]
+                ag.lsvi_backward_update(m, data, covs)
+                assert ag.qparams.w.tobytes() == np.zeros((m.H, m.d)).tobytes()
+                for s in range(m.n_states):
+                    for a in range(m.n_actions):
+                        phi = m.features[s, a]
+                        expected = min(0.7 * math.sqrt(float(phi @ phi)), 2.0)
+                        assert ag.action_values(m, s, 1)[a] == pytest.approx(expected)
 
     def test_single_transition_hand_solution(self):
         m = random_tabular(0, 1, 2, 1)
@@ -910,8 +917,8 @@ class TestPerCellQ:
             else:
                 diag, dense = DiagonalPsdMatrix(m.d, 0.8), PsdMatrix(m.d, 0.8)
                 for j in rng.integers(0, m.d, size=3 * m.d):
-                    diag.add_basis(int(j))
-                    dense.add_basis(int(j))
+                    diag.add_bases([int(j)])
+                    dense.add_bases([int(j)])
                 pairs.append((diag, dense))
         return pairs
 

@@ -57,7 +57,7 @@ class TestInit:
             errs = []
             for r in ridges:
                 m = cls(1, float(r))
-                m.add_basis(0)
+                m.add_bases([0])
                 errs.append(abs(m.inv[0, 0] * (1.0 + r) - 1.0))
             return max(errs)
 
@@ -71,7 +71,7 @@ class TestInit:
         m = cls(3, MIN_RIDGE)
         with np.errstate(all="raise"):
             for j in (0, 0, 2):
-                m.add_basis(j)
+                m.add_bases([j])
         assert np.isfinite(m.inv).all() and (m.inv.diagonal() >= 0).all()
         assert math.isfinite(m.logdet)
 
@@ -457,7 +457,8 @@ def cached_state(m):
 
 
 class TestAddBasis:
-    """add_basis(j), the run loop's update, is rank_one_update(e_j) exactly."""
+    """add_bases([j]), one cell of the run loop's update, is
+    rank_one_update(e_j) exactly."""
 
     @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
     @pytest.mark.parametrize("d,ridge", [(8, 1.0), (15, 0.3)])
@@ -466,7 +467,7 @@ class TestAddBasis:
         by_index, by_vector = cls(d, ridge), cls(d, ridge)
         refreshes = 0
         for j in rng.integers(0, d, size=2 * REFRESH_PERIOD + 37).tolist():
-            by_index.add_basis(j)
+            by_index.add_bases([j])
             by_vector.rank_one_update(e(j, d))
             assert by_index.logdet == by_vector.logdet
             assert by_index.updates_since_refresh == by_vector.updates_since_refresh
@@ -479,7 +480,7 @@ class TestAddBasis:
     @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
     def test_numpy_integer_index(self, cls):
         by_index, by_vector = cls(4, 1.0), cls(4, 1.0)
-        by_index.add_basis(np.int64(3))
+        by_index.add_bases([np.int64(3)])
         by_vector.rank_one_update(e(3, 4))
         assert cached_state(by_index) == cached_state(by_vector)
 
@@ -487,15 +488,16 @@ class TestAddBasis:
     @pytest.mark.parametrize("j", [-1, 4, 1.0, 0.5, "1", None])
     def test_invalid_index_rejected_without_mutation(self, cls, j):
         m = cls(4, 1.0)
-        m.add_basis(2)
+        m.add_bases([2])
         before = cached_state(m)
         with pytest.raises(ValueError, match="basis index"):
-            m.add_basis(j)
+            m.add_bases([j])
         assert cached_state(m) == before
 
 
 class TestAddBases:
-    """add_bases(cells), the run loop's bulk update, is a loop of add_basis."""
+    """add_bases(cells), the run loop's bulk update, is a loop of
+    add_bases([j])."""
 
     @pytest.mark.parametrize("cls", [PsdMatrix, DiagonalPsdMatrix])
     def test_equals_a_loop_of_add_basis_across_refreshes(self, cls):
@@ -510,7 +512,7 @@ class TestAddBases:
         for lo, hi in zip(cuts, cuts[1:]):
             bulk.add_bases(mixed[lo:hi])
             for j in mixed[lo:hi]:
-                loop.add_basis(j)
+                loop.add_bases([j])
             assert cached_state(bulk) == cached_state(loop)
         assert bulk.updates_since_refresh == len(mixed) % REFRESH_PERIOD
         if cls is DiagonalPsdMatrix:

@@ -1,13 +1,17 @@
-"""Tests for the central server, protocols, and the M=1 self-equivalence."""
+"""Tests for the central server, protocols, and a paper-literal oracle of whole runs."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from coop_lsvi.agent import LsviAgent, Transition
-from coop_lsvi.harness import TAG_TRAJECTORY, RunConfig, mix_seed, run_experiment
-from coop_lsvi.mdp import random_tabular, value_iteration
+from coop_lsvi.agent import TRIGGER_LOG_TOLERANCE, LsviAgent, Transition
+from coop_lsvi.harness import (TAG_INIT, TAG_TRAJECTORY, RunConfig, build_mdp, mix_seed,
+                               resolve_beta, run_experiment)
+from coop_lsvi.mdp import eval_policy, random_tabular, value_iteration
+from coop_lsvi.schedules import make_initial_states, make_schedule
 from coop_lsvi.server import (CentralServer, Decision, ProtocolKind,
                               ProtocolViolation, protocol_decide)
 
@@ -243,91 +247,134 @@ class TestProtocolDecide:
         assert 0 < fired_count < 1000  # both branches exercised
 
 
-def reference_single_agent_lsvi(cfg):
-    """Independent single-agent low-switching LSVI-UCB loop (dense numpy).
+# The oracle's greedy action is the first one within this of the maximum:
+# argmax in exact arithmetic, where actions that tie (both actions of the hard
+# instance's zero absorber, on the same data) are equal. Rounding alone puts
+# them a few ulps apart, 4.4e-15 at most where measured, with Q in [0, H].
+ORACLE_TIE_TOLERANCE = 1e-10
 
-    Shares only the environment and the seed-derivation plumbing with the
-    package; all linear algebra and trigger logic is recomputed from scratch.
+
+class _OracleLearner:
+    """One agent of paper_literal_lsvi: dense Lambda_h, and the Q-table,
+    greedy policy and its value of its last refit."""
+
+    def __init__(self, H, d, ridge):
+        self.lam = [ridge * np.eye(d) for _ in range(H)]
+        self.delta = []    # (episode, (H, 4) [s, a, r, s'] rows) since the last refit
+        self.history = []  # every episode of its own, for no_comm
+        self.q = self.policy = self.value = None
+
+
+def paper_literal_lsvi(cfg):
+    """The paper's cooperative LSVI-UCB, written out literally in dense numpy.
+
+    Each agent keeps dense Lambda_h = ridge * I + sum phi phi^T over the data
+    of its last refit, weights w_h = np.linalg.solve(Lambda_h, sum phi y) and
+    Q_h(s, a) = clip(phi^T w_h + beta * sqrt(phi^T Lambda_h^-1 phi), 0,
+    H - h + 1), and acts greedily, ties to the first action. At episode end
+    it fires at the first h with slogdet(Lambda_h + Delta_h) -
+    slogdet(Lambda_h) > log1p(alpha) + TRIGGER_LOG_TOLERANCE, Delta_h the
+    outer products of its episodes since its last refit. An upload appends
+    those episodes to the server's list, sorts it by episode and adds Delta_h
+    to the server's Lambda_h; a download copies the server's Lambda_h and
+    refits on its list. no_comm adds Delta_h to the agent's own Lambda_h and
+    refits on its own history. Communication follows the protocol: async on
+    a trigger, full_sync every episode, sync_round_robin all agents (uploads
+    first) on a trigger.
+
+    Shares with the package only the plumbing: build_mdp, resolve_beta, the
+    schedules, the seeds, LinearMdp.step, value_iteration and eval_policy.
+    Returns per episode the regret increment, the firing h (0 if none) and
+    cum_comm.
     """
-    from coop_lsvi.harness import build_mdp
-    from coop_lsvi.schedules import make_initial_states
+    cfg = cfg.resolved()
+    mdp = build_mdp(cfg)
+    H, S, A, d = mdp.H, mdp.n_states, mdp.n_actions, mdp.d
+    beta = resolve_beta(cfg, d, H)
+    ceiling = math.log1p(cfg.alpha) + TRIGGER_LOG_TOLERANCE
+    v_star = value_iteration(mdp).v_star
+    schedule = make_schedule(cfg, d)
+    init_states = make_initial_states(cfg, mdp, mix_seed(cfg.master_seed, TAG_INIT))
+    all_phis = mdp.features.reshape(S * A, d)
 
-    resolved = cfg.resolved()
-    mdp = build_mdp(resolved)
-    H, d, S, A = mdp.H, mdp.d, mdp.n_states, mdp.n_actions
-    K, lam, alpha, beta = resolved.K, resolved.ridge, resolved.alpha, None
-    from coop_lsvi.harness import resolve_beta
-    beta = resolve_beta(resolved, d, H)
-    init_states = make_initial_states(resolved, mdp, mix_seed(resolved.master_seed, 0xA4))
-    planner = value_iteration(mdp)
+    def steps(episodes):
+        """Per h, the (n, 4) rows [s, a, r, s'] of step h of the episodes, in order."""
+        return np.array([rec for _, rec in episodes]).reshape(-1, H, 4).transpose(1, 0, 2)
 
-    cov = [lam * np.eye(d) for _ in range(H)]
-    w = np.zeros((H, d))
-    data = [[] for _ in range(H)]           # (s, a, r, s2) history per h
-    loc = [[] for _ in range(H)]            # feature vectors since last refit
+    def features(rows):
+        return mdp.features[rows[:, 0].astype(int), rows[:, 1].astype(int)]
 
-    def q_values(s, h):
-        raw = np.empty(A)
-        for a in range(A):
-            phi = mdp.features[s, a]
-            bonus = beta * math.sqrt(phi @ np.linalg.solve(cov[h - 1], phi))
-            raw[a] = phi @ w[h - 1] + bonus
-        return np.clip(raw, 0.0, H - h + 1)
+    def outer_sums(episodes):
+        """Per h, the sum of phi phi^T over step h of the episodes."""
+        return [x.T @ x for x in map(features, steps(episodes))]
 
-    regrets = np.zeros(K)
-    actions = []
-    trigger_eps = []
-    for k in range(1, K + 1):
-        rng = np.random.default_rng(mix_seed(resolved.master_seed, k, TAG_TRAJECTORY))
-        pol = np.array([[int(np.argmax(q_values(s, h))) for s in range(S)]
-                        for h in range(1, H + 1)])
-        from coop_lsvi.mdp import eval_policy
-        s1 = int(init_states[k - 1])
-        regrets[k - 1] = planner.v_star[0, s1] - eval_policy(mdp, pol)[0, s1]
-        s = s1
+    def refit(learner, episodes):
+        learner.q, next_v = np.empty((H, S, A)), np.zeros(S)
+        for hh, rows in reversed(list(enumerate(steps(episodes)))):
+            lam = learner.lam[hh]
+            y = rows[:, 2] + next_v[rows[:, 3].astype(int)]
+            w = np.linalg.solve(lam, features(rows).T @ y)
+            bonus = np.sqrt(np.einsum("jd,dj->j", all_phis, np.linalg.solve(lam, all_phis.T)))
+            learner.q[hh] = np.clip(all_phis @ w + beta * bonus, 0.0, H - hh).reshape(S, A)
+            next_v = learner.q[hh].max(axis=1)
+        q_max = learner.q.max(axis=2, keepdims=True)
+        learner.policy = (learner.q >= q_max - ORACLE_TIE_TOLERANCE).argmax(axis=2)
+        learner.value = eval_policy(mdp, learner.policy)
+        learner.delta = []
+
+    def fired_step(learner):
+        for hh, (lam, delta) in enumerate(zip(learner.lam, outer_sums(learner.delta))):
+            if np.linalg.slogdet(lam + delta)[1] - np.linalg.slogdet(lam)[1] > ceiling:
+                return hh + 1
+        return 0
+
+    learners = [_OracleLearner(H, d, cfg.ridge) for _ in range(cfg.M)]
+    for learner in learners:
+        refit(learner, [])
+    server_lam, server_episodes = [cfg.ridge * np.eye(d) for _ in range(H)], []
+    regret, trigger_h, cum_comm = np.empty(cfg.K), np.zeros(cfg.K, int), np.zeros(cfg.K, int)
+    comm = 0
+    for k in range(1, cfg.K + 1):
+        learner = learners[schedule[k - 1] - 1]
+        s1 = s = int(init_states[k - 1])
+        regret[k - 1] = v_star[0, s1] - learner.value[0, s1]
+        rng = np.random.default_rng(mix_seed(cfg.master_seed, k, TAG_TRAJECTORY))
+        rec = np.empty((H, 4))
         for h in range(1, H + 1):
-            a = int(pol[h - 1, s])
+            a = int(learner.policy[h - 1, s])
             r, s2 = mdp.step(s, a, h, rng.random())
-            data[h - 1].append((s, a, r, s2))
-            loc[h - 1].append(mdp.features[s, a])
-            actions.append(a)
+            rec[h - 1] = s, a, r, s2
             s = s2
-        fired = False
-        for hh in range(H):
-            if not loc[hh]:
-                continue
-            delta = sum((np.outer(v, v) for v in loc[hh]), np.zeros((d, d)))
-            log_ratio = (np.linalg.slogdet(cov[hh] + delta)[1]
-                         - np.linalg.slogdet(cov[hh])[1])
-            # Strict inequality with the same exact-boundary guard: one-hot
-            # determinant ratios hit 1 + alpha exactly, which must not fire.
-            if log_ratio > math.log1p(alpha) + 1e-11:
-                fired = True
-                break
-        if fired:
-            trigger_eps.append(k)
-            next_v = None
-            for hh in range(H - 1, -1, -1):
-                cov[hh] = cov[hh] + sum((np.outer(v, v) for v in loc[hh]),
-                                        np.zeros((d, d)))
-                loc[hh] = []
-                rhs = np.zeros(d)
-                for (s0, a0, r0, s20) in data[hh]:
-                    y = r0
-                    if next_v is not None:
-                        y += next_v[s20]
-                    rhs += mdp.features[s0, a0] * y
-                w[hh] = np.linalg.solve(cov[hh], rhs)
-                vals = np.empty(S)
-                for s0 in range(S):
-                    raw = np.empty(A)
-                    for a0 in range(A):
-                        phi = mdp.features[s0, a0]
-                        raw[a0] = (phi @ w[hh] + beta
-                                   * math.sqrt(phi @ np.linalg.solve(cov[hh], phi)))
-                    vals[s0] = np.clip(raw, 0.0, H - hh).max()
-                next_v = vals
-    return regrets, actions, trigger_eps
+        learner.delta.append((k, rec))
+        trigger_h[k - 1] = fired = fired_step(learner)
+        if cfg.protocol == "no_comm" and fired:
+            learner.lam = [lam + delta for lam, delta in zip(learner.lam, outer_sums(learner.delta))]
+            learner.history = sorted(learner.history + learner.delta, key=lambda e: e[0])
+            refit(learner, learner.history)
+        group = ([learner] if cfg.protocol == "full_sync"
+                 or fired and cfg.protocol == "async_trigger"
+                 else learners if fired and cfg.protocol == "sync_round_robin" else [])
+        for member in group:
+            server_lam = [lam + delta for lam, delta in zip(server_lam, outer_sums(member.delta))]
+            server_episodes = sorted(server_episodes + member.delta, key=lambda e: e[0])
+        for member in group:
+            member.lam = [lam.copy() for lam in server_lam]
+            refit(member, server_episodes)
+        comm += len(group)
+        cum_comm[k - 1] = comm
+    return regret, trigger_h, cum_comm
+
+
+def regret_gap_and_communication(cfg):
+    """The largest |regret_inc| difference between the package's run and
+    paper_literal_lsvi's, and both runs' (trigger episodes, firing steps,
+    cum_comm), as lists."""
+    record = run_experiment(cfg)
+    regret, trigger_h, cum_comm = paper_literal_lsvi(cfg)
+    return (float(np.abs(record.regret_inc - regret).max()),
+            (record.k[record.triggered].tolist(), record.trigger_h.tolist(),
+             record.cum_comm.tolist()),
+            ((np.flatnonzero(trigger_h) + 1).tolist(), trigger_h.tolist(), cum_comm.tolist()))
 
 
 class TestSyncRoundRobin:
@@ -366,11 +413,47 @@ class TestDownloadOrdering:
 
 class TestSingleAgentSelfEquivalence:
     def test_matches_reference_loop(self):
-        cfg = RunConfig(mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.15,
-                        M=1, K=400, protocol="async_trigger",
-                        schedule="single_agent", master_seed=11)
-        record = run_experiment(cfg)
-        ref_regrets, _, ref_triggers = reference_single_agent_lsvi(cfg)
-        got_triggers = list(record.k[record.triggered])
-        assert got_triggers == ref_triggers
-        assert np.abs(record.regret_inc - ref_regrets).max() < 1e-9
+        gap, got, want = regret_gap_and_communication(RunConfig(
+            mdp_kind="hard", mdp_d=8, mdp_horizon=3, mdp_gap=0.15, M=1, K=400,
+            protocol="async_trigger", schedule="single_agent", master_seed=11))
+        assert got == want
+        assert gap < 1e-9
+
+
+ORACLE_INSTANCES = {"hard_d8": dict(mdp_kind="hard", mdp_d=8),
+                    "random_5x3": dict(mdp_kind="random", mdp_n_states=5, mdp_n_actions=3)}
+ORACLE_SEEDS = (0, 7, 20231)
+# Runs whose trajectories part at a greedy tie: at the hard instance's zero
+# absorber (state 3, step 2) the package's two Q values come out an ulp or two
+# apart, action 1 ahead, where the oracle's are equal and it takes action 0. The
+# regret is the same (both actions are one action of the true MDP), but the
+# cells visited, and so the triggers, differ.
+ORACLE_TIED = {("hard_d8", "async_trigger", seed) for seed in ORACLE_SEEDS}
+ORACLE_RUNS = list(itertools.product(sorted(ORACLE_INSTANCES),
+                                     [p.value for p in ProtocolKind], ORACLE_SEEDS))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_comparison(instance, protocol, seed):
+    """regret_gap_and_communication of one of the 24 runs: fixed beta = 0.2,
+    M = 3, K = 600, seeded uniform-random schedule."""
+    return regret_gap_and_communication(RunConfig(
+        **ORACLE_INSTANCES[instance], M=3, K=600, beta_mode="fixed", beta_value=0.2,
+        protocol=protocol, schedule="uniform_random", master_seed=seed))
+
+
+class TestPaperLiteralOracle:
+    """On every run the package's regret, and off a greedy tie its trigger and
+    communication record, are paper_literal_lsvi's."""
+
+    @pytest.mark.parametrize("instance,protocol,seed", ORACLE_RUNS)
+    def test_regret(self, instance, protocol, seed):
+        assert oracle_comparison(instance, protocol, seed)[0] < 1e-9
+
+    @pytest.mark.parametrize("instance,protocol,seed", [
+        pytest.param(*run, marks=pytest.mark.xfail(
+            run in ORACLE_TIED, strict=True, reason="an ulp-level greedy tie at the zero "
+            "absorber, decided by rounding (ROADMAP B1)")) for run in ORACLE_RUNS])
+    def test_triggers_and_communication(self, instance, protocol, seed):
+        _, got, want = oracle_comparison(instance, protocol, seed)
+        assert got == want
